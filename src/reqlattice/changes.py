@@ -34,7 +34,7 @@ from reqlattice.model import (
     SourceKind,
 )
 from reqlattice.partition import Partition, partition_requirements
-from reqlattice.relations import refinement_closure
+from reqlattice.relations import check_acyclic
 
 CASE_SPEC_STAYS_SPEC = "1a"
 CASE_SPEC_TO_GENERAL = "1b"
@@ -305,8 +305,7 @@ def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactRepor
             partitions = _req_partitions(current)
             current, record = classify_change(current, op, partitions)
         model.validate_corpus(current)
-        ids = {s.id for s in current.sources} | {r.id for r in current.requirements}
-        refinement_closure(current.relations, ids)
+        check_acyclic(current.relations, {s.id for s in current.sources} | {r.id for r in current.requirements})
         records.append(record)
     report = ImpactReport(
         label=cs.label,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from collections.abc import Callable
 
 from reqlattice import corpus_io, hierarchy, optimize, partition, relations, reports, topsis
 from reqlattice.changes import apply_change_set, reuse_hints
@@ -69,12 +69,24 @@ def _build_parser() -> _Parser:
 _LEVEL_FLAG = {"national": Level.NATIONAL, "state": Level.STATE, "org": Level.ORGANISATIONAL}
 
 
-def _emit(args, text_out: str, json_out: str) -> None:
-    payload = json_out if args.format == "json" else text_out
-    if getattr(args, "out", None) and args.command != "change":
-        Path(args.out).write_text(payload, encoding="utf-8")
+def _emit(args, report_type: str, body, text: Callable[[bool], str]) -> None:
+    """Write the report to ``--out`` (for ``change`` that is the new corpus,
+    so its report goes to stdout) or to stdout.
+
+    ``text(color)`` renders the text report; headings are coloured only when
+    the stream written to is a terminal.
+    """
+    def write(stream) -> None:
+        if args.format == "json":
+            stream.write(reports.envelope_json(report_type, body))
+        else:
+            stream.write(text(reports.use_color(stream)))
+
+    if args.out and args.command != "change":
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write(fh)
     else:
-        sys.stdout.write(payload)
+        write(sys.stdout)
 
 
 def _level_partitions(corpus: Corpus, level_flag: str | None) -> dict[str, Partition]:
@@ -86,17 +98,18 @@ def _level_partitions(corpus: Corpus, level_flag: str | None) -> dict[str, Parti
     for skind in SourceKind:
         view = hierarchy.level_source_view(corpus, selection, skind)
         out[skind.value] = partition.partition_sources(corpus, skind, view)
+    req_views = hierarchy.level_requirement_view(corpus, selection)
     for rkind in RequirementKind:
-        view = hierarchy.level_requirement_view(corpus, selection, rkind)
-        out[rkind.value] = partition.partition_requirements(corpus, rkind, view)
+        out[rkind.value] = partition.partition_requirements(corpus, rkind, req_views[rkind])
     return out
 
 
 def _component_scope_warnings(corpus: Corpus, parts: dict[str, Partition]) -> list[Finding]:
     warnings: list[Finding] = []
+    rmap = corpus.requirement_map()
     for comp in sorted(corpus.components, key=lambda c: c.id):
         for rid in sorted(comp.implements):
-            req = corpus.requirement_map().get(rid)
+            req = rmap.get(rid)
             if req is None:
                 continue
             part = parts[req.kind.value]
@@ -117,7 +130,7 @@ def _cmd_validate(args, corpus: Corpus) -> int:
     body = {"valid": True, "warnings": [reports.finding_body(f) for f in warnings]}
     lines = ["corpus valid"]
     reports.render_findings(warnings, lines)
-    _emit(args, "\n".join(lines) + "\n", reports.envelope_json("validate", body))
+    _emit(args, "validate", body, lambda color: "\n".join(lines) + "\n")
     return EXIT_STRICT if args.strict and warnings else EXIT_OK
 
 
@@ -129,11 +142,8 @@ def _cmd_partition(args, corpus: Corpus) -> int:
     condition: list[Finding] = []
     for part in source_parts.values():
         condition.extend(partition.check_specific_contradiction_condition(corpus, part))
-    _emit(
-        args,
-        reports.partition_text(parts, elaboration, condition),
-        reports.envelope_json("partition", reports.partition_body(parts, elaboration, condition)),
-    )
+    _emit(args, "partition", reports.partition_body(parts, elaboration, condition),
+          lambda color: reports.partition_text(parts, elaboration, condition, color))
     failing = [f for f in elaboration if f.severity == "error"] + condition
     return EXIT_STRICT if args.strict and failing else EXIT_OK
 
@@ -146,22 +156,22 @@ def _cmd_scenario(args, corpus: Corpus) -> int:
             classes[kind.value] = partition.classify_scenario(parts[kind.value])
         except EmptyAspectError:
             classes[kind.value] = None
-    _emit(args, reports.scenario_text(classes),
-          reports.envelope_json("scenario", reports.scenario_body(classes)))
+    _emit(args, "scenario", reports.scenario_body(classes),
+          lambda color: reports.scenario_text(classes))
     return EXIT_OK
 
 
 def _cmd_optimize(args, corpus: Corpus) -> int:
     gv = optimize.global_view(corpus)
-    _emit(args, reports.optimize_text(gv, args.emit),
-          reports.envelope_json("optimize", reports.optimize_body(gv, args.emit)))
+    _emit(args, "optimize", reports.optimize_body(gv, args.emit),
+          lambda color: reports.optimize_text(gv, args.emit, color))
     return EXIT_STRICT if args.strict and gv.conflicts else EXIT_OK
 
 
 def _cmd_conflicts(args, corpus: Corpus) -> int:
     records = relations.find_conflicts(corpus, {r.id for r in corpus.requirements})
-    _emit(args, reports.conflicts_text(records),
-          reports.envelope_json("conflicts", reports.conflicts_body(records)))
+    _emit(args, "conflicts", reports.conflicts_body(records),
+          lambda color: reports.conflicts_text(records))
     return EXIT_STRICT if args.strict and records else EXIT_OK
 
 
@@ -171,9 +181,8 @@ def _cmd_change(args, corpus: Corpus) -> int:
     hints = reuse_hints(report, corpus)
     if args.out:
         corpus_io.save_corpus(new_corpus, args.out)
-    payload_text = reports.impact_text(report, hints)
-    payload_json = reports.envelope_json("impact", reports.impact_body(report, hints))
-    sys.stdout.write(payload_json if args.format == "json" else payload_text)
+    _emit(args, "impact", reports.impact_body(report, hints),
+          lambda color: reports.impact_text(report, hints, color))
     return EXIT_OK
 
 
@@ -183,8 +192,8 @@ def _cmd_hierarchy(args, corpus: Corpus) -> int:
         j.id: sorted(hierarchy.effective_requirements(corpus, j.id))
         for j in corpus.jurisdictions
     }
-    _emit(args, reports.hierarchy_text(findings, effective),
-          reports.envelope_json("hierarchy", reports.hierarchy_body(findings, effective)))
+    _emit(args, "hierarchy", reports.hierarchy_body(findings, effective),
+          lambda color: reports.hierarchy_text(findings, effective, color))
     return EXIT_STRICT if args.strict and findings else EXIT_OK
 
 
@@ -192,8 +201,8 @@ def _cmd_rank(args, corpus: Corpus) -> int:
     alts = corpus_io.load_alternatives(args.alts)
     matrix = topsis.build_conflict_matrix(corpus, alts)
     ranking = topsis.rank_alternatives(matrix)
-    _emit(args, reports.ranking_text(ranking),
-          reports.envelope_json("ranking", reports.ranking_body(ranking)))
+    _emit(args, "ranking", reports.ranking_body(ranking),
+          lambda color: reports.ranking_text(ranking, color))
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -35,7 +36,7 @@ from reqlattice.model import (
     SourceItem,
     SourceKind,
 )
-from reqlattice.relations import refinement_closure
+from reqlattice.relations import check_acyclic
 
 FORMAT_VERSION = 1
 
@@ -97,10 +98,26 @@ def _read_json(path: str | Path) -> Any:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IOFailure(str(path), exc) from exc
+
+    def non_finite(token: str):
+        raise ParseError(f"non-finite number {token} is not allowed", path=str(path))
+
+    def finite(convert):
+        # a literal that overflows a float would become inf (or, for ints,
+        # fail float() later), so it is rejected like NaN and Infinity
+        def parse(token: str):
+            if not math.isfinite(float(token)):
+                non_finite(token)
+            return convert(token)
+        return parse
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=non_finite,
+                          parse_float=finite(float), parse_int=finite(int))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=str(path), line=exc.lineno) from exc
+    except RecursionError:
+        raise ParseError("document nests too deeply", path=str(path)) from None
 
 
 def _check_version(doc: dict, what: str) -> None:
@@ -191,8 +208,7 @@ def parse_corpus(doc: Any) -> Corpus:
     )
     model.validate_corpus(corpus)
     # surfaces CycleError for cyclic refinement declarations
-    all_ids = {s.id for s in sources} | {r.id for r in requirements}
-    refinement_closure(relations, all_ids)
+    check_acyclic(relations, {s.id for s in sources} | {r.id for r in requirements})
     return corpus
 
 
@@ -301,6 +317,8 @@ def parse_change_set(doc: Any) -> ChangeSet:
             p = _take(o["payload"], "payload",
                       {}, {"text": str, "conceptKey": str, "role": str, "kind": str,
                            "jurisdiction": str, "derivedFrom": list})
+            if not all(isinstance(x, str) for x in p.get("derivedFrom", [])):
+                raise ValidationError("BAD_TYPE", f"payload of {o['target']!r} derivedFrom must hold ids")
             payload = ChangePayload(
                 text=p.get("text"), concept_key=p.get("conceptKey"),
                 role=p.get("role"), kind=p.get("kind"), jurisdiction=p.get("jurisdiction"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from reqlattice.errors import UnknownIdError
-from reqlattice.model import Corpus, Level
+from reqlattice.model import Corpus, Level, RequirementKind
 from reqlattice.partition import ItemView
 from reqlattice.relations import refinement_closure
 
@@ -58,14 +58,19 @@ def effective_sources(corpus: Corpus, node: str, kind=None) -> frozenset[str]:
     )
 
 
-def level_requirement_view(corpus: Corpus, selection: LevelSelection, kind) -> ItemView:
-    """Per-frontier-node requirement sets of one kind, for partition analysis."""
+def level_requirement_view(corpus: Corpus, selection: LevelSelection) -> dict[RequirementKind, ItemView]:
+    """Per-kind, per-frontier-node requirement sets, for partition analysis.
+
+    Each frontier node's effective set is computed once and split by kind.
+    """
     rmap = corpus.requirement_map()
-    return {
-        node: [rmap[rid] for rid in sorted(effective_requirements(corpus, node))
-               if rmap[rid].kind is kind]
-        for node in selection.frontier
+    views: dict[RequirementKind, ItemView] = {
+        kind: {node: [] for node in selection.frontier} for kind in RequirementKind
     }
+    for node in selection.frontier:
+        for rid in sorted(effective_requirements(corpus, node)):
+            views[rmap[rid].kind][node].append(rmap[rid])
+    return views
 
 
 def level_source_view(corpus: Corpus, selection: LevelSelection, kind) -> ItemView:

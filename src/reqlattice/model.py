@@ -12,6 +12,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 
 class Level(str, Enum):
@@ -133,6 +134,17 @@ class Corpus:
         for name in ("jurisdictions", "sources", "requirements", "components"):
             object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=lambda e: e.id)))
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """sha256 of the canonical serialization, computed on first use.
+
+        The corpus is immutable, so the cached value cannot go stale; it
+        lives in the instance ``__dict__`` and takes no part in ``==``.
+        """
+        from reqlattice import corpus_io
+
+        return hashlib.sha256(corpus_io.canonical_bytes(self)).hexdigest()
+
     def jurisdiction_map(self) -> dict[str, Jurisdiction]:
         return {j.id: j for j in self.jurisdictions}
 
@@ -168,8 +180,8 @@ _ALLOWED_PARENT_LEVELS = {
 def validate_corpus(corpus: Corpus) -> None:
     """Check every structural invariant; raise ValidationError on the first hit.
 
-    Refinement acyclicity is checked separately (relations.refinement_closure)
-    because it needs the closure machinery; the loader runs both.
+    Refinement acyclicity is checked separately (relations.check_acyclic)
+    because it needs the refinement graph; the loader runs both.
     """
     from reqlattice.errors import ValidationError
 
@@ -256,18 +268,14 @@ def validate_corpus(corpus: Corpus) -> None:
             if ra[1] != rb[1]:
                 raise ValidationError("RELATION_KIND_MISMATCH", f"{rel_name} pair ({a!r}, {b!r}) mixes kinds", item_id=a)
 
-    known = set(smap) | set(rmap)
     for c in corpus.components:
         for rid in sorted(c.implements):
             if rid not in rmap:
                 raise ValidationError("DANGLING_REF", f"component {c.id!r} implements unknown requirement {rid!r}", item_id=c.id)
         if c.scope.kind == "specific" and c.scope.jurisdiction not in jmap:
             raise ValidationError("DANGLING_REF", f"component {c.id!r} scoped to unknown jurisdiction", item_id=c.id)
-    del known
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:
     """Stable digest of the corpus value, used to pair partitions with corpora."""
-    from reqlattice import corpus_io
-
-    return hashlib.sha256(corpus_io.canonical_bytes(corpus)).hexdigest()
+    return corpus.fingerprint

@@ -27,28 +27,27 @@ def remove_redundant(ids: set[str] | frozenset[str], corpus: Corpus) -> tuple[fr
     The removed map records the lexicographically smallest refining witness
     for each dropped element, so reports are reproducible.
     """
+    view = optimize(ids, corpus, "")
+    return view.strongest, view.removed
+
+
+def minimal_baseline(ids: set[str] | frozenset[str], corpus: Corpus) -> frozenset[str]:
+    """Minimal elements of the refinement closure restricted to ``ids``."""
+    return optimize(ids, corpus, "").baseline
+
+
+def optimize(ids: set[str] | frozenset[str], corpus: Corpus, scope: str) -> OptimizedView:
+    """Strongest set, removal witnesses and baseline from one restricted closure."""
     closure = refinement_closure(corpus.relations, set(ids))
     refined_by: dict[str, list[str]] = {}
     for strong, weak in closure:
         refined_by.setdefault(weak, []).append(strong)
     removed = {weak: min(strongs) for weak, strongs in refined_by.items()}
-    strongest = frozenset(i for i in ids if i not in removed)
-    return strongest, removed
-
-
-def minimal_baseline(ids: set[str] | frozenset[str], corpus: Corpus) -> frozenset[str]:
-    """Minimal elements of the refinement closure restricted to ``ids``."""
-    closure = refinement_closure(corpus.relations, set(ids))
     has_weaker = {strong for strong, _weak in closure}
-    return frozenset(i for i in ids if i not in has_weaker)
-
-
-def optimize(ids: set[str] | frozenset[str], corpus: Corpus, scope: str) -> OptimizedView:
-    strongest, removed = remove_redundant(ids, corpus)
     return OptimizedView(
         scope=scope,
-        strongest=strongest,
-        baseline=minimal_baseline(ids, corpus),
+        strongest=frozenset(i for i in ids if i not in removed),
+        baseline=frozenset(i for i in ids if i not in has_weaker),
         removed=removed,
     )
 
@@ -87,7 +86,6 @@ def global_view(corpus: Corpus) -> GlobalView:
     )
 
 
-def conflict_requirement_ids(view: GlobalView) -> list[str]:
-    """Sorted requirement ids involved in any global conflict."""
-    ids = {i for record in view.conflicts for i in record.pair}
-    return sorted(ids)
+def conflict_requirement_ids(conflicts: list[ConflictRecord]) -> list[str]:
+    """Sorted requirement ids involved in any of the conflicts."""
+    return sorted({i for record in conflicts for i in record.pair})

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from reqlattice import model
 from reqlattice.errors import EmptyAspectError, PartitionMismatchError
@@ -33,11 +34,20 @@ class Partition:
         return frozenset(ids)
 
     def owner_of(self, item_id: str) -> str | None:
-        """Jurisdiction whose specific set holds the id, or None if general."""
+        """Jurisdiction whose specific set holds the id, or None if general.
+
+        In a level view an inherited item sits in several frontier buckets;
+        the first bucket in ``specific`` order owns it.
+        """
+        return self._owners.get(item_id)
+
+    @cached_property
+    def _owners(self) -> dict[str, str]:
+        owners: dict[str, str] = {}
         for jid, bucket in self.specific.items():
-            if item_id in bucket:
-                return jid
-        return None
+            for item_id in bucket:
+                owners.setdefault(item_id, jid)
+        return owners
 
 
 class ScenarioOption(str, Enum):

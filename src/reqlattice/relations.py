@@ -8,6 +8,44 @@ from reqlattice.errors import CycleError, RoleMismatchError, UnknownIdError
 from reqlattice.model import Corpus, RelationSet, Requirement, SourceItem
 
 
+def check_acyclic(
+    relations: RelationSet, ids: set[str] | frozenset[str]
+) -> dict[str, set[str]]:
+    """Adjacency of ``refines`` restricted to ``ids``, checked to be acyclic.
+
+    Raises CycleError with one witness cycle. The depth-first search visits
+    starts and successors in sorted order, so the witness is reproducible;
+    it keeps an explicit stack, so chain depth is not bounded by the
+    interpreter's recursion limit.
+    """
+    edges: dict[str, set[str]] = {i: set() for i in ids}
+    for a, b in relations.refines:
+        if a in edges and b in edges:
+            edges[a].add(b)
+
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {i: WHITE for i in ids}
+    for start in sorted(ids):
+        if color[start] != WHITE:
+            continue
+        color[start] = GREY
+        path = [start]
+        pending = [iter(sorted(edges[start]))]
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GREY:
+                    raise CycleError(path[path.index(nxt):])
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    path.append(nxt)
+                    pending.append(iter(sorted(edges[nxt])))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
+    return edges
+
+
 def refinement_closure(
     relations: RelationSet, ids: set[str] | frozenset[str]
 ) -> frozenset[tuple[str, str]]:
@@ -16,31 +54,7 @@ def refinement_closure(
     Raises CycleError (with one witness cycle) if any element would end up
     refining itself.
     """
-    edges: dict[str, set[str]] = {i: set() for i in ids}
-    for a, b in relations.refines:
-        if a in edges and b in edges:
-            edges[a].add(b)
-
-    # DFS cycle check with an explicit witness
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in ids}
-    stack: list[str] = []
-
-    def visit(node: str) -> None:
-        color[node] = GREY
-        stack.append(node)
-        for nxt in sorted(edges[node]):
-            if color[nxt] == GREY:
-                raise CycleError(stack[stack.index(nxt):])
-            if color[nxt] == WHITE:
-                visit(nxt)
-        stack.pop()
-        color[node] = BLACK
-
-    for start in sorted(ids):
-        if color[start] == WHITE:
-            visit(start)
-
+    edges = check_acyclic(relations, ids)
     closure: set[tuple[str, str]] = set()
     for start in ids:
         reachable: set[str] = set()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import sys
 
 from reqlattice.changes import ImpactReport, ReuseHint
 from reqlattice.corpus_io import canonical_json, report_envelope
@@ -14,7 +13,8 @@ from reqlattice.relations import ConflictRecord
 from reqlattice.topsis import Ranking
 
 
-def _use_color(stream) -> bool:
+def use_color(stream) -> bool:
+    """Whether text written to ``stream`` gets coloured headings."""
     env = os.environ.get("REQLATTICE_COLOR")
     if env == "0":
         return False
@@ -23,8 +23,8 @@ def _use_color(stream) -> bool:
     return hasattr(stream, "isatty") and stream.isatty()
 
 
-def heading(text: str, stream=None) -> str:
-    if _use_color(stream or sys.stdout):
+def heading(text: str, color: bool) -> str:
+    if color:
         return f"\x1b[1m{text}\x1b[0m"
     return text
 
@@ -144,10 +144,11 @@ def render_findings(findings: list[Finding], lines: list[str]) -> None:
 
 def partition_text(parts: dict[str, Partition],
                    elaboration: list[Finding],
-                   condition: list[Finding]) -> str:
+                   condition: list[Finding],
+                   color: bool = False) -> str:
     lines = []
     for kind, part in sorted(parts.items()):
-        lines.append(heading(f"{part.role} / {kind}"))
+        lines.append(heading(f"{part.role} / {kind}", color))
         if part.general_concepts:
             lines.append("  general concepts:")
             for key, ids in sorted(part.general_concepts.items()):
@@ -157,10 +158,10 @@ def partition_text(parts: dict[str, Partition],
         for jid, ids in sorted(part.specific.items()):
             lines.append(f"  specific to {jid}: {', '.join(sorted(ids)) or '(none)'}")
     if elaboration:
-        lines.append(heading("elaboration findings"))
+        lines.append(heading("elaboration findings", color))
         render_findings(elaboration, lines)
     if condition:
-        lines.append(heading("cross-jurisdiction contradiction condition"))
+        lines.append(heading("cross-jurisdiction contradiction condition", color))
         render_findings(condition, lines)
     return "\n".join(lines) + "\n"
 
@@ -175,8 +176,8 @@ def scenario_text(classes: dict[str, ScenarioClass | None]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def optimize_text(gv: GlobalView, emit: str = "both") -> str:
-    lines = [heading("global optimized view")]
+def optimize_text(gv: GlobalView, emit: str = "both", color: bool = False) -> str:
+    lines = [heading("global optimized view", color)]
 
     def emit_view(label: str, view: OptimizedView) -> None:
         lines.append(f"  {label}:")
@@ -191,10 +192,10 @@ def optimize_text(gv: GlobalView, emit: str = "both") -> str:
     for kind, view in sorted(gv.global_per_kind.items()):
         emit_view(f"{kind} (global)", view)
     for jid, kinds in sorted(gv.per_jurisdiction.items()):
-        lines.append(heading(f"jurisdiction {jid}"))
+        lines.append(heading(f"jurisdiction {jid}", color))
         for kind, view in sorted(kinds.items()):
             emit_view(kind, view)
-    lines.append(heading("conflicts"))
+    lines.append(heading("conflicts", color))
     lines.append(conflicts_text(gv.conflicts).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
@@ -206,8 +207,8 @@ def conflicts_text(records: list[ConflictRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def impact_text(report: ImpactReport, hints: list[ReuseHint]) -> str:
-    lines = [heading(f"change set: {report.label}")]
+def impact_text(report: ImpactReport, hints: list[ReuseHint], color: bool = False) -> str:
+    lines = [heading(f"change set: {report.label}", color)]
     for rec in report.per_op:
         lines.append(f"  {rec.op} {rec.target}: case {rec.case_code}, "
                      f"affected {', '.join(sorted(rec.affected)) or '(none)'}")
@@ -216,29 +217,30 @@ def impact_text(report: ImpactReport, hints: list[ReuseHint]) -> str:
         for cid, status in rec.component_impact:
             lines.append(f"    component {cid}: {status}")
     if hints:
-        lines.append(heading("reuse hints"))
+        lines.append(heading("reuse hints", color))
         for h in hints:
             lines.append(f"  {h.component_id} (of {h.owner_jurisdiction}) reusable for "
                          f"{h.for_jurisdiction} via {h.via_requirement}")
     return "\n".join(lines) + "\n"
 
 
-def hierarchy_text(findings: list[HierarchyFinding], effective: dict[str, list[str]]) -> str:
+def hierarchy_text(findings: list[HierarchyFinding], effective: dict[str, list[str]],
+                   color: bool = False) -> str:
     lines = []
     if findings:
-        lines.append(heading("hierarchy findings"))
+        lines.append(heading("hierarchy findings", color))
         for f in findings:
             lines.append(f"  {f.code} {f.jurisdiction}: {f.message}")
     else:
         lines.append("hierarchy well-formed")
-    lines.append(heading("effective requirements"))
+    lines.append(heading("effective requirements", color))
     for jid, ids in sorted(effective.items()):
         lines.append(f"  {jid}: {', '.join(ids) or '(none)'}")
     return "\n".join(lines) + "\n"
 
 
-def ranking_text(ranking: Ranking) -> str:
-    lines = [heading("ranking (closeness to ideal)")]
+def ranking_text(ranking: Ranking, color: bool = False) -> str:
+    lines = [heading("ranking (closeness to ideal)", color)]
     for pos, (aid, closeness) in enumerate(ranking.entries, start=1):
         lines.append(f"  {pos}. {aid}  {closeness:.6f}")
     if ranking.dropped_criteria:

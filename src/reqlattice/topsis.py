@@ -16,7 +16,8 @@ import numpy as np
 from reqlattice.corpus_io import AlternativesFile
 from reqlattice.errors import DegenerateMatrixError, UnknownRequirementError
 from reqlattice.model import Corpus
-from reqlattice.optimize import conflict_requirement_ids, global_view
+from reqlattice.optimize import conflict_requirement_ids
+from reqlattice.relations import find_conflicts
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def build_conflict_matrix(corpus: Corpus, alts: AlternativesFile) -> DecisionMat
     direction; equal weights unless the alternatives file overrides them);
     values are each alternative's satisfaction scores, defaulting to 0.
     """
-    conflict_ids = conflict_requirement_ids(global_view(corpus))
+    conflict_ids = conflict_requirement_ids(find_conflicts(corpus, {r.id for r in corpus.requirements}))
     conflict_set = set(conflict_ids)
     for alt in alts.alternatives:
         for rid in alt.satisfies:

@@ -163,3 +163,64 @@ def test_color_env_toggle(capsys, corpus_arg, monkeypatch):
     monkeypatch.setenv("REQLATTICE_COLOR", "0")
     _, out_plain, _ = invoke(capsys, "scenario", *corpus_arg)
     assert "\x1b[" not in out_plain
+
+
+def chain_corpus(tmp_path, depth, closed=False):
+    ids = [f"r{i:04d}" for i in range(depth)]
+    refines = [[a, b] for a, b in zip(ids, ids[1:])]
+    if closed:
+        refines.append([ids[-1], ids[0]])
+    doc = {
+        "formatVersion": 1,
+        "jurisdictions": [{"id": "nat", "name": "N", "level": "national"}],
+        "requirements": [{"id": i, "kind": "functional", "jurisdiction": "nat",
+                          "conceptKey": i, "text": i} for i in ids],
+        "relations": {"refines": refines},
+    }
+    path = tmp_path / "chain.reqcorpus.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_deep_refines_chain_validates(capsys, tmp_path):
+    code, out, err = invoke(capsys, "validate", "--corpus", str(chain_corpus(tmp_path, 3000)))
+    assert (code, out, err) == (EXIT_OK, "corpus valid\n", "")
+
+
+def test_deep_refines_cycle_exit_1(capsys, tmp_path):
+    code, _, err = invoke(capsys, "validate", "--corpus", str(chain_corpus(tmp_path, 3000, closed=True)))
+    assert code == EXIT_INVALID
+    assert err.startswith("reqlattice: refinement cycle: r0000 -> r0001 -> ")
+
+
+def test_deeply_nested_json_exit_1(capsys, tmp_path):
+    path = tmp_path / "deep.reqcorpus.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = invoke(capsys, "validate", "--corpus", str(path))
+    assert code == EXIT_INVALID
+    assert "nests too deeply" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "-Infinity", "1e999", "int-1e400"])
+def test_non_finite_alternatives_exit_1(capsys, corpus_arg, alts_path, tmp_path, token):
+    doc = json.loads(alts_path.read_text())
+    doc["weights"] = {"req-de-retention": "@"}
+    path = tmp_path / "alts.json"
+    path.write_text(json.dumps(doc).replace('"@"', token))
+    code, out, err = invoke(capsys, "rank", *corpus_arg, "--alts", str(path))
+    assert code == EXIT_INVALID
+    assert out == "" and f"non-finite number {token}" in err
+
+
+def test_text_report_out_file_has_no_color(capsys, corpus_arg, monkeypatch, tmp_path):
+    import sys
+
+    monkeypatch.delenv("REQLATTICE_COLOR", raising=False)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    _, to_terminal, _ = invoke(capsys, "partition", *corpus_arg)
+    assert "\x1b[1m" in to_terminal
+    dest = tmp_path / "report.txt"
+    code, out, _ = invoke(capsys, "partition", *corpus_arg, "--out", str(dest))
+    assert code == EXIT_OK and out == ""
+    assert dest.read_text() == to_terminal.replace("\x1b[1m", "").replace("\x1b[0m", "")

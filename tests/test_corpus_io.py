@@ -140,6 +140,16 @@ class TestChangeSetIO:
             corpus_io.load_change_set(path, worked_example)
         assert e.value.code == "UNKNOWN_JURISDICTION"
 
+    def test_add_payload_derived_from_must_hold_ids(self):
+        doc = {"formatVersion": 1, "label": "l", "ops": [
+            {"op": "add", "target": "r9", "payload": {
+                "role": "requirement", "kind": "legalBased", "jurisdiction": "de",
+                "conceptKey": "k", "text": "t", "derivedFrom": [[1]]}},
+        ]}
+        with pytest.raises(ValidationError) as e:
+            corpus_io.parse_change_set(doc)
+        assert e.value.code == "BAD_TYPE"
+
     def test_modify_without_payload(self):
         doc = {"formatVersion": 1, "label": "l",
                "ops": [{"op": "modify", "target": "r1"}]}

@@ -121,7 +121,7 @@ class TestLevelSelection:
     def test_level_view_uses_effective_sets(self):
         corpus = tree_corpus()
         sel = select_level(corpus, Level.ORGANISATIONAL)
-        view = level_requirement_view(corpus, sel, RequirementKind.FUNCTIONAL)
+        view = level_requirement_view(corpus, sel)[RequirementKind.FUNCTIONAL]
         assert {r.id for r in view["org"]} == {"r-nat", "r-st", "r-org"}
 
 

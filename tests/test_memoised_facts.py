@@ -1,0 +1,128 @@
+"""Memoised corpus facts stay fresh across change application.
+
+Every fact cached on a ``Corpus`` or ``Partition`` (fingerprint, owner map)
+must equal its from-scratch value on each corpus a change set produces, and
+the analyses that read those caches must still match the brute-force oracles.
+"""
+
+import hashlib
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    brute_force_maximal,
+    brute_force_minimal,
+    fixpoint_contradictions,
+    path_enumeration_closure,
+    random_corpus,
+)
+from reqlattice import corpus_io, model
+from reqlattice.changes import apply_change_set
+from reqlattice.corpus_io import Alternative, AlternativesFile, ChangeOp, ChangePayload, ChangeSet
+from reqlattice.errors import PartitionMismatchError
+from reqlattice.hierarchy import level_requirement_view, select_level
+from reqlattice.model import Corpus, Level, RequirementKind
+from reqlattice.optimize import optimize
+from reqlattice.partition import _check_same_corpus, partition_requirements
+from reqlattice.topsis import build_conflict_matrix
+
+
+def scratch_fingerprint(corpus: Corpus) -> str:
+    return hashlib.sha256(corpus_io.canonical_bytes(corpus)).hexdigest()
+
+
+def as_tree(rng: random.Random, corpus: Corpus) -> Corpus:
+    """Hang every jurisdiction but the first under an earlier one."""
+    nodes = [corpus.jurisdictions[0]]
+    for j in corpus.jurisdictions[1:]:
+        parent = rng.choice([n for n in nodes if n.level is not Level.ORGANISATIONAL])
+        level = Level.STATE if parent.level is Level.NATIONAL and rng.random() < 0.5 else Level.ORGANISATIONAL
+        nodes.append(replace(j, level=level, parent=parent.id))
+    tree = replace(corpus, jurisdictions=tuple(nodes))
+    model.validate_corpus(tree)
+    return tree
+
+
+def random_op(rng: random.Random, corpus: Corpus, n: int) -> ChangeOp:
+    jids = sorted(j.id for j in corpus.jurisdictions)
+    roll = rng.random()
+    if corpus.requirements and roll < 0.6:
+        target = rng.choice(corpus.requirements)
+        text = f"{target.concept_key} variant {rng.randrange(3)}"
+        adopted = frozenset(rng.sample(jids, rng.randint(1, len(jids))))
+        return ChangeOp("modify", target.id, ChangePayload(text=text), adopted)
+    if corpus.requirements and roll < 0.8:
+        return ChangeOp("remove", rng.choice(corpus.requirements).id)
+    return ChangeOp("add", f"added-{n}", ChangePayload(
+        text=f"added {n}", concept_key=f"added-{n}", role="requirement",
+        kind=rng.choice(list(RequirementKind)).value, jurisdiction=rng.choice(jids)))
+
+
+def oracle_level_view(corpus: Corpus, level: Level) -> dict:
+    """Own plus ancestor requirements, minus those a strictly nearer one refines."""
+    ids = {r.id for r in corpus.requirements}
+    closure = path_enumeration_closure(set(corpus.relations.refines), ids)
+    jur_of = {r.id: r.jurisdiction for r in corpus.requirements}
+    views = {}
+    for node in sorted(j.id for j in corpus.jurisdictions if j.level is level):
+        depth = {jid: i for i, jid in enumerate([node, *corpus.ancestors(node)])}
+        pool = {i for i in ids if jur_of[i] in depth}
+        views[node] = {
+            i for i in pool
+            if not any((s, i) in closure and depth[jur_of[s]] < depth[jur_of[i]] for s in pool)
+        }
+    return views
+
+
+def check_against_oracles(corpus: Corpus) -> None:
+    ids = {r.id for r in corpus.requirements}
+    closure = path_enumeration_closure(set(corpus.relations.refines), ids)
+    view = optimize(ids, corpus, "all")
+    assert view.strongest == brute_force_maximal(ids, closure)
+    assert view.baseline == brute_force_minimal(ids, closure)
+    assert view.removed == {
+        weak: min(s for s, w in closure if w == weak) for weak in ids - view.strongest
+    }
+
+    for level in Level:
+        selection = select_level(corpus, level)
+        got = level_requirement_view(corpus, selection)
+        expect = oracle_level_view(corpus, level)
+        for kind in RequirementKind:
+            rmap = corpus.requirement_map()
+            assert {node: [r.id for r in items] for node, items in got[kind].items()} == {
+                node: sorted(i for i in visible if rmap[i].kind is kind)
+                for node, visible in expect.items()
+            }
+
+    alts = AlternativesFile(alternatives=(Alternative("a", {}), Alternative("b", {})), weights={})
+    matrix = build_conflict_matrix(corpus, alts)
+    pairs = fixpoint_contradictions(set(corpus.relations.refines), set(corpus.relations.contradicts))
+    assert [c.id for c in matrix.criteria] == sorted({i for pair in pairs for i in pair})
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_memoised_facts_match_scratch_after_each_change(seed):
+    rng = random.Random(seed)
+    corpus = as_tree(rng, random_corpus(rng, max_jurisdictions=4, max_concepts=8,
+                                        hash_alphabet=2, with_relations=True))
+    for n in range(rng.randint(1, 4)):
+        before_fp = model.corpus_fingerprint(corpus)  # fills the cache first
+        before_parts = {k: partition_requirements(corpus, k) for k in RequirementKind}
+        op = random_op(rng, corpus, n)
+        after, _report = apply_change_set(corpus, ChangeSet(label=f"op{n}", ops=(op,)))
+
+        assert model.corpus_fingerprint(corpus) == scratch_fingerprint(corpus) == before_fp
+        assert model.corpus_fingerprint(after) == scratch_fingerprint(after)
+        if after != corpus:
+            assert model.corpus_fingerprint(after) != before_fp
+            with pytest.raises(PartitionMismatchError):
+                _check_same_corpus(after, *before_parts.values())
+        _check_same_corpus(corpus, *before_parts.values())
+        check_against_oracles(after)
+        corpus = after

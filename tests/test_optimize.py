@@ -117,7 +117,7 @@ class TestGlobalView:
         assert gv.global_all.removed == {"req-fr-audit": "req-de-audit"}
         assert "req-fr-audit" not in gv.global_all.strongest
         assert [c.pair for c in gv.conflicts] == [("req-de-retention", "req-fr-retention")]
-        assert conflict_requirement_ids(gv) == ["req-de-retention", "req-fr-retention"]
+        assert conflict_requirement_ids(gv.conflicts) == ["req-de-retention", "req-fr-retention"]
 
     def test_single_jurisdiction_matches_global(self):
         corpus = poset_corpus({"a", "b", "c"}, {("a", "b")})

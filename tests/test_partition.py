@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from oracles import per_concept_partition, random_corpus
-from reqlattice import model, partition
+from reqlattice import hierarchy, model, partition
 from reqlattice.errors import EmptyAspectError, PartitionMismatchError
 from reqlattice.model import (
     Corpus,
@@ -242,6 +242,43 @@ class TestCheckElaboration:
                 {k.value: parts1[k.value] for k in SourceKind},
                 {k.value: parts1[k.value] for k in RequirementKind},
             )
+
+
+class TestLevelPartitionOwner:
+    """At a level frontier an inherited item sits in several buckets; the
+    first frontier node in ``specific`` order owns it."""
+
+    def _parts(self):
+        corpus = make(
+            [jur("nat"),
+             Jurisdiction("st-a", "st-a", Level.STATE, "nat"),
+             Jurisdiction("st-b", "st-b", Level.STATE, "nat"),
+             Jurisdiction("org-1", "org-1", Level.ORGANISATIONAL, "st-a"),
+             Jurisdiction("org-2", "org-2", Level.ORGANISATIONAL, "st-a"),
+             Jurisdiction("org-3", "org-3", Level.ORGANISATIONAL, "st-b")],
+            sources=[src("s-nat", "nat", "national-law", "national law")],
+            requirements=[req("r-st", "st-a", "state-rule", "state rule", derived=["s-nat"])],
+        )
+        selection = hierarchy.select_level(corpus, Level.ORGANISATIONAL)
+        req_views = hierarchy.level_requirement_view(corpus, selection)
+        source_parts = {k.value: partition_sources(corpus, k, hierarchy.level_source_view(corpus, selection, k))
+                        for k in SourceKind}
+        req_parts = {k.value: partition_requirements(corpus, k, req_views[k]) for k in RequirementKind}
+        return corpus, source_parts, req_parts
+
+    def test_inherited_item_owned_by_first_frontier_node(self):
+        _corpus, _source_parts, req_parts = self._parts()
+        part = req_parts[RequirementKind.LEGAL_BASED.value]
+        assert [jid for jid, ids in part.specific.items() if "r-st" in ids] == ["org-1", "org-2"]
+        assert part.owner_of("r-st") == "org-1"
+
+    def test_elaboration_messages_name_first_frontier_node(self):
+        corpus, source_parts, req_parts = self._parts()
+        findings = check_elaboration(corpus, source_parts, req_parts)
+        assert [(f.code, f.message) for f in findings] == [(
+            "SPECIFIC_REQ_NO_SPECIFIC_SOURCE",
+            "specific requirement 'r-st' uses no source specific to 'org-1'",
+        )]
 
 
 class TestSpecificContradictionCondition:

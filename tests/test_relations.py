@@ -26,6 +26,30 @@ def rel(refines=(), contradicts=()):
     return RelationSet(refines=frozenset(refines), contradicts=frozenset(contradicts))
 
 
+def recursive_cycle_witness(edges, ids):
+    """Witness of a recursive depth-first search in sorted order, or None."""
+    adjacency = {i: sorted(b for a, b in edges if a == i) for i in ids}
+    state: dict[str, str] = {}
+    path: list[str] = []
+
+    def visit(node):
+        state[node] = "open"
+        path.append(node)
+        for nxt in adjacency[node]:
+            if state.get(nxt) == "open":
+                return path[path.index(nxt):]
+            if nxt not in state and (found := visit(nxt)):
+                return found
+        path.pop()
+        state[node] = "done"
+        return None
+
+    for start in sorted(ids):
+        if start not in state and (found := visit(start)):
+            return found
+    return None
+
+
 class TestRefinementClosure:
     def test_transitivity(self):
         got = refinement_closure(rel([("a", "b"), ("b", "c")]), {"a", "b", "c"})
@@ -46,6 +70,27 @@ class TestRefinementClosure:
             refinement_closure(rel([("a", "b"), ("b", "c"), ("c", "a")]), {"a", "b", "c"})
         cycle = exc.value.cycle
         assert set(cycle) == {"a", "b", "c"}
+
+    def test_cycle_witness_matches_recursive_search(self):
+        rng = random.Random(20261017)
+        for _ in range(200):
+            ids, edges = random_dag(rng, 8)
+            for _ in range(rng.randint(1, 3)):  # back edges close cycles
+                a, b = sorted(rng.sample(sorted(ids), 2))
+                edges.add((b, a))
+            expect = recursive_cycle_witness(edges, ids)
+            if expect is None:
+                assert set(refinement_closure(rel(edges), ids)) == path_enumeration_closure(edges, ids)
+                continue
+            with pytest.raises(CycleError) as exc:
+                refinement_closure(rel(edges), ids)
+            assert exc.value.cycle == expect
+
+    def test_deep_cycle_reports_whole_loop(self):
+        ids = [f"r{i:04d}" for i in range(3000)]
+        with pytest.raises(CycleError) as exc:
+            refinement_closure(rel([*zip(ids, ids[1:]), (ids[-1], ids[0])]), set(ids))
+        assert exc.value.cycle == ids
 
     def test_two_cycle(self):
         with pytest.raises(CycleError):
