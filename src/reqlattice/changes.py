@@ -12,9 +12,11 @@ Each modify of a requirement lands in exactly one of four cases:
   new content (their components must change), keepers stay on the old one
   (their components are untouched).
 
-Ops are applied sequentially; partitions are recomputed before classifying
-each op, and the whole change set is atomic: any failure leaves the input
-corpus untouched (it is immutable) and raises.
+Ops are applied sequentially. A requirement modify recomputes only the
+partition of its target's kind, before the op and, for a 1b promotion, once
+after it. Ops can only remove ``refines`` pairs, so acyclicity is checked
+once, on the input corpus. The whole change set is atomic: any failure
+leaves the input corpus untouched (it is immutable) and raises.
 """
 
 from __future__ import annotations
@@ -79,10 +81,6 @@ class ReuseHint:
     via_requirement: str
 
 
-def _req_partitions(corpus: Corpus) -> dict[str, Partition]:
-    return {kind.value: partition_requirements(corpus, kind) for kind in RequirementKind}
-
-
 def _components_implementing(corpus: Corpus, rid: str) -> list[Component]:
     return sorted((c for c in corpus.components if rid in c.implements), key=lambda c: c.id)
 
@@ -92,20 +90,19 @@ def _set_name(part: Partition, rid: str) -> str:
     return "general" if owner is None else f"specific:{owner}"
 
 
-def _with_requirement(corpus: Corpus, updated: Requirement) -> Corpus:
-    reqs = tuple(updated if r.id == updated.id else r for r in corpus.requirements)
-    return replace(corpus, requirements=reqs)
+def _with_item(corpus: Corpus, updated: SourceItem | Requirement) -> Corpus:
+    name = "sources" if updated.role == "source" else "requirements"
+    items = tuple(updated if x.id == updated.id else x for x in getattr(corpus, name))
+    return replace(corpus, **{name: items})
 
 
-def _apply_payload(r: Requirement, payload) -> Requirement:
-    text = payload.text if payload.text is not None else r.text
-    concept = payload.concept_key if payload.concept_key is not None else r.concept_key
-    return replace(r, text=text, concept_key=concept, content_hash=model.content_hash(text))
+def _apply_payload(item: SourceItem | Requirement, payload) -> SourceItem | Requirement:
+    text = payload.text if payload.text is not None else item.text
+    concept = payload.concept_key if payload.concept_key is not None else item.concept_key
+    return replace(item, text=text, concept_key=concept, content_hash=model.content_hash(text))
 
 
-def classify_change(
-    corpus: Corpus, op: ChangeOp, partitions: dict[str, Partition]
-) -> tuple[Corpus, OpRecord]:
+def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     """Classify and apply one modify op targeting a requirement.
 
     Returns the updated corpus (not yet revalidated) and the per-op record.
@@ -114,7 +111,7 @@ def classify_change(
     target = rmap.get(op.target)
     if target is None:
         raise UnknownTargetError(op.target)
-    part = partitions[target.kind.value]
+    part = partition_requirements(corpus, target.kind)
     all_jids = frozenset(j.id for j in corpus.jurisdictions)
     new_target = _apply_payload(target, op.payload)
 
@@ -128,7 +125,7 @@ def classify_change(
             # 2a: the new version stays general, every counterpart is updated
             out = corpus
             for rid in group:
-                out = _with_requirement(out, _apply_payload(rmap[rid], op.payload))
+                out = _with_item(out, _apply_payload(rmap[rid], op.payload))
             impact = tuple(
                 (c.id, "mustChange")
                 for rid in group for c in _components_implementing(corpus, rid)
@@ -147,7 +144,7 @@ def classify_change(
         for jid in sorted(all_jids):
             rid = by_jur[jid]
             if jid in op.adopted_by:
-                out = _with_requirement(out, _apply_payload(rmap[rid], op.payload))
+                out = _with_item(out, _apply_payload(rmap[rid], op.payload))
                 impact.extend((c.id, "mustChange") for c in _components_implementing(corpus, rid))
             else:
                 impact.extend((c.id, "unchanged") for c in _components_implementing(corpus, rid))
@@ -175,7 +172,7 @@ def classify_change(
             break
         counterparts.append(match.id)
 
-    out = _with_requirement(corpus, new_target)
+    out = _with_item(corpus, new_target)
     own_impact = tuple((c.id, "mustChange") for c in _components_implementing(corpus, op.target))
 
     if counterparts is None or len(all_jids) == 1:
@@ -188,7 +185,7 @@ def classify_change(
 
     # 1b: now identical everywhere; the concept joins the general set and the
     # counterparts' components become reuse candidates for the promoter
-    after = _req_partitions(out)[target.kind.value]
+    after = partition_requirements(out, target.kind)
     migrations = [
         Migration(rid, _set_name(part, rid), "general")
         for rid in sorted([op.target, *counterparts])
@@ -269,15 +266,8 @@ def _apply_remove(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
 
 
 def _apply_source_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
-    smap = corpus.source_map()
-    old = smap[op.target]
-    text = op.payload.text if op.payload.text is not None else old.text
-    concept = op.payload.concept_key if op.payload.concept_key is not None else old.concept_key
-    updated = replace(old, text=text, concept_key=concept, content_hash=model.content_hash(text))
-    out = replace(
-        corpus,
-        sources=tuple(updated if s.id == old.id else s for s in corpus.sources),
-    )
+    old = corpus.source_map()[op.target]
+    out = _with_item(corpus, _apply_payload(old, op.payload))
     dependents = sorted(r.id for r in corpus.requirements if old.id in r.derived_from)
     impact = tuple(
         (c.id, "mustChange") for rid in dependents for c in _components_implementing(corpus, rid)
@@ -291,6 +281,8 @@ def _apply_source_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord
 
 def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactReport]:
     validate_change_set(cs, corpus)
+    # no op adds a refines pair, so an acyclic input stays acyclic
+    check_acyclic(corpus.relations, {s.id for s in corpus.sources} | {r.id for r in corpus.requirements})
     before = model.corpus_fingerprint(corpus)
     current = corpus
     records: list[OpRecord] = []
@@ -302,10 +294,8 @@ def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactRepor
         elif op.target in current.source_map():
             current, record = _apply_source_modify(current, op)
         else:
-            partitions = _req_partitions(current)
-            current, record = classify_change(current, op, partitions)
+            current, record = classify_change(current, op)
         model.validate_corpus(current)
-        check_acyclic(current.relations, {s.id for s in current.sources} | {r.id for r in current.requirements})
         records.append(record)
     report = ImpactReport(
         label=cs.label,

@@ -12,15 +12,7 @@ from collections.abc import Callable
 
 from reqlattice import corpus_io, hierarchy, optimize, partition, relations, reports, topsis
 from reqlattice.changes import apply_change_set, reuse_hints
-from reqlattice.errors import (
-    CycleError,
-    DegenerateMatrixError,
-    EmptyAspectError,
-    IOFailure,
-    ParseError,
-    ReqLatticeError,
-    ValidationError,
-)
+from reqlattice.errors import EmptyAspectError, IOFailure, ReqLatticeError
 from reqlattice.model import Corpus, Level, RequirementKind, SourceKind
 from reqlattice.partition import Finding, Partition
 
@@ -94,13 +86,10 @@ def _level_partitions(corpus: Corpus, level_flag: str | None) -> dict[str, Parti
     if level_flag is None:
         return partition.all_partitions(corpus)
     selection = hierarchy.select_level(corpus, _LEVEL_FLAG[level_flag])
-    out: dict[str, Partition] = {}
-    for skind in SourceKind:
-        view = hierarchy.level_source_view(corpus, selection, skind)
-        out[skind.value] = partition.partition_sources(corpus, skind, view)
+    source_views = hierarchy.level_source_view(corpus, selection)
     req_views = hierarchy.level_requirement_view(corpus, selection)
-    for rkind in RequirementKind:
-        out[rkind.value] = partition.partition_requirements(corpus, rkind, req_views[rkind])
+    out = {k.value: partition.partition_sources(corpus, k, source_views[k]) for k in SourceKind}
+    out.update({k.value: partition.partition_requirements(corpus, k, req_views[k]) for k in RequirementKind})
     return out
 
 
@@ -139,9 +128,7 @@ def _cmd_partition(args, corpus: Corpus) -> int:
     source_parts = {k: parts[k] for k in (SourceKind.LEGAL.value, SourceKind.CULTURAL.value)}
     req_parts = {k.value: parts[k.value] for k in RequirementKind}
     elaboration = partition.check_elaboration(corpus, source_parts, req_parts)
-    condition: list[Finding] = []
-    for part in source_parts.values():
-        condition.extend(partition.check_specific_contradiction_condition(corpus, part))
+    condition = partition.check_specific_contradiction_condition(corpus, *source_parts.values())
     _emit(args, "partition", reports.partition_body(parts, elaboration, condition),
           lambda color: reports.partition_text(parts, elaboration, condition, color))
     failing = [f for f in elaboration if f.severity == "error"] + condition
@@ -176,7 +163,7 @@ def _cmd_conflicts(args, corpus: Corpus) -> int:
 
 
 def _cmd_change(args, corpus: Corpus) -> int:
-    cs = corpus_io.load_change_set(args.changes, corpus)
+    cs = corpus_io.load_change_set(args.changes)  # apply_change_set validates it against the corpus
     new_corpus, report = apply_change_set(corpus, cs)
     hints = reuse_hints(report, corpus)
     if args.out:
@@ -230,9 +217,6 @@ def run(argv: list[str] | None = None) -> int:
     except IOFailure as exc:
         print(f"reqlattice: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ParseError, ValidationError, CycleError, DegenerateMatrixError) as exc:
-        print(f"reqlattice: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ReqLatticeError as exc:
         print(f"reqlattice: {exc}", file=sys.stderr)
         return EXIT_INVALID

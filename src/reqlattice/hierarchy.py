@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from reqlattice.errors import UnknownIdError
-from reqlattice.model import Corpus, Level, RequirementKind
+from reqlattice.model import ALLOWED_PARENT_LEVELS, Corpus, Level, RequirementKind, SourceKind
 from reqlattice.partition import ItemView
 from reqlattice.relations import refinement_closure
 
@@ -47,17 +47,6 @@ def effective_requirements(corpus: Corpus, node: str) -> frozenset[str]:
     return frozenset(ids - shadowed)
 
 
-def effective_sources(corpus: Corpus, node: str, kind=None) -> frozenset[str]:
-    """Source ids visible at ``node``: plain union with ancestors (no shadowing)."""
-    if node not in corpus.jurisdiction_map():
-        raise UnknownIdError(node)
-    visible = {node, *corpus.ancestors(node)}
-    return frozenset(
-        s.id for s in corpus.sources
-        if s.jurisdiction in visible and (kind is None or s.kind is kind)
-    )
-
-
 def level_requirement_view(corpus: Corpus, selection: LevelSelection) -> dict[RequirementKind, ItemView]:
     """Per-kind, per-frontier-node requirement sets, for partition analysis.
 
@@ -73,12 +62,21 @@ def level_requirement_view(corpus: Corpus, selection: LevelSelection) -> dict[Re
     return views
 
 
-def level_source_view(corpus: Corpus, selection: LevelSelection, kind) -> ItemView:
-    smap = corpus.source_map()
-    return {
-        node: [smap[sid] for sid in sorted(effective_sources(corpus, node, kind))]
-        for node in selection.frontier
+def level_source_view(corpus: Corpus, selection: LevelSelection) -> dict[SourceKind, ItemView]:
+    """Per-kind, per-frontier-node source sets, for partition analysis.
+
+    A node sees its own sources plus every ancestor's (no shadowing); one
+    ancestor walk per frontier node serves every kind.
+    """
+    views: dict[SourceKind, ItemView] = {
+        kind: {node: [] for node in selection.frontier} for kind in SourceKind
     }
+    for node in selection.frontier:
+        visible = {node, *corpus.ancestors(node)}
+        for s in corpus.sources:  # id order
+            if s.jurisdiction in visible:
+                views[s.kind][node].append(s)
+    return views
 
 
 @dataclass(frozen=True)
@@ -86,6 +84,13 @@ class HierarchyFinding:
     code: str
     jurisdiction: str
     message: str
+
+
+# levels that need a parent: the finding for a node without one
+_ORPHANS = {
+    Level.STATE: ("ORPHAN_STATE", "state {!r} has no national parent"),
+    Level.ORGANISATIONAL: ("ORG_WITHOUT_ANCESTOR", "organisational node {!r} is not under any state or national node"),
+}
 
 
 def validate_hierarchy(corpus: Corpus) -> list[HierarchyFinding]:
@@ -98,26 +103,18 @@ def validate_hierarchy(corpus: Corpus) -> list[HierarchyFinding]:
     jmap = corpus.jurisdiction_map()
     for j in sorted(corpus.jurisdictions, key=lambda j: j.id):
         parent = jmap.get(j.parent) if j.parent else None
-        if j.level is Level.NATIONAL and j.parent is not None:
+        allowed = ALLOWED_PARENT_LEVELS[j.level]
+        if not allowed:
+            if j.parent is not None:
+                findings.append(HierarchyFinding(
+                    "LEVEL_ORDER", j.id, f"{j.level.value} node {j.id!r} must not have a parent"))
+        elif parent is None:
+            code, message = _ORPHANS[j.level]
+            findings.append(HierarchyFinding(code, j.id, message.format(j.id)))
+        elif parent.level not in allowed:
             findings.append(HierarchyFinding(
-                "LEVEL_ORDER", j.id, f"national node {j.id!r} must not have a parent"))
-        elif j.level is Level.STATE:
-            if parent is None:
-                findings.append(HierarchyFinding(
-                    "ORPHAN_STATE", j.id, f"state {j.id!r} has no national parent"))
-            elif parent.level is not Level.NATIONAL:
-                findings.append(HierarchyFinding(
-                    "LEVEL_ORDER", j.id,
-                    f"state {j.id!r} has a {parent.level.value} parent"))
-        elif j.level is Level.ORGANISATIONAL:
-            if parent is None:
-                findings.append(HierarchyFinding(
-                    "ORG_WITHOUT_ANCESTOR", j.id,
-                    f"organisational node {j.id!r} is not under any state or national node"))
-            elif parent.level is Level.ORGANISATIONAL:
-                findings.append(HierarchyFinding(
-                    "LEVEL_ORDER", j.id,
-                    f"organisational node {j.id!r} has an organisational parent"))
+                "LEVEL_ORDER", j.id,
+                f"{j.level.value} node {j.id!r} cannot have a {parent.level.value} parent"))
         if j.parent is not None and j.parent not in jmap:
             findings.append(HierarchyFinding(
                 "DANGLING_PARENT", j.id, f"node {j.id!r} references unknown parent {j.parent!r}"))

@@ -12,7 +12,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 
 class Level(str, Enum):
@@ -170,7 +170,8 @@ class Corpus:
         return out
 
 
-_ALLOWED_PARENT_LEVELS = {
+#: The levels a jurisdiction's parent may have; a national node has none.
+ALLOWED_PARENT_LEVELS = {
     Level.NATIONAL: frozenset(),
     Level.STATE: frozenset({Level.NATIONAL}),
     Level.ORGANISATIONAL: frozenset({Level.STATE, Level.NATIONAL}),
@@ -196,7 +197,7 @@ def validate_corpus(corpus: Corpus) -> None:
         if j.parent is not None:
             if j.parent not in jmap:
                 raise ValidationError("DANGLING_REF", f"jurisdiction {j.id!r} has unknown parent {j.parent!r}", item_id=j.id)
-            if jmap[j.parent].level not in _ALLOWED_PARENT_LEVELS[j.level]:
+            if jmap[j.parent].level not in ALLOWED_PARENT_LEVELS[j.level]:
                 raise ValidationError(
                     "LEVEL_VIOLATION",
                     f"{j.level.value} node {j.id!r} cannot have a {jmap[j.parent].level.value} parent",
@@ -228,6 +229,7 @@ def validate_corpus(corpus: Corpus) -> None:
         concept_triples.add(triple)
 
     rmap = corpus.requirement_map()
+    ancestors_of = cache(lambda jid: frozenset(corpus.ancestors(jid)))  # one walk per jurisdiction
     for r in corpus.requirements:
         if r.jurisdiction not in jmap:
             raise ValidationError("DANGLING_REF", f"requirement {r.id!r} references unknown jurisdiction {r.jurisdiction!r}", item_id=r.id)
@@ -244,7 +246,7 @@ def validate_corpus(corpus: Corpus) -> None:
                     f"{r.kind.value} requirement {r.id!r} derives from {src.kind.value} source {sid!r}",
                     item_id=r.id,
                 )
-            if src.jurisdiction != r.jurisdiction and src.jurisdiction not in corpus.ancestors(r.jurisdiction):
+            if src.jurisdiction != r.jurisdiction and src.jurisdiction not in ancestors_of(r.jurisdiction):
                 raise ValidationError(
                     "DERIVED_FROM_JURISDICTION",
                     f"requirement {r.id!r} derives from source {sid!r} of unrelated jurisdiction {src.jurisdiction!r}",
@@ -277,5 +279,5 @@ def validate_corpus(corpus: Corpus) -> None:
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:
-    """Stable digest of the corpus value, used to pair partitions with corpora."""
+    """Stable digest of the corpus value, reported before and after a change set."""
     return corpus.fingerprint

@@ -8,13 +8,12 @@ kind (legal / cultural / functional) and always forms a disjoint cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from reqlattice import model
 from reqlattice.errors import EmptyAspectError, PartitionMismatchError
-from reqlattice.model import Corpus, RequirementKind, SourceKind
+from reqlattice.model import SOURCE_KIND_FOR_REQUIREMENT, Corpus, RequirementKind, SourceKind
 from reqlattice.relations import derive_contradictions
 
 
@@ -25,7 +24,7 @@ class Partition:
     general: frozenset[str]
     specific: dict[str, frozenset[str]]  # jurisdiction id -> item ids
     general_concepts: dict[str, frozenset[str]]  # concept key -> the grouped ids
-    corpus_fingerprint: str
+    corpus: Corpus = field(compare=False, repr=False)  # the corpus it was computed from
 
     def all_ids(self) -> frozenset[str]:
         ids = set(self.general)
@@ -74,24 +73,19 @@ class Finding:
 ItemView = dict[str, list]  # jurisdiction id -> items analyzed as that node's set
 
 
-def source_view(corpus: Corpus, kind: SourceKind) -> ItemView:
-    """Flat view: each jurisdiction owns exactly its own sources."""
+def flat_view(corpus: Corpus, kind: SourceKind | RequirementKind) -> ItemView:
+    """Flat view: each jurisdiction owns exactly its own items of ``kind``."""
+    items = corpus.sources if isinstance(kind, SourceKind) else corpus.requirements
     view: ItemView = {j.id: [] for j in corpus.jurisdictions}
-    for s in corpus.sources:
-        if s.kind is kind:
-            view[s.jurisdiction].append(s)
+    for item in items:
+        if item.kind is kind:
+            view[item.jurisdiction].append(item)
     return view
 
 
-def requirement_view(corpus: Corpus, kind: RequirementKind) -> ItemView:
-    view: ItemView = {j.id: [] for j in corpus.jurisdictions}
-    for r in corpus.requirements:
-        if r.kind is kind:
-            view[r.jurisdiction].append(r)
-    return view
-
-
-def _partition(role: str, kind: str, view: ItemView, fingerprint: str) -> Partition:
+def _partition(role: str, corpus: Corpus, kind: SourceKind | RequirementKind, view: ItemView | None) -> Partition:
+    if view is None:
+        view = flat_view(corpus, kind)
     # concept -> jurisdiction ids holding it, and the full hash set
     holders: dict[str, set[str]] = {}
     hashes: dict[str, set[str]] = {}
@@ -119,28 +113,20 @@ def _partition(role: str, kind: str, view: ItemView, fingerprint: str) -> Partit
 
     return Partition(
         role=role,
-        kind=kind,
+        kind=kind.value,
         general=frozenset(general),
         specific={jid: frozenset(ids) for jid, ids in specific.items()},
         general_concepts={k: frozenset(v) for k, v in general_concepts.items()},
-        corpus_fingerprint=fingerprint,
+        corpus=corpus,
     )
 
 
 def partition_sources(corpus: Corpus, kind: SourceKind, view: ItemView | None = None) -> Partition:
-    return _partition(
-        "sources", kind.value,
-        source_view(corpus, kind) if view is None else view,
-        model.corpus_fingerprint(corpus),
-    )
+    return _partition("sources", corpus, kind, view)
 
 
 def partition_requirements(corpus: Corpus, kind: RequirementKind, view: ItemView | None = None) -> Partition:
-    return _partition(
-        "requirements", kind.value,
-        requirement_view(corpus, kind) if view is None else view,
-        model.corpus_fingerprint(corpus),
-    )
+    return _partition("requirements", corpus, kind, view)
 
 
 def all_partitions(corpus: Corpus) -> dict[str, Partition]:
@@ -154,18 +140,11 @@ def all_partitions(corpus: Corpus) -> dict[str, Partition]:
 
 
 def _check_same_corpus(corpus: Corpus, *parts: Partition) -> None:
-    fp = model.corpus_fingerprint(corpus)
     for part in parts:
-        if part.corpus_fingerprint != fp:
+        if part.corpus != corpus:
             raise PartitionMismatchError(
                 f"partition of {part.role}/{part.kind} was computed from a different corpus"
             )
-
-
-_REQ_TO_SOURCE_KIND = {
-    RequirementKind.LEGAL_BASED.value: SourceKind.LEGAL.value,
-    RequirementKind.CULTURAL_BASED.value: SourceKind.CULTURAL.value,
-}
 
 
 def check_elaboration(
@@ -182,11 +161,11 @@ def check_elaboration(
     """
     _check_same_corpus(corpus, *source_parts.values(), *req_parts.values())
     findings: list[Finding] = []
-    for req_kind, src_kind in _REQ_TO_SOURCE_KIND.items():
-        rp = req_parts[req_kind]
-        sp = source_parts[src_kind]
+    for req_kind, src_kind in SOURCE_KIND_FOR_REQUIREMENT.items():
+        rp = req_parts[req_kind.value]
+        sp = source_parts[src_kind.value]
         for r in sorted(corpus.requirements, key=lambda r: r.id):
-            if r.kind.value != req_kind:
+            if r.kind is not req_kind:
                 continue
             sources = sorted(r.derived_from)
             if r.id in rp.general:
@@ -213,13 +192,14 @@ def check_elaboration(
     return findings
 
 
-def check_specific_contradiction_condition(corpus: Corpus, part: Partition) -> list[Finding]:
+def check_specific_contradiction_condition(corpus: Corpus, *parts: Partition) -> list[Finding]:
     """Warn for specific items lacking any cross-jurisdiction contradiction.
 
     Specific-set membership here is defined by non-generality alone; the
     stricter reading (every specific item must clash with some other
     jurisdiction's item) is surfaced as warnings so ``--strict`` runs can
-    escalate them.
+    escalate them. Contradictions are derived once for all ``parts``; the
+    findings follow the order of the parts.
     """
     contradictions = derive_contradictions(corpus.relations)
     partners: dict[str, set[str]] = {}
@@ -229,17 +209,18 @@ def check_specific_contradiction_condition(corpus: Corpus, part: Partition) -> l
         partners.setdefault(b, set()).add(a)
 
     findings: list[Finding] = []
-    for jid in sorted(part.specific):
-        others: set[str] = set()
-        for other_jid, bucket in part.specific.items():
-            if other_jid != jid:
-                others |= bucket
-        for item_id in sorted(part.specific[jid]):
-            if not partners.get(item_id, set()) & others:
-                findings.append(Finding(
-                    "NO_CROSS_CONTRADICTION", "warning", item_id,
-                    f"specific item {item_id!r} of {jid!r} contradicts nothing in any other jurisdiction",
-                ))
+    for part in parts:
+        for jid in sorted(part.specific):
+            others: set[str] = set()
+            for other_jid, bucket in part.specific.items():
+                if other_jid != jid:
+                    others |= bucket
+            for item_id in sorted(part.specific[jid]):
+                if not partners.get(item_id, set()) & others:
+                    findings.append(Finding(
+                        "NO_CROSS_CONTRADICTION", "warning", item_id,
+                        f"specific item {item_id!r} of {jid!r} contradicts nothing in any other jurisdiction",
+                    ))
     return findings
 
 

@@ -52,14 +52,14 @@ def test_criterion_1_partition_soundness():
         corpus = random_corpus(rng, max_jurisdictions=5, max_concepts=30)
         for skind in SourceKind:
             part = partition_sources(corpus, skind)
-            view = partition.source_view(corpus, skind)
+            view = partition.flat_view(corpus, skind)
             general, specific = per_concept_partition(view)
             if set(part.general) != general or {j: set(v) for j, v in part.specific.items()} != specific:
                 mismatches += 1
             _assert_disjoint_cover(part, {s.id for s in corpus.sources if s.kind is skind})
         for rkind in RequirementKind:
             part = partition_requirements(corpus, rkind)
-            view = partition.requirement_view(corpus, rkind)
+            view = partition.flat_view(corpus, rkind)
             general, specific = per_concept_partition(view)
             if set(part.general) != general or {j: set(v) for j, v in part.specific.items()} != specific:
                 mismatches += 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from reqlattice import model
@@ -12,7 +14,7 @@ from reqlattice.changes import (
     reuse_hints,
 )
 from reqlattice.corpus_io import ChangeOp, ChangePayload, ChangeSet
-from reqlattice.errors import MissingAdoptedByError, UnknownTargetError, ValidationError
+from reqlattice.errors import CycleError, MissingAdoptedByError, UnknownTargetError, ValidationError
 from reqlattice.model import (
     Component,
     ComponentScope,
@@ -131,7 +133,7 @@ class TestClassifyChange:
         corpus = three_country_corpus()
         op = modify("ghost", "x")
         with pytest.raises((UnknownTargetError, ValidationError)):
-            classify_change(corpus, op, {})
+            classify_change(corpus, op)
 
 
 class TestApplyChangeSet:
@@ -193,6 +195,13 @@ class TestApplyChangeSet:
                 ChangeOp(op="add", target="r1-pay2", payload=ChangePayload(text="no role")),
             ))
         assert model.corpus_fingerprint(corpus) == before
+
+    def test_refines_cycle_in_input_rejected(self):
+        corpus = three_country_corpus()
+        cyclic = replace(corpus, relations=RelationSet(
+            refines=frozenset({("r1-ui", "r1-pay"), ("r1-pay", "r1-ui")})))
+        with pytest.raises(CycleError):
+            apply_change_set(cyclic, change_set(modify("r2-pay", "pay net ninety")))
 
     def test_source_modify_reported_without_case(self, worked_example):
         cs = change_set(modify("src-de-retention", "records kept for nine years"))

@@ -112,6 +112,17 @@ def test_change_deterministic_and_writes_corpus(capsys, corpus_arg, change_set_p
     assert [op["case"] for op in body["ops"]] == ["1b", "2b"]
 
 
+
+def test_change_unknown_adopting_jurisdiction_exit_1(capsys, corpus_arg, tmp_path):
+    path = tmp_path / "cs.reqchange.json"
+    path.write_text(json.dumps({"formatVersion": 1, "label": "l", "ops": [
+        {"op": "modify", "target": "req-de-consent",
+         "payload": {"text": "x"}, "adoptedBy": ["atlantis"]},
+    ]}), encoding="utf-8")
+    code, out, err = invoke(capsys, "change", *corpus_arg, "--changes", str(path))
+    assert code == EXIT_INVALID and out == ""
+    assert err == "reqlattice: UNKNOWN_JURISDICTION: adoptedBy names unknown jurisdiction 'atlantis'\n"
+
 def test_report_out_file(capsys, corpus_arg, tmp_path):
     dest = tmp_path / "report.json"
     code, out, _ = invoke(capsys, "scenario", *corpus_arg, "--format", "json", "--out", str(dest))

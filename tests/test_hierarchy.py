@@ -3,7 +3,7 @@ import random
 import pytest
 
 from reqlattice import model
-from reqlattice.errors import UnknownIdError
+from reqlattice.errors import UnknownIdError, ValidationError
 from reqlattice.hierarchy import (
     effective_requirements,
     level_requirement_view,
@@ -153,3 +153,38 @@ class TestValidateHierarchy:
                         sources=(), requirements=())
         codes = [f.code for f in validate_hierarchy(corpus)]
         assert codes == ["LEVEL_ORDER"]
+
+    @pytest.mark.parametrize(("level", "parent", "codes"), [
+        (Level.NATIONAL, None, []),
+        (Level.NATIONAL, "ghost", ["LEVEL_ORDER", "DANGLING_PARENT"]),
+        (Level.NATIONAL, "p-nat", ["LEVEL_ORDER"]),
+        (Level.NATIONAL, "p-st", ["LEVEL_ORDER"]),
+        (Level.NATIONAL, "p-org", ["LEVEL_ORDER"]),
+        (Level.STATE, None, ["ORPHAN_STATE"]),
+        (Level.STATE, "ghost", ["ORPHAN_STATE", "DANGLING_PARENT"]),
+        (Level.STATE, "p-nat", []),
+        (Level.STATE, "p-st", ["LEVEL_ORDER"]),
+        (Level.STATE, "p-org", ["LEVEL_ORDER"]),
+        (Level.ORGANISATIONAL, None, ["ORG_WITHOUT_ANCESTOR"]),
+        (Level.ORGANISATIONAL, "ghost", ["ORG_WITHOUT_ANCESTOR", "DANGLING_PARENT"]),
+        (Level.ORGANISATIONAL, "p-nat", []),
+        (Level.ORGANISATIONAL, "p-st", []),
+        (Level.ORGANISATIONAL, "p-org", ["LEVEL_ORDER"]),
+    ])
+    def test_parent_level_rules(self, level, parent, codes):
+        # a well-formed national > state > org backbone plus the node "x"
+        corpus = Corpus(
+            jurisdictions=(jur("p-nat"), jur("p-st", Level.STATE, "p-nat"),
+                           jur("p-org", Level.ORGANISATIONAL, "p-st"), jur("x", level, parent)),
+            sources=(), requirements=())
+        findings = validate_hierarchy(corpus)
+        assert [(f.jurisdiction, f.code) for f in findings] == [("x", code) for code in codes]
+        if parent not in (None, "ghost"):
+            # an existing parent breaks the level order exactly when hard
+            # validation rejects it
+            try:
+                model.validate_corpus(corpus)
+                rejected = False
+            except ValidationError as exc:
+                rejected = exc.code == "LEVEL_VIOLATION"
+            assert rejected == (codes == ["LEVEL_ORDER"])

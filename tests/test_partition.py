@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from oracles import per_concept_partition, random_corpus
-from reqlattice import hierarchy, model, partition
+from reqlattice import corpus_io, hierarchy, model, partition
 from reqlattice.errors import EmptyAspectError, PartitionMismatchError
 from reqlattice.model import (
     Corpus,
@@ -91,7 +91,7 @@ class TestPartitionSources:
             corpus = random_corpus(rng, max_jurisdictions=3, max_concepts=5)
             for kind in SourceKind:
                 part = partition_sources(corpus, kind)
-                view = partition.source_view(corpus, kind)
+                view = partition.flat_view(corpus, kind)
                 general, specific = per_concept_partition(view)
                 assert set(part.general) == general
                 assert {j: set(v) for j, v in part.specific.items()} == specific
@@ -124,7 +124,7 @@ class TestPartitionRequirements:
             corpus = random_corpus(rng, max_jurisdictions=3, max_concepts=6)
             for kind in RequirementKind:
                 part = partition_requirements(corpus, kind)
-                view = partition.requirement_view(corpus, kind)
+                view = partition.flat_view(corpus, kind)
                 general, specific = per_concept_partition(view)
                 assert set(part.general) == general
                 assert {j: set(v) for j, v in part.specific.items()} == specific
@@ -232,6 +232,16 @@ class TestCheckElaboration:
         )
         assert "SPECIFIC_REQ_FOREIGN_SOURCE" in [f.code for f in findings]
 
+    def test_partitions_of_equal_corpus_accepted(self, worked_example_path):
+        # loaded twice: equal values, distinct objects
+        c1 = corpus_io.load_corpus(worked_example_path)
+        c2 = corpus_io.load_corpus(worked_example_path)
+        assert c1 == c2 and c1 is not c2
+        parts = all_partitions(c1)
+        source_parts = {k.value: parts[k.value] for k in SourceKind}
+        req_parts = {k.value: parts[k.value] for k in RequirementKind}
+        assert check_elaboration(c2, source_parts, req_parts) == check_elaboration(c1, source_parts, req_parts)
+
     def test_partition_from_other_corpus_rejected(self):
         c1 = self._corpus()
         c2 = make([jur("a")])
@@ -261,8 +271,8 @@ class TestLevelPartitionOwner:
         )
         selection = hierarchy.select_level(corpus, Level.ORGANISATIONAL)
         req_views = hierarchy.level_requirement_view(corpus, selection)
-        source_parts = {k.value: partition_sources(corpus, k, hierarchy.level_source_view(corpus, selection, k))
-                        for k in SourceKind}
+        source_views = hierarchy.level_source_view(corpus, selection)
+        source_parts = {k.value: partition_sources(corpus, k, source_views[k]) for k in SourceKind}
         req_parts = {k.value: partition_requirements(corpus, k, req_views[k]) for k in RequirementKind}
         return corpus, source_parts, req_parts
 
@@ -311,6 +321,21 @@ class TestSpecificContradictionCondition:
         part = partition_sources(corpus, SourceKind.LEGAL)
         assert check_specific_contradiction_condition(corpus, part) == []
 
+
+    def test_several_parts_concatenate_single_results(self):
+        corpus = make(
+            [jur("a"), jur("b")],
+            sources=[src("x", "a", "k1", "v1"), src("y", "b", "k2", "v2"), src("z", "b", "k3", "v3"),
+                     src("c", "a", "k1", "c1", SourceKind.CULTURAL),
+                     src("d", "b", "k1", "d1", SourceKind.CULTURAL)],
+            relations=RelationSet(contradicts=frozenset({("x", "y")})),
+        )
+        legal = partition_sources(corpus, SourceKind.LEGAL)
+        cultural = partition_sources(corpus, SourceKind.CULTURAL)
+        both = check_specific_contradiction_condition(corpus, legal, cultural)
+        assert both == (check_specific_contradiction_condition(corpus, legal)
+                        + check_specific_contradiction_condition(corpus, cultural))
+        assert [f.item_id for f in both] == ["z", "c", "d"]
 
 class TestClassifyScenario:
     def test_identical_general(self):
