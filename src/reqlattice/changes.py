@@ -21,7 +21,7 @@ leaves the input corpus untouched (it is immutable) and raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from reqlattice import model
 from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
@@ -69,8 +69,18 @@ class OpRecord:
 class ImpactReport:
     label: str
     per_op: tuple[OpRecord, ...]
-    before_fingerprint: str
-    after_fingerprint: str
+    before: Corpus = field(repr=False)
+    after: Corpus = field(repr=False)
+
+    # read on demand: a caller that saves ``after`` first (corpus_io.save_corpus
+    # records the digest of what it writes) serialises the new corpus once
+    @property
+    def before_fingerprint(self) -> str:
+        return self.before.fingerprint
+
+    @property
+    def after_fingerprint(self) -> str:
+        return self.after.fingerprint
 
 
 @dataclass(frozen=True)
@@ -283,7 +293,6 @@ def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactRepor
     validate_change_set(cs, corpus)
     # no op adds a refines pair, so an acyclic input stays acyclic
     check_acyclic(corpus.relations, {s.id for s in corpus.sources} | {r.id for r in corpus.requirements})
-    before = model.corpus_fingerprint(corpus)
     current = corpus
     records: list[OpRecord] = []
     for op in cs.ops:
@@ -297,13 +306,7 @@ def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactRepor
             current, record = classify_change(current, op)
         model.validate_corpus(current)
         records.append(record)
-    report = ImpactReport(
-        label=cs.label,
-        per_op=tuple(records),
-        before_fingerprint=before,
-        after_fingerprint=model.corpus_fingerprint(current),
-    )
-    return current, report
+    return current, ImpactReport(label=cs.label, per_op=tuple(records), before=corpus, after=current)
 
 
 def reuse_hints(report: ImpactReport, corpus: Corpus) -> list[ReuseHint]:

@@ -33,20 +33,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="reqlattice", description="Multi-jurisdiction requirements analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, corpus=True):
-        if corpus:
-            p.add_argument("--corpus", required=True, help="corpus file (.reqcorpus.json)")
-        p.add_argument("--level", choices=["national", "state", "org"], default=None,
-                       help="restrict analysis to this hierarchy level's frontier")
+    def common(p, level=False):
+        p.add_argument("--corpus", required=True, help="corpus file (.reqcorpus.json)")
+        if level:  # only the partition-based commands analyse a level frontier
+            p.add_argument("--level", choices=list(_LEVEL_FLAG), default=None,
+                           help="restrict analysis to this hierarchy level's frontier")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--strict", action="store_true",
                        help="escalate warnings/conflicts to a failing exit code")
         p.add_argument("--out", default=None, help="write the report to this file")
         return p
 
-    common(sub.add_parser("validate", help="load and validate a corpus"))
-    common(sub.add_parser("partition", help="general/specific decomposition"))
-    common(sub.add_parser("scenario", help="classify the regulation/culture overlap scenario"))
+    common(sub.add_parser("validate", help="load and validate a corpus"), level=True)
+    common(sub.add_parser("partition", help="general/specific decomposition"), level=True)
+    common(sub.add_parser("scenario", help="classify the regulation/culture overlap scenario"), level=True)
     p = common(sub.add_parser("optimize", help="strongest/baseline requirement sets"))
     p.add_argument("--emit", choices=["min", "star", "both"], default="both")
     common(sub.add_parser("conflicts", help="list declared and derived contradictions"))

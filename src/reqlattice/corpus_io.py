@@ -16,6 +16,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -261,10 +262,19 @@ def canonical_bytes(corpus: Corpus) -> bytes:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write the canonical bytes; their digest becomes the corpus fingerprint.
+
+    ``Corpus.fingerprint`` is a cached property, so filling its slot in the
+    instance dict spares a second serialisation when the fingerprint is
+    read after saving.
+    """
+    data = canonical_bytes(corpus)
     try:
-        Path(path).write_bytes(canonical_bytes(corpus))
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise IOFailure(str(path), exc) from exc
+    if "fingerprint" not in vars(corpus):
+        vars(corpus)["fingerprint"] = hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from reqlattice.errors import UnknownIdError
 from reqlattice.model import ALLOWED_PARENT_LEVELS, Corpus, Level, RequirementKind, SourceKind
 from reqlattice.partition import ItemView
-from reqlattice.relations import refinement_closure
+from reqlattice.relations import min_refiner
 
 
 @dataclass(frozen=True)
@@ -30,21 +30,14 @@ def select_level(corpus: Corpus, level: Level) -> LevelSelection:
 
 def effective_requirements(corpus: Corpus, node: str) -> frozenset[str]:
     """Requirement ids visible at ``node``: own plus non-shadowed ancestors'."""
-    if node not in corpus.jurisdiction_map():
+    chain = corpus.ancestor_chains.get(node)
+    if chain is None:
         raise UnknownIdError(node)
-    chain = [node, *corpus.ancestors(node)]  # nearest first
-    depth = {jid: i for i, jid in enumerate(chain)}
-    pool = [r for r in corpus.requirements if r.jurisdiction in depth]
-    ids = {r.id for r in pool}
-    closure = refinement_closure(corpus.relations, ids)
-    by_id = {r.id: r for r in pool}
-
-    shadowed: set[str] = set()
-    for strong, weak in closure:
-        # only a strictly nearer requirement shadows an ancestor's version
-        if depth[by_id[strong].jurisdiction] < depth[by_id[weak].jurisdiction]:
-            shadowed.add(weak)
-    return frozenset(ids - shadowed)
+    depth = {jid: i for i, jid in enumerate((node, *chain))}  # nearest first
+    own_depth = {r.id: depth[r.jurisdiction] for r in corpus.requirements if r.jurisdiction in depth}
+    # only a strictly nearer refiner, reached inside the pool, shadows an ancestor's version
+    nearest = min_refiner(corpus.relations, own_depth, own_depth.__getitem__)
+    return frozenset(i for i, d in own_depth.items() if nearest.get(i, d) >= d)
 
 
 def level_requirement_view(corpus: Corpus, selection: LevelSelection) -> dict[RequirementKind, ItemView]:
@@ -72,7 +65,7 @@ def level_source_view(corpus: Corpus, selection: LevelSelection) -> dict[SourceK
         kind: {node: [] for node in selection.frontier} for kind in SourceKind
     }
     for node in selection.frontier:
-        visible = {node, *corpus.ancestors(node)}
+        visible = {node, *corpus.ancestor_chains[node]}
         for s in corpus.sources:  # id order
             if s.jurisdiction in visible:
                 views[s.kind][node].append(s)

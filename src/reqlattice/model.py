@@ -12,7 +12,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 
 
 class Level(str, Enum):
@@ -157,17 +157,28 @@ class Corpus:
     def item(self, item_id: str) -> SourceItem | Requirement | None:
         return self.source_map().get(item_id) or self.requirement_map().get(item_id)
 
+    @cached_property
+    def ancestor_chains(self) -> dict[str, tuple[str, ...]]:
+        """Each jurisdiction's ancestor ids, nearest first, built once.
+
+        A walk stops at an unknown parent (kept as the last entry) or where
+        the chain would loop, so broken forests still get finite chains.
+        """
+        jmap = self.jurisdiction_map()
+        chains: dict[str, tuple[str, ...]] = {}
+        for jid, node in jmap.items():
+            out: list[str] = []
+            seen = {jid}
+            while node is not None and node.parent is not None and node.parent not in seen:
+                out.append(node.parent)
+                seen.add(node.parent)
+                node = jmap.get(node.parent)
+            chains[jid] = tuple(out)
+        return chains
+
     def ancestors(self, jurisdiction_id: str) -> list[str]:
         """Ancestor jurisdiction ids, nearest first. Assumes a valid forest."""
-        out: list[str] = []
-        jmap = self.jurisdiction_map()
-        node = jmap.get(jurisdiction_id)
-        seen = {jurisdiction_id}
-        while node is not None and node.parent is not None and node.parent not in seen:
-            out.append(node.parent)
-            seen.add(node.parent)
-            node = jmap.get(node.parent)
-        return out
+        return list(self.ancestor_chains.get(jurisdiction_id, ()))
 
 
 #: The levels a jurisdiction's parent may have; a national node has none.
@@ -214,25 +225,33 @@ def validate_corpus(corpus: Corpus) -> None:
             node = jmap.get(slow)
             slow = node.parent if node else None
 
-    smap = corpus.source_map()
-    concept_triples: set[tuple[str, str, SourceKind]] = set()
-    for s in corpus.sources:
-        if s.jurisdiction not in jmap:
-            raise ValidationError("DANGLING_REF", f"source {s.id!r} references unknown jurisdiction {s.jurisdiction!r}", item_id=s.id)
-        triple = (s.jurisdiction, s.concept_key, s.kind)
-        if triple in concept_triples:
+    # one item per (jurisdiction, concept, kind): partitions and change ops
+    # find a jurisdiction's version of a concept by that triple
+    concept_holder: dict[tuple[str, str, SourceKind | RequirementKind], str] = {}
+
+    def check_concept(item: SourceItem | Requirement) -> None:
+        if item.jurisdiction not in jmap:
+            raise ValidationError(
+                "DANGLING_REF",
+                f"{item.role} {item.id!r} references unknown jurisdiction {item.jurisdiction!r}",
+                item_id=item.id,
+            )
+        holder = concept_holder.setdefault((item.jurisdiction, item.concept_key, item.kind), item.id)
+        if holder != item.id:
             raise ValidationError(
                 "DUPLICATE_CONCEPT",
-                f"jurisdiction {s.jurisdiction!r} declares concept {s.concept_key!r} twice for kind {s.kind.value}",
-                item_id=s.id,
+                f"jurisdiction {item.jurisdiction!r} declares concept {item.concept_key!r} twice for kind "
+                f"{item.kind.value}: {holder!r} and {item.id!r}",
+                item_id=item.id,
             )
-        concept_triples.add(triple)
+
+    smap = corpus.source_map()
+    for s in corpus.sources:
+        check_concept(s)
 
     rmap = corpus.requirement_map()
-    ancestors_of = cache(lambda jid: frozenset(corpus.ancestors(jid)))  # one walk per jurisdiction
     for r in corpus.requirements:
-        if r.jurisdiction not in jmap:
-            raise ValidationError("DANGLING_REF", f"requirement {r.id!r} references unknown jurisdiction {r.jurisdiction!r}", item_id=r.id)
+        check_concept(r)
         if r.kind is RequirementKind.FUNCTIONAL and r.derived_from:
             raise ValidationError("FUNCTIONAL_WITH_SOURCES", f"functional requirement {r.id!r} must not derive from sources", item_id=r.id)
         allowed_kind = SOURCE_KIND_FOR_REQUIREMENT.get(r.kind)
@@ -246,7 +265,7 @@ def validate_corpus(corpus: Corpus) -> None:
                     f"{r.kind.value} requirement {r.id!r} derives from {src.kind.value} source {sid!r}",
                     item_id=r.id,
                 )
-            if src.jurisdiction != r.jurisdiction and src.jurisdiction not in ancestors_of(r.jurisdiction):
+            if src.jurisdiction != r.jurisdiction and src.jurisdiction not in corpus.ancestor_chains[r.jurisdiction]:
                 raise ValidationError(
                     "DERIVED_FROM_JURISDICTION",
                     f"requirement {r.id!r} derives from source {sid!r} of unrelated jurisdiction {src.jurisdiction!r}",

@@ -1,6 +1,6 @@
 """Redundancy removal under the refinement order: strongest and baseline sets.
 
-The strongest set keeps the maximal elements of the refinement closure (every
+The strongest set keeps the maximal elements of the refinement order (every
 weaker, subsumed version is removed and its refining witness recorded); the
 baseline keeps the minimal elements, the floor any compliant system must meet.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from reqlattice.model import Corpus, RequirementKind
-from reqlattice.relations import ConflictRecord, find_conflicts, refinement_closure
+from reqlattice.relations import ConflictRecord, find_conflicts, min_refiner
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class OptimizedView:
 
 
 def remove_redundant(ids: set[str] | frozenset[str], corpus: Corpus) -> tuple[frozenset[str], dict[str, str]]:
-    """Maximal elements of the refinement closure restricted to ``ids``.
+    """Maximal elements of the refinement order restricted to ``ids``.
 
     The removed map records the lexicographically smallest refining witness
     for each dropped element, so reports are reproducible.
@@ -32,18 +32,18 @@ def remove_redundant(ids: set[str] | frozenset[str], corpus: Corpus) -> tuple[fr
 
 
 def minimal_baseline(ids: set[str] | frozenset[str], corpus: Corpus) -> frozenset[str]:
-    """Minimal elements of the refinement closure restricted to ``ids``."""
+    """Minimal elements of the refinement order restricted to ``ids``."""
     return optimize(ids, corpus, "").baseline
 
 
 def optimize(ids: set[str] | frozenset[str], corpus: Corpus, scope: str) -> OptimizedView:
-    """Strongest set, removal witnesses and baseline from one restricted closure."""
-    closure = refinement_closure(corpus.relations, set(ids))
-    refined_by: dict[str, list[str]] = {}
-    for strong, weak in closure:
-        refined_by.setdefault(weak, []).append(strong)
-    removed = {weak: min(strongs) for weak, strongs in refined_by.items()}
-    has_weaker = {strong for strong, _weak in closure}
+    """Strongest set, removal witnesses and baseline of the order restricted to ``ids``.
+
+    A removed id's witness is its smallest transitive refiner; the baseline
+    is every id that refines nothing in ``ids``.
+    """
+    removed = min_refiner(corpus.relations, ids, lambda rid: rid)
+    has_weaker = {a for a, b in corpus.relations.refines if a in ids and b in ids}
     return OptimizedView(
         scope=scope,
         strongest=frozenset(i for i in ids if i not in removed),

@@ -1,11 +1,15 @@
-"""Refinement closure, contradiction derivation, semantic identity, conflicts."""
+"""Refinement order, contradiction derivation, semantic identity, conflicts."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
+from typing import TypeVar
 
 from reqlattice.errors import CycleError, RoleMismatchError, UnknownIdError
 from reqlattice.model import Corpus, RelationSet, Requirement, SourceItem
+
+K = TypeVar("K")
 
 
 def check_acyclic(
@@ -46,13 +50,52 @@ def check_acyclic(
     return edges
 
 
+def min_refiner(
+    relations: RelationSet, ids: Collection[str], key: Callable[[str], K]
+) -> dict[str, K]:
+    """Least ``key(u)`` over each id's strict transitive refiners ``u``.
+
+    Only ``refines`` pairs with both ends in ``ids`` count, and an id that
+    nothing in ``ids`` refines has no entry. One pass in topological order
+    carries ``min(key(a), best[a])`` along every edge ``a -> b``, so no
+    closure is built. A cycle leaves nodes unvisited; only then does
+    check_acyclic run, to raise its reproducible CycleError witness.
+    """
+    edges: dict[str, list[str]] = {i: [] for i in ids}
+    indegree = dict.fromkeys(ids, 0)
+    for a, b in relations.refines:
+        if a in edges and b in edges:
+            edges[a].append(b)
+            indegree[b] += 1
+
+    best: dict[str, K] = {}
+    ready = [i for i, d in indegree.items() if d == 0]
+    visited = 0
+    while ready:
+        a = ready.pop()
+        visited += 1
+        carried = key(a)
+        if a in best and best[a] < carried:
+            carried = best[a]
+        for b in edges[a]:
+            if b not in best or carried < best[b]:
+                best[b] = carried
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                ready.append(b)
+    if visited < len(edges):
+        check_acyclic(relations, ids)  # raises: the unvisited nodes hold a cycle
+    return best
+
+
 def refinement_closure(
     relations: RelationSet, ids: set[str] | frozenset[str]
 ) -> frozenset[tuple[str, str]]:
     """Transitive closure of ``refines`` restricted to ``ids``.
 
     Raises CycleError (with one witness cycle) if any element would end up
-    refining itself.
+    refining itself. No analysis builds the closure; it is the from-scratch
+    reference that min_refiner and derive_contradictions are checked against.
     """
     edges = check_acyclic(relations, ids)
     closure: set[tuple[str, str]] = set()
@@ -77,18 +120,28 @@ def derive_contradictions(relations: RelationSet) -> frozenset[frozenset[str]]:
     Degenerate self-pairs (an element refining both sides) are dropped; the
     relation stays irreflexive.
     """
-    ids = {i for pair in relations.refines for i in pair}
-    ids |= {i for pair in relations.contradicts for i in pair}
-    closure = refinement_closure(relations, ids)
+    endpoints = {i for pair in relations.contradicts for i in pair}
+    check_acyclic(relations, endpoints | {i for pair in relations.refines for i in pair})
+    direct: dict[str, list[str]] = {}
+    for strong, weak in relations.refines:
+        direct.setdefault(weak, []).append(strong)
 
-    refiners: dict[str, set[str]] = {}
-    for strong, weak in closure:
-        refiners.setdefault(weak, set()).add(strong)
+    # each endpoint with all its transitive refiners, by a reverse walk
+    covered: dict[str, set[str]] = {}
+    for x in endpoints:
+        seen = {x}
+        frontier = [x]
+        while frontier:
+            for strong in direct.get(frontier.pop(), ()):
+                if strong not in seen:
+                    seen.add(strong)
+                    frontier.append(strong)
+        covered[x] = seen
 
     derived: set[frozenset[str]] = set()
     for x, y in relations.contradicts:
-        for a in {x} | refiners.get(x, set()):
-            for b in {y} | refiners.get(y, set()):
+        for a in covered[x]:
+            for b in covered[y]:
                 if a != b:
                     derived.add(frozenset((a, b)))
     return frozenset(derived)

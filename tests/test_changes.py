@@ -124,6 +124,15 @@ class TestClassifyChange:
         texts = {r.jurisdiction: r.text for r in new.requirements if r.concept_key == "ui"}
         assert texts == {"s1": "blue theme", "s2": "green theme", "s3": "blue theme"}
 
+    def test_2b_cannot_rewrite_a_same_concept_sibling(self):
+        # two s1 requirements on one concept: by_jur would keep only one of
+        # them, so a 2b split of r1-ui could rewrite r1-ui-bis instead
+        corpus = three_country_corpus()
+        twin = replace(corpus, requirements=(*corpus.requirements, req("r1-ui-bis", "s1", "ui", "blue theme")))
+        with pytest.raises(ValidationError) as exc:
+            apply_change_set(twin, change_set(modify("r1-ui", "green theme", adopted_by=["s1"])))
+        assert exc.value.code == "DUPLICATE_CONCEPT"
+
     def test_modify_general_without_adopted_by(self):
         corpus = three_country_corpus()
         with pytest.raises(MissingAdoptedByError):

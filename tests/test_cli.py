@@ -39,6 +39,18 @@ def test_invalid_corpus_exit_1(capsys, tmp_path):
     assert "UNKNOWN_FIELD" in err
 
 
+def test_duplicate_requirement_concept_exit_1(capsys, tmp_path, worked_example_path):
+    doc = json.loads(worked_example_path.read_text())
+    twin = dict(doc["requirements"][0], id="req-twin")
+    doc["requirements"].append(twin)
+    bad = tmp_path / "twin.reqcorpus.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "validate", "--corpus", str(bad))
+    assert code == EXIT_INVALID
+    assert "DUPLICATE_CONCEPT" in err and "req-twin" in err
+    assert out == ""
+
+
 def test_missing_corpus_exit_3(capsys, tmp_path):
     code, _, err = invoke(capsys, "validate", "--corpus", str(tmp_path / "absent.json"))
     assert code == EXIT_IO
@@ -111,6 +123,38 @@ def test_change_deterministic_and_writes_corpus(capsys, corpus_arg, change_set_p
     body = json.loads(out1)["body"]
     assert [op["case"] for op in body["ops"]] == ["1b", "2b"]
 
+
+
+def test_change_out_serialises_the_new_corpus_once(capsys, corpus_arg, change_set_path, tmp_path, monkeypatch):
+    import hashlib
+
+    from reqlattice import corpus_io
+
+    calls = []
+    serialise = corpus_io.canonical_bytes
+    monkeypatch.setattr(corpus_io, "canonical_bytes", lambda corpus: calls.append(1) or serialise(corpus))
+    out_path = tmp_path / "after.reqcorpus.json"
+    code, out, _ = invoke(capsys, "change", *corpus_arg, "--changes", str(change_set_path),
+                          "--out", str(out_path), "--format", "json")
+    assert code == EXIT_OK
+    assert len(calls) == 2  # the input's fingerprint, then the bytes written to --out
+    body = json.loads(out)["body"]
+    assert body["after"] == hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert body["after"] == corpus_io.load_corpus(out_path).fingerprint
+
+
+@pytest.mark.parametrize("command", ["optimize", "conflicts", "change", "hierarchy", "rank"])
+def test_level_rejected_where_it_would_be_ignored(capsys, corpus_arg, change_set_path, alts_path, command):
+    extra = {"change": ["--changes", str(change_set_path)], "rank": ["--alts", str(alts_path)]}.get(command, [])
+    code, out, err = invoke(capsys, command, *corpus_arg, *extra, "--level", "state")
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("usage: ") and "unrecognized arguments: --level state" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "partition", "scenario"])
+def test_level_kept_where_it_is_used(capsys, corpus_arg, command):
+    code, _, err = invoke(capsys, command, *corpus_arg, "--level", "org")
+    assert code == EXIT_OK and err == ""
 
 
 def test_change_unknown_adopting_jurisdiction_exit_1(capsys, corpus_arg, tmp_path):

@@ -7,6 +7,7 @@ from reqlattice.errors import UnknownIdError, ValidationError
 from reqlattice.hierarchy import (
     effective_requirements,
     level_requirement_view,
+    level_source_view,
     select_level,
     validate_hierarchy,
 )
@@ -110,6 +111,31 @@ class TestEffectiveRequirements:
         parent_effective = effective_requirements(corpus, "st")
         child_effective = effective_requirements(corpus, "org")
         assert parent_effective <= child_effective
+
+
+class TestAncestorChains:
+    def test_chains_match_a_parent_walk_and_are_built_once(self, monkeypatch):
+        corpus = Corpus(
+            jurisdictions=(
+                jur("n1"), jur("n2"), jur("s1", Level.STATE, "n1"),
+                jur("o1", Level.ORGANISATIONAL, "s1"), jur("o2", Level.ORGANISATIONAL, "n2"),
+            ),
+            sources=(), requirements=(req("r-o1", "o1"), req("r-s1", "s1"), req("r-n1", "n1")),
+        )
+        model.validate_corpus(corpus)
+        built = []
+        jurisdiction_map = Corpus.jurisdiction_map
+        monkeypatch.setattr(Corpus, "jurisdiction_map", lambda self: built.append(1) or jurisdiction_map(self))
+        expect = {"n1": [], "n2": [], "s1": ["n1"], "o1": ["s1", "n1"], "o2": ["n2"]}
+        for _ in range(3):
+            assert {j.id: corpus.ancestors(j.id) for j in corpus.jurisdictions} == expect
+            for node in expect:
+                effective_requirements(corpus, node)
+            level_source_view(corpus, select_level(corpus, Level.ORGANISATIONAL))
+        assert corpus.ancestors("nowhere") == []
+        assert len(built) == 1
+        corpus.ancestors("o1").append("x")  # callers get a copy
+        assert corpus.ancestors("o1") == ["s1", "n1"]
 
 
 class TestLevelSelection:

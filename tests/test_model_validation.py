@@ -94,6 +94,21 @@ def test_duplicate_source_concept_triple():
     assert code_of(e) == "DUPLICATE_CONCEPT"
 
 
+def test_duplicate_requirement_concept_triple():
+    with pytest.raises(ValidationError) as e:
+        validate_corpus(make(requirements=[req("r1", key="k"), req("r2", key="k")]))
+    assert code_of(e) == "DUPLICATE_CONCEPT"
+    assert e.value.item_id == "r2"
+
+
+def test_requirement_concept_shared_across_kinds_or_jurisdictions_allowed():
+    validate_corpus(make(jurisdictions=[jur("de"), jur("fr")], requirements=[
+        req("r1", key="k", kind=RequirementKind.FUNCTIONAL),
+        req("r2", key="k", kind=RequirementKind.LEGAL_BASED),
+        req("r3", jurisdiction="fr", key="k", kind=RequirementKind.FUNCTIONAL),
+    ]))
+
+
 def test_same_concept_different_kind_allowed():
     validate_corpus(make(sources=[
         src("s1", key="k", kind=SourceKind.LEGAL),
