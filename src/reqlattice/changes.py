@@ -13,10 +13,10 @@ Each modify of a requirement lands in exactly one of four cases:
   (their components are untouched).
 
 Ops are applied sequentially. A requirement modify recomputes only the
-partition of its target's kind, before the op and, for a 1b promotion, once
-after it. Ops can only remove ``refines`` pairs, so acyclicity is checked
-once, on the input corpus. The whole change set is atomic: any failure
-leaves the input corpus untouched (it is immutable) and raises.
+partition of its target's kind, before the op. Ops can only remove
+``refines`` pairs, so acyclicity is checked once, on the input corpus. The
+whole change set is atomic: any failure leaves the input corpus untouched
+(it is immutable) and raises.
 """
 
 from __future__ import annotations
@@ -25,16 +25,8 @@ from dataclasses import dataclass, field, replace
 
 from reqlattice import model
 from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
-from reqlattice.errors import MissingAdoptedByError, UnknownTargetError, ValidationError
-from reqlattice.model import (
-    Component,
-    Corpus,
-    RelationSet,
-    Requirement,
-    RequirementKind,
-    SourceItem,
-    SourceKind,
-)
+from reqlattice.errors import MissingAdoptedByError, UnknownTargetError
+from reqlattice.model import Component, Corpus, RelationSet, Requirement, SourceItem
 from reqlattice.partition import Partition, partition_requirements
 from reqlattice.relations import check_acyclic
 
@@ -194,12 +186,12 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
         return out, record
 
     # 1b: now identical everywhere; the concept joins the general set and the
-    # counterparts' components become reuse candidates for the promoter
-    after = partition_requirements(out, target.kind)
+    # counterparts' components become reuse candidates for the promoter. Each
+    # jurisdiction holds one item per (concept, kind), so every id moves (a
+    # change that breaks that is rejected when the op's result is validated).
     migrations = [
         Migration(rid, _set_name(part, rid), "general")
         for rid in sorted([op.target, *counterparts])
-        if rid in after.general
     ]
     reuse = tuple(
         (c.id, "reusable")
@@ -214,31 +206,12 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
 
 
 def _apply_add(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
-    p = op.payload
-    if p.role not in ("requirement", "source"):
-        raise ValidationError("MISSING_FIELD", f"add op {op.target!r} payload needs role requirement/source")
-    for name in ("kind", "jurisdiction", "text", "concept_key"):
-        if getattr(p, name) is None:
-            raise ValidationError("MISSING_FIELD", f"add op {op.target!r} payload lacks {name}")
-    if p.role == "requirement":
-        item = Requirement(
-            id=op.target, kind=RequirementKind(p.kind), jurisdiction=p.jurisdiction,
-            concept_key=p.concept_key, text=p.text,
-            content_hash=model.content_hash(p.text), derived_from=p.derived_from,
-        )
-        out = replace(corpus, requirements=(*corpus.requirements, item))
-    else:
-        kind = SourceKind(p.kind)
-        item = SourceItem(
-            id=op.target, kind=kind, jurisdiction=p.jurisdiction,
-            concept_key=p.concept_key, text=p.text,
-            content_hash=model.content_hash(p.text),
-            is_static=kind is SourceKind.CULTURAL,
-        )
-        out = replace(corpus, sources=(*corpus.sources, item))
+    item = op.payload  # parsed by corpus_io as the corpus record of its role
+    name = "sources" if item.role == "source" else "requirements"
+    out = replace(corpus, **{name: (*getattr(corpus, name), item)})
     record = OpRecord(
         op="add", target=op.target, case_code=CASE_ADD, migrations=(),
-        affected=frozenset({p.jurisdiction}), component_impact=(),
+        affected=frozenset({item.jurisdiction}), component_impact=(),
     )
     return out, record
 
@@ -292,7 +265,7 @@ def _apply_source_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord
 def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactReport]:
     validate_change_set(cs, corpus)
     # no op adds a refines pair, so an acyclic input stays acyclic
-    check_acyclic(corpus.relations, {s.id for s in corpus.sources} | {r.id for r in corpus.requirements})
+    check_acyclic(corpus.relations, {i for pair in corpus.relations.refines for i in pair})
     current = corpus
     records: list[OpRecord] = []
     for op in cs.ops:

@@ -33,27 +33,29 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="reqlattice", description="Multi-jurisdiction requirements analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, level=False):
+    def common(p, level=False, strict=True):
         p.add_argument("--corpus", required=True, help="corpus file (.reqcorpus.json)")
         if level:  # only the partition-based commands analyse a level frontier
             p.add_argument("--level", choices=list(_LEVEL_FLAG), default=None,
                            help="restrict analysis to this hierarchy level's frontier")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--strict", action="store_true",
-                       help="escalate warnings/conflicts to a failing exit code")
+        if strict:  # only commands that report findings can escalate them
+            p.add_argument("--strict", action="store_true",
+                           help="escalate warnings/conflicts to a failing exit code")
         p.add_argument("--out", default=None, help="write the report to this file")
         return p
 
     common(sub.add_parser("validate", help="load and validate a corpus"), level=True)
     common(sub.add_parser("partition", help="general/specific decomposition"), level=True)
-    common(sub.add_parser("scenario", help="classify the regulation/culture overlap scenario"), level=True)
+    common(sub.add_parser("scenario", help="classify the regulation/culture overlap scenario"),
+           level=True, strict=False)
     p = common(sub.add_parser("optimize", help="strongest/baseline requirement sets"))
     p.add_argument("--emit", choices=["min", "star", "both"], default="both")
     common(sub.add_parser("conflicts", help="list declared and derived contradictions"))
-    p = common(sub.add_parser("change", help="apply a change set and classify its impact"))
+    p = common(sub.add_parser("change", help="apply a change set and classify its impact"), strict=False)
     p.add_argument("--changes", required=True, help="change-set file (.reqchange.json)")
     common(sub.add_parser("hierarchy", help="hierarchy lint and effective requirement sets"))
-    p = common(sub.add_parser("rank", help="TOPSIS ranking of conflict resolutions"))
+    p = common(sub.add_parser("rank", help="TOPSIS ranking of conflict resolutions"), strict=False)
     p.add_argument("--alts", required=True, help="alternatives file (.reqalts.json)")
     return parser
 
@@ -81,15 +83,18 @@ def _emit(args, report_type: str, body, text: Callable[[bool], str]) -> None:
         write(sys.stdout)
 
 
-def _level_partitions(corpus: Corpus, level_flag: str | None) -> dict[str, Partition]:
-    """Per-kind partitions, over the flat corpus or a level frontier."""
-    if level_flag is None:
-        return partition.all_partitions(corpus)
-    selection = hierarchy.select_level(corpus, _LEVEL_FLAG[level_flag])
-    source_views = hierarchy.level_source_view(corpus, selection)
-    req_views = hierarchy.level_requirement_view(corpus, selection)
-    out = {k.value: partition.partition_sources(corpus, k, source_views[k]) for k in SourceKind}
-    out.update({k.value: partition.partition_requirements(corpus, k, req_views[k]) for k in RequirementKind})
+def _level_partitions(corpus: Corpus, level_flag: str | None,
+                      kinds: tuple[type[SourceKind] | type[RequirementKind], ...]) -> dict[str, Partition]:
+    """The partitions of every kind in ``kinds`` (``SourceKind``,
+    ``RequirementKind`` or both), over the flat corpus or a level frontier."""
+    selection = None if level_flag is None else hierarchy.select_level(corpus, _LEVEL_FLAG[level_flag])
+    out: dict[str, Partition] = {}
+    if SourceKind in kinds:
+        views = {} if selection is None else hierarchy.level_source_view(corpus, selection)
+        out.update({k.value: partition.partition_sources(corpus, k, views.get(k)) for k in SourceKind})
+    if RequirementKind in kinds:
+        views = {} if selection is None else hierarchy.level_requirement_view(corpus, selection)
+        out.update({k.value: partition.partition_requirements(corpus, k, views.get(k)) for k in RequirementKind})
     return out
 
 
@@ -114,7 +119,7 @@ def _component_scope_warnings(corpus: Corpus, parts: dict[str, Partition]) -> li
 
 
 def _cmd_validate(args, corpus: Corpus) -> int:
-    parts = _level_partitions(corpus, args.level)
+    parts = _level_partitions(corpus, args.level, (RequirementKind,))
     warnings = _component_scope_warnings(corpus, parts)
     body = {"valid": True, "warnings": [reports.finding_body(f) for f in warnings]}
     lines = ["corpus valid"]
@@ -124,7 +129,7 @@ def _cmd_validate(args, corpus: Corpus) -> int:
 
 
 def _cmd_partition(args, corpus: Corpus) -> int:
-    parts = _level_partitions(corpus, args.level)
+    parts = _level_partitions(corpus, args.level, (SourceKind, RequirementKind))
     source_parts = {k: parts[k] for k in (SourceKind.LEGAL.value, SourceKind.CULTURAL.value)}
     req_parts = {k.value: parts[k.value] for k in RequirementKind}
     elaboration = partition.check_elaboration(corpus, source_parts, req_parts)
@@ -136,7 +141,7 @@ def _cmd_partition(args, corpus: Corpus) -> int:
 
 
 def _cmd_scenario(args, corpus: Corpus) -> int:
-    parts = _level_partitions(corpus, args.level)
+    parts = _level_partitions(corpus, args.level, (SourceKind,))
     classes = {}
     for kind in SourceKind:
         try:

@@ -129,6 +129,41 @@ def _check_version(doc: dict, what: str) -> None:
 # ---------------------------------------------------------------------------
 # corpus
 
+_ITEM_FIELDS = {"id": str, "kind": str, "jurisdiction": str, "conceptKey": str, "text": str}
+
+
+def _source(raw: Any) -> SourceItem:
+    """One source record, from a corpus or an add op's payload."""
+    s = _take(_require_obj(raw, "source"), "source", _ITEM_FIELDS, {"contentHash": str, "isStatic": bool})
+    kind = _enum(s["kind"], SourceKind, f"source {s['id']!r} kind")
+    return SourceItem(
+        id=s["id"], kind=kind, jurisdiction=s["jurisdiction"],
+        concept_key=s["conceptKey"], text=s["text"],
+        content_hash=s.get("contentHash") or model.content_hash(s["text"]),
+        is_static=s.get("isStatic", _DEFAULT_STATIC[kind]),
+    )
+
+
+def _requirement(raw: Any) -> Requirement:
+    """One requirement record, from a corpus or an add op's payload."""
+    r = _take(_require_obj(raw, "requirement"), "requirement", _ITEM_FIELDS,
+              {"contentHash": str, "derivedFrom": list})
+    derived = r.get("derivedFrom", [])
+    if not all(isinstance(x, str) for x in derived):
+        raise ValidationError("BAD_TYPE", f"requirement {r['id']!r} derivedFrom must hold ids")
+    return Requirement(
+        id=r["id"],
+        kind=_enum(r["kind"], RequirementKind, f"requirement {r['id']!r} kind"),
+        jurisdiction=r["jurisdiction"], concept_key=r["conceptKey"], text=r["text"],
+        content_hash=r.get("contentHash") or model.content_hash(r["text"]),
+        derived_from=frozenset(derived),
+    )
+
+
+#: the record parser for each ``role`` an add op's payload may name
+_ITEM_PARSERS = {"source": _source, "requirement": _requirement}
+
+
 def parse_corpus(doc: Any) -> Corpus:
     top = _require_obj(doc, "corpus document")
     fields = _take(
@@ -149,34 +184,8 @@ def parse_corpus(doc: Any) -> Corpus:
             parent=j.get("parent"),
         ))
 
-    sources = []
-    for raw in fields.get("sources", []):
-        s = _take(_require_obj(raw, "source"), "source",
-                  {"id": str, "kind": str, "jurisdiction": str, "conceptKey": str, "text": str},
-                  {"contentHash": str, "isStatic": bool})
-        kind = _enum(s["kind"], SourceKind, f"source {s['id']!r} kind")
-        sources.append(SourceItem(
-            id=s["id"], kind=kind, jurisdiction=s["jurisdiction"],
-            concept_key=s["conceptKey"], text=s["text"],
-            content_hash=s.get("contentHash") or model.content_hash(s["text"]),
-            is_static=s.get("isStatic", _DEFAULT_STATIC[kind]),
-        ))
-
-    requirements = []
-    for raw in fields.get("requirements", []):
-        r = _take(_require_obj(raw, "requirement"), "requirement",
-                  {"id": str, "kind": str, "jurisdiction": str, "conceptKey": str, "text": str},
-                  {"contentHash": str, "derivedFrom": list})
-        derived = r.get("derivedFrom", [])
-        if not all(isinstance(x, str) for x in derived):
-            raise ValidationError("BAD_TYPE", f"requirement {r['id']!r} derivedFrom must hold ids")
-        requirements.append(Requirement(
-            id=r["id"],
-            kind=_enum(r["kind"], RequirementKind, f"requirement {r['id']!r} kind"),
-            jurisdiction=r["jurisdiction"], concept_key=r["conceptKey"], text=r["text"],
-            content_hash=r.get("contentHash") or model.content_hash(r["text"]),
-            derived_from=frozenset(derived),
-        ))
+    sources = [_source(raw) for raw in fields.get("sources", [])]
+    requirements = [_requirement(raw) for raw in fields.get("requirements", [])]
 
     rel_raw = _take(_require_obj(fields.get("relations", {}), "relations"), "relations",
                     {}, {"refines": list, "contradicts": list})
@@ -209,7 +218,7 @@ def parse_corpus(doc: Any) -> Corpus:
     )
     model.validate_corpus(corpus)
     # surfaces CycleError for cyclic refinement declarations
-    check_acyclic(relations, {s.id for s in sources} | {r.id for r in requirements})
+    check_acyclic(relations, {i for pair in relations.refines for i in pair})
     return corpus
 
 
@@ -282,22 +291,18 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class ChangePayload:
-    """New content for an add/modify op; unset fields keep the old value."""
+    """New content for a modify op; unset fields keep the old value."""
 
     text: str | None = None
     concept_key: str | None = None
-    # add ops only:
-    role: str | None = None  # "requirement" | "source"
-    kind: str | None = None
-    jurisdiction: str | None = None
-    derived_from: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
 class ChangeOp:
     op: str  # "add" | "remove" | "modify"
     target: str
-    payload: ChangePayload | None = None
+    # the new item for an add op (its id is ``target``), new content for a modify
+    payload: ChangePayload | SourceItem | Requirement | None = None
     adopted_by: frozenset[str] | None = None
 
 
@@ -305,6 +310,24 @@ class ChangeOp:
 class ChangeSet:
     label: str
     ops: tuple[ChangeOp, ...]
+
+
+#: the fields each op kind takes besides ``op`` and ``target``; a payload is
+#: required wherever it is allowed
+_OP_FIELDS = {"add": {"payload"}, "modify": {"payload", "adoptedBy"}, "remove": set()}
+
+
+def _add_item(target: str, payload: dict) -> SourceItem | Requirement:
+    """Parse an add payload as the corpus record of its ``role``, with id ``target``."""
+    if "id" in payload:
+        raise ValidationError("UNKNOWN_FIELD", f"add op {target!r} payload must not carry an id; the target is its id")
+    record = dict(payload)
+    role = record.pop("role", None)
+    if role is None:
+        raise ValidationError("MISSING_FIELD", f"add op {target!r} payload lacks required field 'role'")
+    if not (isinstance(role, str) and role in _ITEM_PARSERS):
+        raise ValidationError("BAD_ENUM", f"add op {target!r} role: {role!r} is not one of source, requirement")
+    return _ITEM_PARSERS[role]({**record, "id": target})
 
 
 def parse_change_set(doc: Any) -> ChangeSet:
@@ -316,26 +339,24 @@ def parse_change_set(doc: Any) -> ChangeSet:
     for raw in top["ops"]:
         o = _take(_require_obj(raw, "change op"), "change op",
                   {"op": str, "target": str}, {"payload": dict, "adoptedBy": list})
-        if o["op"] not in ("add", "remove", "modify"):
+        if o["op"] not in _OP_FIELDS:
             raise ValidationError("BAD_ENUM", f"op must be add/remove/modify, got {o['op']!r}")
         if o["target"] in targets:
             raise ValidationError("DUPLICATE_TARGET", f"two ops target {o['target']!r}", item_id=o["target"])
         targets.add(o["target"])
+        allowed = _OP_FIELDS[o["op"]]
+        extra = sorted(o.keys() - {"op", "target"} - allowed)
+        if extra:
+            raise ValidationError("UNKNOWN_FIELD", f"{o['op']} op on {o['target']!r} takes no field {extra[0]!r}")
+        if "payload" in allowed and "payload" not in o:
+            raise ValidationError("MISSING_FIELD", f"{o['op']} op on {o['target']!r} needs a payload")
 
         payload = None
-        if "payload" in o:
-            p = _take(o["payload"], "payload",
-                      {}, {"text": str, "conceptKey": str, "role": str, "kind": str,
-                           "jurisdiction": str, "derivedFrom": list})
-            if not all(isinstance(x, str) for x in p.get("derivedFrom", [])):
-                raise ValidationError("BAD_TYPE", f"payload of {o['target']!r} derivedFrom must hold ids")
-            payload = ChangePayload(
-                text=p.get("text"), concept_key=p.get("conceptKey"),
-                role=p.get("role"), kind=p.get("kind"), jurisdiction=p.get("jurisdiction"),
-                derived_from=frozenset(p.get("derivedFrom", [])),
-            )
-        if o["op"] in ("add", "modify") and payload is None:
-            raise ValidationError("MISSING_FIELD", f"{o['op']} op on {o['target']!r} needs a payload")
+        if o["op"] == "add":
+            payload = _add_item(o["target"], o["payload"])
+        elif o["op"] == "modify":
+            p = _take(o["payload"], f"payload of {o['target']!r}", {}, {"text": str, "conceptKey": str})
+            payload = ChangePayload(text=p.get("text"), concept_key=p.get("conceptKey"))
 
         adopted = None
         if "adoptedBy" in o:

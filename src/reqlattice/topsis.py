@@ -3,12 +3,11 @@
 Classical variant: vector normalization per criterion, weighted columns,
 ideal/anti-ideal points from column extremes, Euclidean distances, closeness
 ``d- / (d+ + d-)``. Criteria whose column cannot discriminate (zero variance)
-are dropped with a warning before ranking.
+are dropped before ranking and reported in ``Ranking.dropped_criteria``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ class DecisionMatrix:
     alternatives: tuple[str, ...]
     criteria: tuple[Criterion, ...]
     values: np.ndarray  # rows = alternatives, columns = criteria
-    raw_weights: tuple[float, ...]  # as supplied, before normalization
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -54,7 +52,7 @@ def make_matrix(
         raise ValueError("criterion weights must be nonnegative")
     total = sum(raw)
     if total <= 0:
-        raise ValueError("criterion weights must not all be zero")
+        raise DegenerateMatrixError("every criterion has weight 0; nothing to rank by")
     crits = tuple(
         Criterion(cid, w / total, direction) for (cid, w, direction) in criteria
     )
@@ -65,7 +63,6 @@ def make_matrix(
         alternatives=tuple(alternatives),
         criteria=crits,
         values=np.asarray(values, dtype=float),
-        raw_weights=tuple(raw),
     )
 
 
@@ -83,29 +80,30 @@ def rank_alternatives(m: DecisionMatrix) -> Ranking:
         return Ranking(entries=((m.alternatives[0], 1.0),), dropped_criteria=())
 
     values = m.values
-    keep = [j for j in range(values.shape[1]) if np.ptp(values[:, j]) > 0.0]
+    keep = [j for j in range(values.shape[1]) if values[:, j].max() > values[:, j].min()]
     dropped = tuple(m.criteria[j].id for j in range(values.shape[1]) if j not in keep)
     if not keep:
         raise DegenerateMatrixError("every criterion column is constant; nothing discriminates")
-    if dropped:
-        warnings.warn(
-            f"dropping zero-variance criteria: {', '.join(dropped)}",
-            stacklevel=2,
-        )
+    weights = np.array([m.criteria[j].weight for j in keep])
+    if weights.sum() <= 0:
+        raise DegenerateMatrixError("every criterion that discriminates has weight 0; nothing to rank by")
 
     values = values[:, keep]
-    weights = np.array([m.criteria[j].weight for j in keep])
+    # dividing a column by a power of two near its largest magnitude is exact,
+    # so normal-range results do not change, but the squares in the column
+    # norm can then neither overflow nor underflow
+    values = values / np.ldexp(1.0, np.frexp(np.abs(values).max(axis=0))[1] - 1)
     weights = weights / weights.sum()
     benefit = np.array([m.criteria[j].direction == "benefit" for j in keep])
-
-    norms = np.linalg.norm(values, axis=0)
-    norms[norms == 0.0] = 1.0  # all-zero column is constant and already dropped
-    weighted = values / norms * weights
+    weighted = values / np.linalg.norm(values, axis=0) * weights
 
     ideal = np.where(benefit, weighted.max(axis=0), weighted.min(axis=0))
     anti = np.where(benefit, weighted.min(axis=0), weighted.max(axis=0))
     d_plus = np.linalg.norm(weighted - ideal, axis=1)
     d_minus = np.linalg.norm(weighted - anti, axis=1)
+    if not np.all(d_plus + d_minus > 0.0):
+        # scores a rounding step apart can coincide once normalized and weighted
+        raise DegenerateMatrixError("the scores differ too little to rank")
     closeness = d_minus / (d_plus + d_minus)
 
     order = sorted(range(len(m.alternatives)), key=lambda i: (-closeness[i], m.alternatives[i]))
@@ -137,10 +135,11 @@ def build_conflict_matrix(corpus: Corpus, alts: AlternativesFile) -> DecisionMat
             alternatives=tuple(a.id for a in alts.alternatives),
             criteria=(),
             values=np.zeros((len(alts.alternatives), 0)),
-            raw_weights=(),
         )
-    values = [
+    # the explicit shape keeps a file without alternatives a 0 x n matrix, which
+    # rank_alternatives rejects as degenerate
+    values = np.array([
         [alt.satisfies.get(rid, 0.0) for rid in conflict_ids]
         for alt in alts.alternatives
-    ]
+    ]).reshape(len(alts.alternatives), len(conflict_ids))
     return make_matrix([a.id for a in alts.alternatives], criteria, values)

@@ -173,9 +173,8 @@ class TestApplyChangeSet:
 
     def test_add_and_remove(self):
         corpus = three_country_corpus()
-        add = ChangeOp(op="add", target="r1-new", payload=ChangePayload(
-            text="brand new", concept_key="newkey", role="requirement",
-            kind="functional", jurisdiction="s1"))
+        add = ChangeOp(op="add", target="r1-new",
+                       payload=req("r1-new", "s1", "newkey", "brand new", kind=RequirementKind.FUNCTIONAL))
         remove = ChangeOp(op="remove", target="r1-pay")
         new, report = apply_change_set(corpus, change_set(add, remove))
         assert [r.case_code for r in report.per_op] == ["ADD", "REMOVE"]
@@ -201,7 +200,8 @@ class TestApplyChangeSet:
         with pytest.raises(ValidationError):
             apply_change_set(corpus, change_set(
                 modify("r1-pay", "fine"),
-                ChangeOp(op="add", target="r1-pay2", payload=ChangePayload(text="no role")),
+                # a second 'pay' requirement in s1 fails DUPLICATE_CONCEPT
+                ChangeOp(op="add", target="r1-pay2", payload=req("r1-pay2", "s1", "pay", "pay at once")),
             ))
         assert model.corpus_fingerprint(corpus) == before
 

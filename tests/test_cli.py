@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,12 +147,15 @@ def test_change_out_serialises_the_new_corpus_once(capsys, corpus_arg, change_se
     assert body["after"] == corpus_io.load_corpus(out_path).fingerprint
 
 
-@pytest.mark.parametrize("command", ["optimize", "conflicts", "change", "hierarchy", "rank"])
-def test_level_rejected_where_it_would_be_ignored(capsys, corpus_arg, change_set_path, alts_path, command):
+@pytest.mark.parametrize("command,flag", [
+    *[pytest.param(c, ["--level", "state"], id=c) for c in ("optimize", "conflicts", "change", "hierarchy", "rank")],
+    *[pytest.param(c, ["--strict"], id=f"{c}-strict") for c in ("scenario", "change", "rank")],
+])
+def test_level_rejected_where_it_would_be_ignored(capsys, corpus_arg, change_set_path, alts_path, command, flag):
     extra = {"change": ["--changes", str(change_set_path)], "rank": ["--alts", str(alts_path)]}.get(command, [])
-    code, out, err = invoke(capsys, command, *corpus_arg, *extra, "--level", "state")
+    code, out, err = invoke(capsys, command, *corpus_arg, *extra, *flag)
     assert code == EXIT_INVALID and out == ""
-    assert err.startswith("usage: ") and "unrecognized arguments: --level state" in err
+    assert err.startswith("usage: ") and f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "partition", "scenario"])
@@ -279,3 +286,103 @@ def test_text_report_out_file_has_no_color(capsys, corpus_arg, monkeypatch, tmp_
     code, out, _ = invoke(capsys, "partition", *corpus_arg, "--out", str(dest))
     assert code == EXIT_OK and out == ""
     assert dest.read_text() == to_terminal.replace("\x1b[1m", "").replace("\x1b[0m", "")
+
+
+NEW_REQUIREMENT = {"role": "requirement", "kind": "functional", "jurisdiction": "de",
+                   "conceptKey": "audit-log", "text": "The system shall keep an audit log."}
+
+
+def _modify_with(field, value):
+    return {"op": "modify", "target": "req-de-consent", "adoptedBy": ["de"],
+            "payload": {"text": "x", field: value}}
+
+
+@pytest.mark.parametrize("op,code", [
+    pytest.param({"op": "add", "target": "req-new", "payload": dict(NEW_REQUIREMENT, kind="bogus")},
+                 "BAD_ENUM", id="add-bad-kind"),
+    pytest.param({"op": "add", "target": "req-new", "payload": NEW_REQUIREMENT, "adoptedBy": ["de"]},
+                 "UNKNOWN_FIELD", id="add-adoptedBy"),
+    pytest.param({"op": "add", "target": "req-new", "payload": dict(NEW_REQUIREMENT, id="req-other")},
+                 "UNKNOWN_FIELD", id="add-payload-id"),
+    pytest.param({"op": "add", "target": "req-new", "payload": dict(NEW_REQUIREMENT, role=["source"])},
+                 "BAD_ENUM", id="add-role-not-a-string"),
+    pytest.param(_modify_with("role", "requirement"), "UNKNOWN_FIELD", id="modify-role"),
+    pytest.param(_modify_with("kind", "functional"), "UNKNOWN_FIELD", id="modify-kind"),
+    pytest.param(_modify_with("jurisdiction", "fr"), "UNKNOWN_FIELD", id="modify-jurisdiction"),
+    pytest.param(_modify_with("derivedFrom", []), "UNKNOWN_FIELD", id="modify-derivedFrom"),
+    pytest.param({"op": "remove", "target": "req-de-consent", "payload": {"text": "x"}},
+                 "UNKNOWN_FIELD", id="remove-payload"),
+    pytest.param({"op": "remove", "target": "req-de-consent", "adoptedBy": ["de"]},
+                 "UNKNOWN_FIELD", id="remove-adoptedBy"),
+])
+def test_change_op_outside_its_schema_exit_1(capsys, corpus_arg, tmp_path, op, code):
+    path = tmp_path / "cs.reqchange.json"
+    path.write_text(json.dumps({"formatVersion": 1, "label": "l", "ops": [op]}), encoding="utf-8")
+    exit_code, out, err = invoke(capsys, "change", *corpus_arg, "--changes", str(path))
+    assert exit_code == EXIT_INVALID and out == ""
+    assert err.startswith(f"reqlattice: {code}: ") and err.count("\n") == 1
+
+
+def test_change_add_bad_kind_exit_1_from_the_entry_point(tmp_path, worked_example_path):
+    path = tmp_path / "cs.reqchange.json"
+    path.write_text(json.dumps({"formatVersion": 1, "label": "l", "ops": [
+        {"op": "add", "target": "req-new", "payload": dict(NEW_REQUIREMENT, kind="bogus")}]}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "reqlattice.cli", "change", "--corpus", str(worked_example_path),
+         "--changes", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == EXIT_INVALID and proc.stdout == ""
+    assert proc.stderr == ("reqlattice: BAD_ENUM: requirement 'req-new' kind: 'bogus' is not one of "
+                           "legalBased, culturalBased, functional\n")
+
+
+@pytest.mark.parametrize("scores,weights", [
+    pytest.param(None, {"req-de-retention": 0, "req-fr-retention": 0}, id="all-weights-zero"),
+    pytest.param({"a": {"req-de-retention": 0.5, "req-fr-retention": 0.2},
+                  "b": {"req-de-retention": 0.5, "req-fr-retention": 0.9}},
+                 {"req-de-retention": 1, "req-fr-retention": 0}, id="varying-criteria-weigh-zero"),
+])
+def test_rank_without_weighted_discriminating_criterion_exit_1(capsys, corpus_arg, alts_path, tmp_path,
+                                                               scores, weights):
+    doc = json.loads(alts_path.read_text())
+    if scores is not None:
+        doc["alternatives"] = [{"id": a, "satisfies": s} for a, s in scores.items()]
+    doc["weights"] = weights
+    path = tmp_path / "alts.reqalts.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("text", "json"):
+        code, out, err = invoke(capsys, "rank", *corpus_arg, "--alts", str(path), "--format", fmt)
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("reqlattice: ") and err.count("\n") == 1 and "weight" in err
+
+
+def test_rank_extreme_scores_print_no_nan(capsys, corpus_arg, alts_path, tmp_path):
+    doc = json.loads(alts_path.read_text())
+    for alt in doc["alternatives"]:
+        alt["satisfies"] = {rid: score * 1e300 for rid, score in alt["satisfies"].items()}
+    path = tmp_path / "alts.reqalts.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "rank", *corpus_arg, "--alts", str(path), "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    _, plain, _ = invoke(capsys, "rank", *corpus_arg, "--alts", str(alts_path), "--format", "json")
+    ranking = [entry["alternative"] for entry in json.loads(out)["body"]["ranking"]]
+    assert ranking == [entry["alternative"] for entry in json.loads(plain)["body"]["ranking"]]
+
+
+@pytest.mark.parametrize("command,level,unused", [
+    ("scenario", None, "partition_requirements"),
+    ("scenario", "state", "level_requirement_view"),
+    ("validate", None, "partition_sources"),
+    ("validate", "state", "level_source_view"),
+])
+def test_commands_partition_only_what_they_report(capsys, corpus_arg, monkeypatch, command, level, unused):
+    from reqlattice import hierarchy, partition
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError(f"{command} computed {unused}")
+
+    owner = hierarchy if unused.startswith("level_") else partition
+    monkeypatch.setattr(owner, unused, unexpected)
+    code, _, err = invoke(capsys, command, *corpus_arg, *(["--level", level] if level else []))
+    assert code == EXIT_OK and err == ""

@@ -150,6 +150,43 @@ class TestChangeSetIO:
             corpus_io.parse_change_set(doc)
         assert e.value.code == "BAD_TYPE"
 
+    @pytest.mark.parametrize("record", [
+        {"kind": "cultural", "jurisdiction": "de", "conceptKey": "k", "text": "Greet formally."},
+        {"kind": "legal", "jurisdiction": "de", "conceptKey": "k", "text": "t", "contentHash": "h"},
+        {"kind": "legal", "jurisdiction": "de", "conceptKey": "k", "text": "t", "isStatic": True},
+        {"kind": "legalBased", "jurisdiction": "de", "conceptKey": "k", "text": "t", "derivedFrom": ["s"]},
+        {"kind": "functional", "jurisdiction": "de", "conceptKey": "k", "text": "T  t", "contentHash": "h"},
+    ], ids=["source-default-static", "source-hash", "source-static", "requirement-derived",
+            "requirement-hash"])
+    def test_add_item_is_the_item_a_corpus_record_loads_as(self, record):
+        role = "source" if record["kind"] in ("legal", "cultural") else "requirement"
+        cs = corpus_io.parse_change_set({"formatVersion": 1, "label": "l", "ops": [
+            {"op": "add", "target": "x1", "payload": dict(record, role=role)}]})
+        doc = dict(MINIMAL, requirements=[], sources=[
+            {"id": "s", "kind": "legal", "jurisdiction": "de", "conceptKey": "s", "text": "s"}])
+        doc[f"{role}s"].append(dict(record, id="x1"))
+        assert cs.ops[0].payload == corpus_io.parse_corpus(doc).item("x1")
+
+    @pytest.mark.parametrize("payload,code", [
+        ({"kind": "legal", "jurisdiction": "de", "conceptKey": "k", "text": "t"}, "MISSING_FIELD"),
+        ({"role": "component", "kind": "legal", "jurisdiction": "de", "conceptKey": "k", "text": "t"},
+         "BAD_ENUM"),
+        ({"role": "source", "kind": "bogus", "jurisdiction": "de", "conceptKey": "k", "text": "t"}, "BAD_ENUM"),
+        ({"role": "source", "kind": "legal", "jurisdiction": "de", "conceptKey": "k"}, "MISSING_FIELD"),
+        ({"role": "source", "kind": "legal", "jurisdiction": "de", "conceptKey": "k", "text": "t",
+          "derivedFrom": []}, "UNKNOWN_FIELD"),
+        ({"role": "requirement", "kind": "functional", "jurisdiction": "de", "conceptKey": "k", "text": "t",
+          "isStatic": True}, "UNKNOWN_FIELD"),
+        ({"role": "source", "kind": "legal", "jurisdiction": "de", "conceptKey": "k", "text": "t",
+          "id": "x1"}, "UNKNOWN_FIELD"),
+    ], ids=["no-role", "bad-role", "bad-kind", "no-text", "source-derivedFrom", "requirement-isStatic",
+            "own-id"])
+    def test_bad_add_payload(self, payload, code):
+        doc = {"formatVersion": 1, "label": "l", "ops": [{"op": "add", "target": "x1", "payload": payload}]}
+        with pytest.raises(ValidationError) as e:
+            corpus_io.parse_change_set(doc)
+        assert e.value.code == code
+
     def test_modify_without_payload(self):
         doc = {"formatVersion": 1, "label": "l",
                "ops": [{"op": "modify", "target": "r1"}]}

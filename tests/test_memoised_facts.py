@@ -25,7 +25,7 @@ from reqlattice.changes import apply_change_set
 from reqlattice.corpus_io import Alternative, AlternativesFile, ChangeOp, ChangePayload, ChangeSet
 from reqlattice.errors import PartitionMismatchError
 from reqlattice.hierarchy import level_requirement_view, select_level
-from reqlattice.model import Corpus, Level, RequirementKind
+from reqlattice.model import Corpus, Level, Requirement, RequirementKind
 from reqlattice.optimize import optimize
 from reqlattice.partition import _check_same_corpus, partition_requirements
 from reqlattice.topsis import build_conflict_matrix
@@ -57,9 +57,9 @@ def random_op(rng: random.Random, corpus: Corpus, n: int) -> ChangeOp:
         return ChangeOp("modify", target.id, ChangePayload(text=text), adopted)
     if corpus.requirements and roll < 0.8:
         return ChangeOp("remove", rng.choice(corpus.requirements).id)
-    return ChangeOp("add", f"added-{n}", ChangePayload(
-        text=f"added {n}", concept_key=f"added-{n}", role="requirement",
-        kind=rng.choice(list(RequirementKind)).value, jurisdiction=rng.choice(jids)))
+    return ChangeOp("add", f"added-{n}", Requirement(
+        id=f"added-{n}", kind=rng.choice(list(RequirementKind)), jurisdiction=rng.choice(jids),
+        concept_key=f"added-{n}", text=f"added {n}", content_hash=model.content_hash(f"added {n}")))
 
 
 def oracle_level_view(corpus: Corpus, level: Level) -> dict:

@@ -92,10 +92,34 @@ class TestRankAlternatives:
         m = make_matrix(["a1", "a2"],
                         [("flat", 0.5, "benefit"), ("c", 0.5, "benefit")],
                         [[3.0, 1.0], [3.0, 2.0]])
-        with pytest.warns(UserWarning, match="flat"):
-            ranking = rank_alternatives(m)
+        ranking = rank_alternatives(m)
         assert ranking.dropped_criteria == ("flat",)
         assert [a for a, _ in ranking.entries] == ["a2", "a1"]
+
+    def test_all_weights_zero_is_degenerate(self):
+        with pytest.raises(DegenerateMatrixError):
+            make_matrix(["a1", "a2"], [("c1", 0.0, "benefit"), ("c2", 0.0, "benefit")],
+                        [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_zero_weight_on_every_varying_criterion_is_degenerate(self):
+        m = make_matrix(["a1", "a2"],
+                        [("flat", 1.0, "benefit"), ("c", 0.0, "benefit")],
+                        [[3.0, 1.0], [3.0, 2.0]])
+        with pytest.raises(DegenerateMatrixError):
+            rank_alternatives(m)
+
+    @pytest.mark.parametrize("factor", [1e300, 1e-300, 2.0 ** -1070])
+    def test_extreme_magnitudes_rank_like_the_fixture(self, factor):
+        # the squares in the column norms would overflow or underflow
+        m = make_matrix(["a1", "a2", "a3"], FIXTURE_CRITERIA, np.array(FIXTURE_VALUES) * factor)
+        assert dict(rank_alternatives(m).entries) == pytest.approx(FIXTURE_CLOSENESS, rel=1e-9)
+
+    def test_scores_a_rounding_step_apart_are_degenerate(self):
+        # 0.30000000000000004 is one ulp above 0.3; once normalized the scores
+        # coincide, so every row is both the ideal and the anti-ideal point
+        m = make_matrix(["a1", "a2", "a3"], [("c", 1.0, "benefit")], [[0.3], [0.30000000000000004], [0.3]])
+        with pytest.raises(DegenerateMatrixError):
+            rank_alternatives(m)
 
     def test_weights_normalized(self):
         m = make_matrix(["a1", "a2"], [("c1", 2.0, "benefit"), ("c2", 2.0, "benefit")],
@@ -136,6 +160,11 @@ class TestBuildConflictMatrix:
         peaceful = replace(worked_example, relations=RelationSet(
             refines=worked_example.relations.refines, contradicts=frozenset()))
         m = build_conflict_matrix(peaceful, self._alts([("a1", {}), ("a2", {})]))
+        with pytest.raises(DegenerateMatrixError):
+            rank_alternatives(m)
+
+    def test_no_alternatives_degenerates_at_rank_time(self, worked_example):
+        m = build_conflict_matrix(worked_example, self._alts([]))
         with pytest.raises(DegenerateMatrixError):
             rank_alternatives(m)
 
