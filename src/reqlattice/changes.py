@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 from reqlattice import model
 from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
-from reqlattice.errors import MissingAdoptedByError, UnknownTargetError
+from reqlattice.errors import MissingAdoptedByError, UnknownTargetError, ValidationError
 from reqlattice.model import Component, Corpus, RelationSet, Requirement, SourceItem
 from reqlattice.partition import Partition, partition_requirements
 from reqlattice.relations import check_acyclic
@@ -84,7 +84,7 @@ class ReuseHint:
 
 
 def _components_implementing(corpus: Corpus, rid: str) -> list[Component]:
-    return sorted((c for c in corpus.components if rid in c.implements), key=lambda c: c.id)
+    return [c for c in corpus.components if rid in c.implements]  # id order
 
 
 def _set_name(part: Partition, rid: str) -> str:
@@ -92,10 +92,21 @@ def _set_name(part: Partition, rid: str) -> str:
     return "general" if owner is None else f"specific:{owner}"
 
 
-def _with_item(corpus: Corpus, updated: SourceItem | Requirement) -> Corpus:
-    name = "sources" if updated.role == "source" else "requirements"
-    items = tuple(updated if x.id == updated.id else x for x in getattr(corpus, name))
-    return replace(corpus, **{name: items})
+#: the corpus member that holds the items of each role
+_MEMBER = {"source": "sources", "requirement": "requirements"}
+
+
+def _with_items(corpus: Corpus, role: str, *updated: SourceItem | Requirement) -> Corpus:
+    """Swap in the updated items of ``role`` in a single pass."""
+    name = _MEMBER[role]
+    by_id = {item.id: item for item in updated}
+    return replace(corpus, **{name: tuple(by_id.get(x.id, x) for x in getattr(corpus, name))})
+
+
+def _reject_adopted_by(op: ChangeOp) -> None:
+    if op.adopted_by is not None:
+        raise ValidationError(
+            "UNKNOWN_FIELD", f"modify op on {op.target!r} takes adoptedBy only for a general-set requirement")
 
 
 def _apply_payload(item: SourceItem | Requirement, payload) -> SourceItem | Requirement:
@@ -125,9 +136,7 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
 
         if op.adopted_by == all_jids:
             # 2a: the new version stays general, every counterpart is updated
-            out = corpus
-            for rid in group:
-                out = _with_item(out, _apply_payload(rmap[rid], op.payload))
+            out = _with_items(corpus, target.role, *(_apply_payload(rmap[rid], op.payload) for rid in group))
             impact = tuple(
                 (c.id, "mustChange")
                 for rid in group for c in _components_implementing(corpus, rid)
@@ -140,13 +149,13 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
 
         # 2b: the concept leaves the general set; adopters switch to the new
         # content, keepers stay on the old version untouched
-        out = corpus
+        adopters = []
         migrations = []
         impact = []
         for jid in sorted(all_jids):
             rid = by_jur[jid]
             if jid in op.adopted_by:
-                out = _with_item(out, _apply_payload(rmap[rid], op.payload))
+                adopters.append(_apply_payload(rmap[rid], op.payload))
                 impact.extend((c.id, "mustChange") for c in _components_implementing(corpus, rid))
             else:
                 impact.extend((c.id, "unchanged") for c in _components_implementing(corpus, rid))
@@ -156,25 +165,20 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
             migrations=tuple(migrations), affected=frozenset(op.adopted_by),
             component_impact=tuple(impact),
         )
-        return out, record
+        return _with_items(corpus, target.role, *adopters), record
 
     # target sits in a specific set
+    _reject_adopted_by(op)
     owner = part.owner_of(op.target)
-    counterparts = []
-    for jid in sorted(all_jids - {owner}):
-        match = next(
-            (r for r in corpus.requirements
-             if r.jurisdiction == jid and r.kind is target.kind
-             and r.concept_key == new_target.concept_key
-             and r.content_hash == new_target.content_hash),
-            None,
-        )
-        if match is None:
-            counterparts = None
-            break
-        counterparts.append(match.id)
+    matches: dict[str, str] = {}  # jurisdiction -> its first identical item, in one walk
+    for r in corpus.requirements:
+        if (r.kind is target.kind and r.concept_key == new_target.concept_key
+                and r.content_hash == new_target.content_hash):
+            matches.setdefault(r.jurisdiction, r.id)
+    others = sorted(all_jids - {owner})
+    counterparts = [matches[jid] for jid in others] if matches.keys() >= set(others) else None
 
-    out = _with_item(corpus, new_target)
+    out = _with_items(corpus, target.role, new_target)
     own_impact = tuple((c.id, "mustChange") for c in _components_implementing(corpus, op.target))
 
     if counterparts is None or len(all_jids) == 1:
@@ -207,7 +211,7 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
 
 def _apply_add(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     item = op.payload  # parsed by corpus_io as the corpus record of its role
-    name = "sources" if item.role == "source" else "requirements"
+    name = _MEMBER[item.role]
     out = replace(corpus, **{name: (*getattr(corpus, name), item)})
     record = OpRecord(
         op="add", target=op.target, case_code=CASE_ADD, migrations=(),
@@ -249,9 +253,10 @@ def _apply_remove(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
 
 
 def _apply_source_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
+    _reject_adopted_by(op)
     old = corpus.source_map()[op.target]
-    out = _with_item(corpus, _apply_payload(old, op.payload))
-    dependents = sorted(r.id for r in corpus.requirements if old.id in r.derived_from)
+    out = _with_items(corpus, old.role, _apply_payload(old, op.payload))
+    dependents = [r.id for r in corpus.requirements if old.id in r.derived_from]
     impact = tuple(
         (c.id, "mustChange") for rid in dependents for c in _components_implementing(corpus, rid)
     )

@@ -101,7 +101,7 @@ def _level_partitions(corpus: Corpus, level_flag: str | None,
 def _component_scope_warnings(corpus: Corpus, parts: dict[str, Partition]) -> list[Finding]:
     warnings: list[Finding] = []
     rmap = corpus.requirement_map()
-    for comp in sorted(corpus.components, key=lambda c: c.id):
+    for comp in corpus.components:
         for rid in sorted(comp.implements):
             req = rmap.get(rid)
             if req is None:
@@ -130,10 +130,8 @@ def _cmd_validate(args, corpus: Corpus) -> int:
 
 def _cmd_partition(args, corpus: Corpus) -> int:
     parts = _level_partitions(corpus, args.level, (SourceKind, RequirementKind))
-    source_parts = {k: parts[k] for k in (SourceKind.LEGAL.value, SourceKind.CULTURAL.value)}
-    req_parts = {k.value: parts[k.value] for k in RequirementKind}
-    elaboration = partition.check_elaboration(corpus, source_parts, req_parts)
-    condition = partition.check_specific_contradiction_condition(corpus, *source_parts.values())
+    elaboration = partition.check_elaboration(corpus, parts)
+    condition = partition.check_specific_contradiction_condition(corpus, *(parts[k.value] for k in SourceKind))
     _emit(args, "partition", reports.partition_body(parts, elaboration, condition),
           lambda color: reports.partition_text(parts, elaboration, condition, color))
     failing = [f for f in elaboration if f.severity == "error"] + condition

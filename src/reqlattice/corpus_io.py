@@ -55,24 +55,26 @@ def _require_obj(value: Any, what: str) -> dict:
     return value
 
 
-def _take(obj: dict, what: str, required: dict[str, type | tuple], optional: dict[str, type | tuple]) -> dict:
-    """Extract fields under a closed schema; unknown keys are rejected."""
-    out = {}
+def _take(obj: dict, what: str, required: dict[str, type], optional: dict[str, type]) -> dict:
+    """Check ``obj`` against a closed schema and return it.
+
+    The first unknown key fails first, then the first missing or wrongly
+    typed field in schema order, required fields before optional ones. A
+    JSON value's type is exact, so ``type(...) is`` keeps a bool out of an
+    int field.
+    """
     for key in obj:
         if key not in required and key not in optional:
             raise ValidationError("UNKNOWN_FIELD", f"{what} has unknown field {key!r}")
     for key, typ in required.items():
         if key not in obj:
             raise ValidationError("MISSING_FIELD", f"{what} lacks required field {key!r}")
-        if not isinstance(obj[key], typ) or isinstance(obj[key], bool) and typ is not bool:
+        if type(obj[key]) is not typ:
             raise ValidationError("BAD_TYPE", f"{what} field {key!r} has the wrong type")
-        out[key] = obj[key]
     for key, typ in optional.items():
-        if key in obj:
-            if not isinstance(obj[key], typ) or isinstance(obj[key], bool) and typ is not bool:
-                raise ValidationError("BAD_TYPE", f"{what} field {key!r} has the wrong type")
-            out[key] = obj[key]
-    return out
+        if key in obj and type(obj[key]) is not typ:
+            raise ValidationError("BAD_TYPE", f"{what} field {key!r} has the wrong type")
+    return obj
 
 
 def _enum(value: str, enum_cls, what: str):
@@ -241,24 +243,24 @@ def corpus_to_doc(corpus: Corpus) -> dict:
 
     return {
         "formatVersion": FORMAT_VERSION,
-        "jurisdictions": [jur(j) for j in sorted(corpus.jurisdictions, key=lambda j: j.id)],
+        "jurisdictions": [jur(j) for j in corpus.jurisdictions],
         "sources": [
             {"id": s.id, "kind": s.kind.value, "jurisdiction": s.jurisdiction,
              "conceptKey": s.concept_key, "text": s.text,
              "contentHash": s.content_hash, "isStatic": s.is_static}
-            for s in sorted(corpus.sources, key=lambda s: s.id)
+            for s in corpus.sources
         ],
         "requirements": [
             {"id": r.id, "kind": r.kind.value, "jurisdiction": r.jurisdiction,
              "conceptKey": r.concept_key, "text": r.text,
              "contentHash": r.content_hash, "derivedFrom": sorted(r.derived_from)}
-            for r in sorted(corpus.requirements, key=lambda r: r.id)
+            for r in corpus.requirements
         ],
         "relations": {
             "refines": sorted([a, b] for a, b in corpus.relations.refines),
             "contradicts": sorted(sorted([a, b]) for a, b in corpus.relations.contradicts),
         },
-        "components": [comp(c) for c in sorted(corpus.components, key=lambda c: c.id)],
+        "components": [comp(c) for c in corpus.components],
     }
 
 

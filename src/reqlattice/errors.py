@@ -42,10 +42,6 @@ class CycleError(ReqLatticeError):
         super().__init__("refinement cycle: " + " -> ".join(self.cycle + self.cycle[:1]))
 
 
-class RoleMismatchError(ReqLatticeError):
-    """Semantic-identity comparison across different roles or kinds."""
-
-
 class UnknownIdError(ReqLatticeError):
     """An id does not resolve within the corpus."""
 

@@ -24,7 +24,7 @@ class LevelSelection:
 
 
 def select_level(corpus: Corpus, level: Level) -> LevelSelection:
-    frontier = tuple(sorted(j.id for j in corpus.jurisdictions if j.level is level))
+    frontier = tuple(j.id for j in corpus.jurisdictions if j.level is level)  # id order
     return LevelSelection(level=level, frontier=frontier)
 
 
@@ -94,7 +94,7 @@ def validate_hierarchy(corpus: Corpus) -> list[HierarchyFinding]:
     """
     findings: list[HierarchyFinding] = []
     jmap = corpus.jurisdiction_map()
-    for j in sorted(corpus.jurisdictions, key=lambda j: j.id):
+    for j in corpus.jurisdictions:
         parent = jmap.get(j.parent) if j.parent else None
         allowed = ALLOWED_PARENT_LEVELS[j.level]
         if not allowed:

@@ -21,21 +21,6 @@ class OptimizedView:
     removed: dict[str, str]  # removed id -> witness refining id
 
 
-def remove_redundant(ids: set[str] | frozenset[str], corpus: Corpus) -> tuple[frozenset[str], dict[str, str]]:
-    """Maximal elements of the refinement order restricted to ``ids``.
-
-    The removed map records the lexicographically smallest refining witness
-    for each dropped element, so reports are reproducible.
-    """
-    view = optimize(ids, corpus, "")
-    return view.strongest, view.removed
-
-
-def minimal_baseline(ids: set[str] | frozenset[str], corpus: Corpus) -> frozenset[str]:
-    """Minimal elements of the refinement order restricted to ``ids``."""
-    return optimize(ids, corpus, "").baseline
-
-
 def optimize(ids: set[str] | frozenset[str], corpus: Corpus, scope: str) -> OptimizedView:
     """Strongest set, removal witnesses and baseline of the order restricted to ``ids``.
 
@@ -65,17 +50,19 @@ def global_view(corpus: Corpus) -> GlobalView:
 
     The conflict list over the global union is what feeds the TOPSIS ranking.
     """
-    per_jur: dict[str, dict[str, OptimizedView]] = {}
-    for j in sorted(corpus.jurisdictions, key=lambda j: j.id):
-        per_jur[j.id] = {}
-        for kind in RequirementKind:
-            ids = {r.id for r in corpus.requirements if r.jurisdiction == j.id and r.kind is kind}
-            per_jur[j.id][kind.value] = optimize(ids, corpus, f"{kind.value}@{j.id}")
+    buckets: dict[tuple[str, RequirementKind], set[str]] = {}
+    for r in corpus.requirements:
+        buckets.setdefault((r.jurisdiction, r.kind), set()).add(r.id)
+    per_jur = {
+        j.id: {kind.value: optimize(buckets.get((j.id, kind), set()), corpus, f"{kind.value}@{j.id}")
+               for kind in RequirementKind}
+        for j in corpus.jurisdictions
+    }
 
-    global_per_kind: dict[str, OptimizedView] = {}
-    for kind in RequirementKind:
-        ids = {r.id for r in corpus.requirements if r.kind is kind}
-        global_per_kind[kind.value] = optimize(ids, corpus, f"{kind.value}@global")
+    global_per_kind = {
+        kind.value: optimize({r.id for r in corpus.requirements if r.kind is kind}, corpus, f"{kind.value}@global")
+        for kind in RequirementKind
+    }
 
     all_ids = {r.id for r in corpus.requirements}
     return GlobalView(

@@ -129,16 +129,6 @@ def partition_requirements(corpus: Corpus, kind: RequirementKind, view: ItemView
     return _partition("requirements", corpus, kind, view)
 
 
-def all_partitions(corpus: Corpus) -> dict[str, Partition]:
-    """Every per-kind partition, keyed by kind value."""
-    out: dict[str, Partition] = {}
-    for skind in SourceKind:
-        out[skind.value] = partition_sources(corpus, skind)
-    for rkind in RequirementKind:
-        out[rkind.value] = partition_requirements(corpus, rkind)
-    return out
-
-
 def _check_same_corpus(corpus: Corpus, *parts: Partition) -> None:
     for part in parts:
         if part.corpus != corpus:
@@ -147,24 +137,20 @@ def _check_same_corpus(corpus: Corpus, *parts: Partition) -> None:
             )
 
 
-def check_elaboration(
-    corpus: Corpus,
-    source_parts: dict[str, Partition],
-    req_parts: dict[str, Partition],
-) -> list[Finding]:
+def check_elaboration(corpus: Corpus, parts: dict[str, Partition]) -> list[Finding]:
     """Verify the elaboration discipline between requirement and source sets.
 
-    General requirements must derive only from general sources; a
-    jurisdiction-specific requirement may use the jurisdiction's own sources
-    plus general ones, and is expected to use at least one specific source
-    (warning otherwise: it could arguably be general).
+    ``parts`` maps each kind value to its partition. General requirements
+    must derive only from general sources; a jurisdiction-specific
+    requirement may use the jurisdiction's own sources plus general ones,
+    and is expected to use at least one specific source (warning otherwise:
+    it could arguably be general).
     """
-    _check_same_corpus(corpus, *source_parts.values(), *req_parts.values())
+    _check_same_corpus(corpus, *parts.values())
     findings: list[Finding] = []
     for req_kind, src_kind in SOURCE_KIND_FOR_REQUIREMENT.items():
-        rp = req_parts[req_kind.value]
-        sp = source_parts[src_kind.value]
-        for r in sorted(corpus.requirements, key=lambda r: r.id):
+        rp, sp = parts[req_kind.value], parts[src_kind.value]
+        for r in corpus.requirements:
             if r.kind is not req_kind:
                 continue
             sources = sorted(r.derived_from)
@@ -177,14 +163,14 @@ def check_elaboration(
                         ))
             else:
                 owner = rp.owner_of(r.id)
-                allowed = sp.general | sp.specific.get(owner, frozenset())
+                own = sp.specific.get(owner, frozenset())
                 for sid in sources:
-                    if sid not in allowed:
+                    if sid not in own and sid not in sp.general:
                         findings.append(Finding(
                             "SPECIFIC_REQ_FOREIGN_SOURCE", "error", r.id,
                             f"requirement {r.id!r} of {owner!r} derives from out-of-scope source {sid!r}",
                         ))
-                if not any(sid in sp.specific.get(owner, frozenset()) for sid in sources):
+                if not any(sid in own for sid in sources):
                     findings.append(Finding(
                         "SPECIFIC_REQ_NO_SPECIFIC_SOURCE", "warning", r.id,
                         f"specific requirement {r.id!r} uses no source specific to {owner!r}",

@@ -1,4 +1,4 @@
-"""Refinement order, contradiction derivation, semantic identity, conflicts."""
+"""Refinement order, contradiction derivation and conflicts."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from collections.abc import Callable, Collection
 from dataclasses import dataclass
 from typing import TypeVar
 
-from reqlattice.errors import CycleError, RoleMismatchError, UnknownIdError
-from reqlattice.model import Corpus, RelationSet, Requirement, SourceItem
+from reqlattice.errors import CycleError, UnknownIdError
+from reqlattice.model import Corpus, RelationSet
 
 K = TypeVar("K")
 
@@ -145,22 +145,6 @@ def derive_contradictions(relations: RelationSet) -> frozenset[frozenset[str]]:
                 if a != b:
                     derived.add(frozenset((a, b)))
     return frozenset(derived)
-
-
-def semantically_identical(
-    a: Requirement | SourceItem, b: Requirement | SourceItem
-) -> bool:
-    """Same cross-jurisdiction concept and same content fingerprint.
-
-    Jurisdiction is deliberately ignored: identity is what makes an item a
-    candidate for the general set.
-    """
-    if a.role != b.role or a.kind != b.kind:
-        raise RoleMismatchError(
-            f"cannot compare {a.role}/{getattr(a.kind, 'value', a.kind)} "
-            f"with {b.role}/{getattr(b.kind, 'value', b.kind)}"
-        )
-    return a.concept_key == b.concept_key and a.content_hash == b.content_hash
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ are dropped before ranking and reported in ``Ranking.dropped_criteria``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,14 @@ def make_matrix(
     raw = [w for _, w, _ in criteria]
     if any(w < 0 for w in raw):
         raise ValueError("criterion weights must be nonnegative")
-    total = sum(raw)
+    # dividing by a power of two near the largest weight is exact, so the
+    # normalized weights do not change, but their sum cannot overflow
+    scale = math.ldexp(1.0, math.frexp(max(raw, default=0.0))[1] - 1)
+    total = sum(w / scale for w in raw)
     if total <= 0:
         raise DegenerateMatrixError("every criterion has weight 0; nothing to rank by")
     crits = tuple(
-        Criterion(cid, w / total, direction) for (cid, w, direction) in criteria
+        Criterion(cid, w / scale / total, direction) for (cid, w, direction) in criteria
     )
     for c in crits:
         if c.direction not in ("benefit", "cost"):

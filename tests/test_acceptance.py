@@ -29,7 +29,7 @@ from reqlattice.model import (
     SourceItem,
     SourceKind,
 )
-from reqlattice.optimize import minimal_baseline, remove_redundant
+from reqlattice.optimize import optimize
 from reqlattice.partition import (
     ScenarioOption,
     classify_scenario,
@@ -91,9 +91,9 @@ def test_criterion_2_redundant_weaker_version_removed():
         relations=RelationSet(refines=frozenset({("r1", "r2")})),
     )
     model.validate_corpus(corpus)
-    strongest, removed = remove_redundant({"r1", "r2"}, corpus)
-    assert strongest == {"r1"}
-    assert removed == {"r2": "r1"}
+    view = optimize({"r1", "r2"}, corpus, "")
+    assert view.strongest == {"r1"}
+    assert view.removed == {"r2": "r1"}
     _report("criterion 2 worked refinement example (r2 removed, witness r1)")
 
 
@@ -104,8 +104,8 @@ def test_criterion_3_antichain_and_idempotence():
         ids, edges = random_dag(rng, rng.randint(1, 15), edge_prob=0.25)
         corpus = _poset_corpus(ids, edges)
         closure = set(refinement_closure(corpus.relations, ids))
-        strongest, _ = remove_redundant(ids, corpus)
-        baseline = minimal_baseline(ids, corpus)
+        view = optimize(ids, corpus, "")
+        strongest, baseline = view.strongest, view.baseline
         if set(strongest) != brute_force_maximal(ids, closure):
             violations += 1
         if set(baseline) != brute_force_minimal(ids, closure):
@@ -116,9 +116,10 @@ def test_criterion_3_antichain_and_idempotence():
         if any((a, b) in closure for a in baseline for b in baseline):
             violations += 1
         # fixed points
-        if remove_redundant(strongest, corpus) != (strongest, {}):
+        again = optimize(strongest, corpus, "")
+        if (again.strongest, again.removed) != (strongest, {}):
             violations += 1
-        if minimal_baseline(baseline, corpus) != baseline:
+        if optimize(baseline, corpus, "").baseline != baseline:
             violations += 1
     assert violations == 0
     _report("criterion 3 antichain/idempotence (200 posets, 0 violations)")

@@ -314,6 +314,10 @@ def _modify_with(field, value):
                  "UNKNOWN_FIELD", id="remove-payload"),
     pytest.param({"op": "remove", "target": "req-de-consent", "adoptedBy": ["de"]},
                  "UNKNOWN_FIELD", id="remove-adoptedBy"),
+    pytest.param({"op": "modify", "target": "src-de-consent", "payload": {"text": "x"}, "adoptedBy": ["fr"]},
+                 "UNKNOWN_FIELD", id="source-modify-adoptedBy"),
+    pytest.param({"op": "modify", "target": "req-de-retention", "payload": {"text": "x"}, "adoptedBy": ["de"]},
+                 "UNKNOWN_FIELD", id="specific-modify-adoptedBy"),
 ])
 def test_change_op_outside_its_schema_exit_1(capsys, corpus_arg, tmp_path, op, code):
     path = tmp_path / "cs.reqchange.json"
@@ -368,6 +372,17 @@ def test_rank_extreme_scores_print_no_nan(capsys, corpus_arg, alts_path, tmp_pat
     _, plain, _ = invoke(capsys, "rank", *corpus_arg, "--alts", str(alts_path), "--format", "json")
     ranking = [entry["alternative"] for entry in json.loads(out)["body"]["ranking"]]
     assert ranking == [entry["alternative"] for entry in json.loads(plain)["body"]["ranking"]]
+
+
+def test_rank_huge_weights_rank_like_equal_weights(capsys, corpus_arg, alts_path, tmp_path):
+    doc = json.loads(alts_path.read_text())
+    doc["weights"] = {"req-de-retention": 1e308, "req-fr-retention": 1e308}
+    path = tmp_path / "alts.reqalts.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "rank", *corpus_arg, "--alts", str(path), "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    _, plain, _ = invoke(capsys, "rank", *corpus_arg, "--alts", str(alts_path), "--format", "json")
+    assert json.loads(out)["body"] == json.loads(plain)["body"]
 
 
 @pytest.mark.parametrize("command,level,unused", [

@@ -214,3 +214,91 @@ class TestAlternativesIO:
         doc = {"formatVersion": 1, "alternatives": [], "weights": {"r1": -1}}
         with pytest.raises(ValidationError):
             corpus_io.parse_alternatives(doc)
+
+
+_JUR = {"id": "j", "name": "J", "level": "national"}
+_SRC = {"id": "s", "kind": "legal", "jurisdiction": "j", "conceptKey": "k", "text": "t"}
+_REQ = {"id": "r", "kind": "legalBased", "jurisdiction": "j", "conceptKey": "k", "text": "t",
+        "derivedFrom": ["s"]}
+_COMP = {"id": "c", "implements": ["r"], "scope": "general"}
+_CORPUS = {"formatVersion": 1, "jurisdictions": [_JUR], "sources": [_SRC], "requirements": [_REQ],
+           "relations": {}, "components": [_COMP]}
+_OP = {"op": "modify", "target": "r", "payload": {"text": "x"}}
+_CHANGES = {"formatVersion": 1, "label": "l", "ops": [_OP]}
+_ALT = {"id": "a", "satisfies": {}}
+_ALTS = {"formatVersion": 1, "alternatives": [_ALT], "weights": {}}
+
+#: record kind -> (parser, the document holding one record, a valid record,
+#: its required and its optional fields in schema order, each mapped to a
+#: wrongly typed value)
+RECORD_SCHEMAS = {
+    "corpus document": (corpus_io.parse_corpus, lambda rec: rec, _CORPUS,
+                        {"formatVersion": "1", "jurisdictions": {}},
+                        {"sources": {}, "requirements": {}, "relations": [], "components": {}}),
+    "jurisdiction": (corpus_io.parse_corpus, lambda rec: dict(_CORPUS, jurisdictions=[rec]), _JUR,
+                     {"id": 1, "name": 1, "level": 1}, {"parent": 1}),
+    "source": (corpus_io.parse_corpus, lambda rec: dict(_CORPUS, sources=[rec]), _SRC,
+               {"id": 1, "kind": 1, "jurisdiction": 1, "conceptKey": 1, "text": 1},
+               {"contentHash": 1, "isStatic": "yes"}),
+    "requirement": (corpus_io.parse_corpus, lambda rec: dict(_CORPUS, requirements=[rec]), _REQ,
+                    {"id": 1, "kind": 1, "jurisdiction": 1, "conceptKey": 1, "text": 1},
+                    {"contentHash": 1, "derivedFrom": "s"}),
+    "relations": (corpus_io.parse_corpus, lambda rec: dict(_CORPUS, relations=rec), {},
+                  {}, {"refines": {}, "contradicts": {}}),
+    "component": (corpus_io.parse_corpus, lambda rec: dict(_CORPUS, components=[rec]), _COMP,
+                  {"id": 1, "implements": "r", "scope": 1}, {"jurisdiction": 1}),
+    "change set": (corpus_io.parse_change_set, lambda rec: rec, _CHANGES,
+                   {"formatVersion": "1", "label": 1, "ops": {}}, {}),
+    "change op": (corpus_io.parse_change_set, lambda rec: dict(_CHANGES, ops=[rec]), _OP,
+                  {"op": 1, "target": 1}, {"payload": [], "adoptedBy": "j"}),
+    "modify payload": (corpus_io.parse_change_set,
+                       lambda rec: dict(_CHANGES, ops=[dict(_OP, payload=rec)]), {"text": "x"},
+                       {}, {"text": 1, "conceptKey": 1}),
+    "alternatives file": (corpus_io.parse_alternatives, lambda rec: rec, _ALTS,
+                          {"formatVersion": "1", "alternatives": {}}, {"weights": []}),
+    "alternative": (corpus_io.parse_alternatives, lambda rec: dict(_ALTS, alternatives=[rec]), _ALT,
+                    {"id": 1, "satisfies": []}, {}),
+}
+
+
+def _precedence_cases():
+    """(kind, record, code, field) cases with several schema faults at once.
+
+    Apart from the unknown-key case the record's keys are reversed, so the
+    expected field follows the schema order, not the record order.
+    """
+    for kind, (_, _, valid, required, optional) in RECORD_SCHEMAS.items():
+        tag = kind.replace(" ", "-")
+        req, fields = list(required), [*required, *optional]
+        wrong = {**required, **optional}
+
+        def record(drop=(), retype=()):
+            out = {k: v for k, v in valid.items() if k not in drop}
+            out.update({k: wrong[k] for k in retype})
+            return dict(reversed(out.items()))
+
+        unknown = {k: v for k, v in valid.items() if k not in req[:1]}
+        unknown.update({fields[-1]: wrong[fields[-1]], "zz": 0, "aa": 0})
+        yield pytest.param(kind, unknown, "UNKNOWN_FIELD", "zz", id=f"{tag}-unknown-missing-wrong")
+        if len(req) >= 2:
+            yield pytest.param(kind, record(drop=req[:1], retype=req[-1:]), "MISSING_FIELD", req[0],
+                               id=f"{tag}-missing-then-wrong")
+            yield pytest.param(kind, record(drop=req[-1:], retype=req[:1]), "BAD_TYPE", req[0],
+                               id=f"{tag}-wrong-then-missing")
+        if req and optional:
+            yield pytest.param(kind, record(drop=req[-1:], retype=list(optional)[:1]), "MISSING_FIELD",
+                               req[-1], id=f"{tag}-missing-required-wrong-optional")
+        if len(fields) >= 2:
+            yield pytest.param(kind, record(retype=(fields[-1], fields[0])), "BAD_TYPE", fields[0],
+                               id=f"{tag}-two-wrong")
+        flag = next((k for k in fields if type(valid.get(k)) is int), fields[0])
+        yield pytest.param(kind, {**valid, flag: True}, "BAD_TYPE", flag, id=f"{tag}-true-in-{flag}")
+
+
+@pytest.mark.parametrize("kind,record,code,field", _precedence_cases())
+def test_first_schema_error_of_each_record_kind(kind, record, code, field):
+    parse, place, valid, _, _ = RECORD_SCHEMAS[kind]
+    parse(place(valid))
+    with pytest.raises(ValidationError) as e:
+        parse(place(record))
+    assert e.value.code == code and f"field {field!r}" in str(e.value)

@@ -54,7 +54,10 @@ def random_op(rng: random.Random, corpus: Corpus, n: int) -> ChangeOp:
         target = rng.choice(corpus.requirements)
         text = f"{target.concept_key} variant {rng.randrange(3)}"
         adopted = frozenset(rng.sample(jids, rng.randint(1, len(jids))))
-        return ChangeOp("modify", target.id, ChangePayload(text=text), adopted)
+        # drawn for every modify, so the random sequence stays the same, but
+        # passed only where it is read: on a general-set target
+        general = target.id in partition_requirements(corpus, target.kind).general
+        return ChangeOp("modify", target.id, ChangePayload(text=text), adopted if general else None)
     if corpus.requirements and roll < 0.8:
         return ChangeOp("remove", rng.choice(corpus.requirements).id)
     return ChangeOp("add", f"added-{n}", Requirement(

@@ -13,8 +13,7 @@ from reqlattice.model import (
 from reqlattice.optimize import (
     conflict_requirement_ids,
     global_view,
-    minimal_baseline,
-    remove_redundant,
+    optimize,
 )
 from reqlattice.relations import refinement_closure
 
@@ -38,20 +37,20 @@ def poset_corpus(ids, refines, contradicts=(), kind=RequirementKind.CULTURAL_BAS
 def test_stronger_version_removes_weaker():
     # two versions of one concern, r1 the stronger: only r1 survives
     corpus = poset_corpus({"r1", "r2"}, {("r1", "r2")})
-    strongest, removed = remove_redundant({"r1", "r2"}, corpus)
-    assert strongest == {"r1"}
-    assert removed == {"r2": "r1"}
+    view = optimize({"r1", "r2"}, corpus, "")
+    assert view.strongest == {"r1"}
+    assert view.removed == {"r2": "r1"}
 
 
 def test_antichain_input_unchanged():
     corpus = poset_corpus({"a", "b", "c"}, set())
-    strongest, removed = remove_redundant({"a", "b", "c"}, corpus)
-    assert strongest == {"a", "b", "c"} and removed == {}
+    view = optimize({"a", "b", "c"}, corpus, "")
+    assert view.strongest == {"a", "b", "c"} and view.removed == {}
 
 
 def test_baseline_dual():
     corpus = poset_corpus({"r1", "r2"}, {("r1", "r2")})
-    assert minimal_baseline({"r1", "r2"}, corpus) == {"r2"}
+    assert optimize({"r1", "r2"}, corpus, "").baseline == {"r2"}
 
 
 def test_random_posets_match_brute_force():
@@ -60,8 +59,8 @@ def test_random_posets_match_brute_force():
         ids, edges = random_dag(rng, 10, edge_prob=0.25)
         corpus = poset_corpus(ids, edges)
         closure = set(refinement_closure(corpus.relations, ids))
-        strongest, removed = remove_redundant(ids, corpus)
-        baseline = minimal_baseline(ids, corpus)
+        view = optimize(ids, corpus, "")
+        strongest, removed, baseline = view.strongest, view.removed, view.baseline
         assert set(strongest) == brute_force_maximal(ids, closure)
         assert set(baseline) == brute_force_minimal(ids, closure)
         # soundness: strongest and removed split the input
@@ -74,19 +73,18 @@ def test_random_posets_match_brute_force():
 
 def test_witness_is_lexicographically_smallest():
     corpus = poset_corpus({"a", "b", "z"}, {("z", "a"), ("b", "a")})
-    _, removed = remove_redundant({"a", "b", "z"}, corpus)
-    assert removed == {"a": "b"}
+    assert optimize({"a", "b", "z"}, corpus, "").removed == {"a": "b"}
 
 
 def test_idempotence_and_coverage():
     rng = random.Random(5)
     ids, edges = random_dag(rng, 12, edge_prob=0.3)
     corpus = poset_corpus(ids, edges)
-    strongest, _ = remove_redundant(ids, corpus)
-    again, removed_again = remove_redundant(strongest, corpus)
-    assert again == strongest and removed_again == {}
-    baseline = minimal_baseline(ids, corpus)
-    assert minimal_baseline(baseline, corpus) == baseline
+    view = optimize(ids, corpus, "")
+    strongest, baseline = view.strongest, view.baseline
+    again = optimize(strongest, corpus, "")
+    assert again.strongest == strongest and again.removed == {}
+    assert optimize(baseline, corpus, "").baseline == baseline
     # coverage: each input element reaches some strongest / baseline element
     closure = set(refinement_closure(corpus.relations, ids))
     for e in ids:
@@ -100,7 +98,7 @@ def test_order_insensitivity():
     corpus = poset_corpus(ids, edges)
     shuffled = list(ids)
     rng.shuffle(shuffled)
-    assert remove_redundant(set(shuffled), corpus) == remove_redundant(ids, corpus)
+    assert optimize(set(shuffled), corpus, "") == optimize(ids, corpus, "")
 
 
 class TestGlobalView:

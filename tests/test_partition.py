@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from oracles import per_concept_partition, random_corpus
-from reqlattice import corpus_io, hierarchy, model, partition
+from reqlattice import cli, corpus_io, hierarchy, model, partition
 from reqlattice.errors import EmptyAspectError, PartitionMismatchError
 from reqlattice.model import (
     Corpus,
@@ -18,7 +18,6 @@ from reqlattice.model import (
 )
 from reqlattice.partition import (
     ScenarioOption,
-    all_partitions,
     check_elaboration,
     check_specific_contradiction_condition,
     classify_scenario,
@@ -51,6 +50,11 @@ def make(jurisdictions, sources=(), requirements=(), relations=None):
     )
     model.validate_corpus(corpus)
     return corpus
+
+
+def flat_partitions(corpus):
+    """Every per-kind flat partition, keyed by kind value, as ``partition`` builds them."""
+    return cli._level_partitions(corpus, None, (SourceKind, RequirementKind))
 
 
 def assert_disjoint_cover(part, expected_ids):
@@ -178,10 +182,7 @@ class TestCheckElaboration:
         )
 
     def _findings(self, corpus):
-        parts = all_partitions(corpus)
-        source_parts = {k.value: parts[k.value] for k in SourceKind}
-        req_parts = {k.value: parts[k.value] for k in RequirementKind}
-        return check_elaboration(corpus, source_parts, req_parts)
+        return check_elaboration(corpus, flat_partitions(corpus))
 
     def test_clean_discipline(self):
         assert self._findings(self._corpus()) == []
@@ -224,12 +225,7 @@ class TestCheckElaboration:
             sources=corpus.sources,
             requirements=(replace(corpus.requirements[0], derived_from=frozenset({"ss-a"})),),
         )
-        parts = all_partitions(broken)
-        findings = check_elaboration(
-            broken,
-            {k.value: parts[k.value] for k in SourceKind},
-            {k.value: parts[k.value] for k in RequirementKind},
-        )
+        findings = check_elaboration(broken, flat_partitions(broken))
         assert "SPECIFIC_REQ_FOREIGN_SOURCE" in [f.code for f in findings]
 
     def test_partitions_of_equal_corpus_accepted(self, worked_example_path):
@@ -237,21 +233,14 @@ class TestCheckElaboration:
         c1 = corpus_io.load_corpus(worked_example_path)
         c2 = corpus_io.load_corpus(worked_example_path)
         assert c1 == c2 and c1 is not c2
-        parts = all_partitions(c1)
-        source_parts = {k.value: parts[k.value] for k in SourceKind}
-        req_parts = {k.value: parts[k.value] for k in RequirementKind}
-        assert check_elaboration(c2, source_parts, req_parts) == check_elaboration(c1, source_parts, req_parts)
+        parts = flat_partitions(c1)
+        assert check_elaboration(c2, parts) == check_elaboration(c1, parts)
 
     def test_partition_from_other_corpus_rejected(self):
         c1 = self._corpus()
         c2 = make([jur("a")])
-        parts1 = all_partitions(c1)
         with pytest.raises(PartitionMismatchError):
-            check_elaboration(
-                c2,
-                {k.value: parts1[k.value] for k in SourceKind},
-                {k.value: parts1[k.value] for k in RequirementKind},
-            )
+            check_elaboration(c2, flat_partitions(c1))
 
 
 class TestLevelPartitionOwner:
@@ -272,19 +261,20 @@ class TestLevelPartitionOwner:
         selection = hierarchy.select_level(corpus, Level.ORGANISATIONAL)
         req_views = hierarchy.level_requirement_view(corpus, selection)
         source_views = hierarchy.level_source_view(corpus, selection)
-        source_parts = {k.value: partition_sources(corpus, k, source_views[k]) for k in SourceKind}
-        req_parts = {k.value: partition_requirements(corpus, k, req_views[k]) for k in RequirementKind}
-        return corpus, source_parts, req_parts
+        return corpus, {
+            **{k.value: partition_sources(corpus, k, source_views[k]) for k in SourceKind},
+            **{k.value: partition_requirements(corpus, k, req_views[k]) for k in RequirementKind},
+        }
 
     def test_inherited_item_owned_by_first_frontier_node(self):
-        _corpus, _source_parts, req_parts = self._parts()
-        part = req_parts[RequirementKind.LEGAL_BASED.value]
+        _corpus, parts = self._parts()
+        part = parts[RequirementKind.LEGAL_BASED.value]
         assert [jid for jid, ids in part.specific.items() if "r-st" in ids] == ["org-1", "org-2"]
         assert part.owner_of("r-st") == "org-1"
 
     def test_elaboration_messages_name_first_frontier_node(self):
-        corpus, source_parts, req_parts = self._parts()
-        findings = check_elaboration(corpus, source_parts, req_parts)
+        corpus, parts = self._parts()
+        findings = check_elaboration(corpus, parts)
         assert [(f.code, f.message) for f in findings] == [(
             "SPECIFIC_REQ_NO_SPECIFIC_SOURCE",
             "specific requirement 'r-st' uses no source specific to 'org-1'",

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fixpoint_contradictions, path_enumeration_closure, random_dag
-from reqlattice.errors import CycleError, RoleMismatchError, UnknownIdError
+from reqlattice.errors import CycleError, UnknownIdError
 from reqlattice.model import (
     Corpus,
     Jurisdiction,
@@ -14,11 +15,11 @@ from reqlattice.model import (
     Requirement,
     RequirementKind,
 )
+from reqlattice.partition import partition_requirements
 from reqlattice.relations import (
     derive_contradictions,
     find_conflicts,
     refinement_closure,
-    semantically_identical,
 )
 
 
@@ -159,26 +160,38 @@ def _req(i, key="k", text="t", kind=RequirementKind.FUNCTIONAL, jur="j0"):
                        text=text, content_hash=content_hash(text))
 
 
+def grouped(*items):
+    """Whether the partition puts the items, each in a jurisdiction of its
+    own, together in the general set: semantic identity across jurisdictions."""
+    jurisdictions = tuple(Jurisdiction(f"j{n}", f"J{n}", Level.NATIONAL) for n in range(len(items)))
+    placed = tuple(replace(item, id=f"x{n}", jurisdiction=f"j{n}") for n, item in enumerate(items))
+    corpus = Corpus(jurisdictions=jurisdictions, sources=(), requirements=placed)
+    general = set()
+    for kind in {item.kind for item in items}:
+        general |= partition_requirements(corpus, kind).general
+    return general == {item.id for item in placed}
+
+
 class TestSemanticIdentity:
     def test_same_concept_same_hash(self):
         a = _req("a", key="data-retention", text="Keep data.")
         b = _req("b", key="data-retention", text="keep  DATA.")
-        assert semantically_identical(a, b)
+        assert grouped(a, b)
 
     def test_same_concept_different_hash(self):
         a = _req("a", key="data-retention", text="Keep data five years.")
         b = _req("b", key="data-retention", text="Keep data ten years.")
-        assert not semantically_identical(a, b)
+        assert not grouped(a, b)
 
     def test_reflexive(self):
         a = _req("a")
-        assert semantically_identical(a, a)
+        assert grouped(a, a)
 
     def test_role_mismatch(self):
+        # items of different kinds are never grouped, whatever their content
         a = _req("a", kind=RequirementKind.FUNCTIONAL)
         b = _req("b", kind=RequirementKind.LEGAL_BASED)
-        with pytest.raises(RoleMismatchError):
-            semantically_identical(a, b)
+        assert not grouped(a, b)
 
     @given(st.data())
     @settings(max_examples=60)
@@ -188,10 +201,11 @@ class TestSemanticIdentity:
         make = lambda i: _req(f"r{i}", key=data.draw(st.sampled_from(keys)),
                               text=data.draw(st.sampled_from(texts)))
         a, b, c = make(0), make(1), make(2)
-        assert semantically_identical(a, a)
-        assert semantically_identical(a, b) == semantically_identical(b, a)
-        if semantically_identical(a, b) and semantically_identical(b, c):
-            assert semantically_identical(a, c)
+        assert grouped(a, b) == (a.concept_key == b.concept_key and a.content_hash == b.content_hash)
+        assert grouped(a, a)
+        assert grouped(a, b) == grouped(b, a)
+        if grouped(a, b) and grouped(b, c):
+            assert grouped(a, c) and grouped(a, b, c)
 
 
 def _corpus_with(requirements, relations):

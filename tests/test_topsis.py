@@ -121,6 +121,17 @@ class TestRankAlternatives:
         with pytest.raises(DegenerateMatrixError):
             rank_alternatives(m)
 
+    @pytest.mark.parametrize("scale", [1e308, 1e-320])
+    def test_extreme_weights_normalize_like_equal_weights(self, scale):
+        # 1e308 + 1e308 overflows a float, so the sum must not be taken raw
+        m = make_matrix(["a1", "a2"], [("c1", scale, "benefit"), ("c2", scale, "benefit")],
+                        [[1.0, 2.0], [2.0, 1.0]])
+        assert [c.weight for c in m.criteria] == [0.5, 0.5]
+
+    def test_normal_range_weights_normalize_bit_for_bit(self):
+        m = make_matrix(["a1", "a2", "a3"], FIXTURE_CRITERIA, FIXTURE_VALUES)
+        assert [c.weight for c in m.criteria] == [w / (0.5 + 0.3 + 0.2) for _, w, _ in FIXTURE_CRITERIA]
+
     def test_weights_normalized(self):
         m = make_matrix(["a1", "a2"], [("c1", 2.0, "benefit"), ("c2", 2.0, "benefit")],
                         [[1.0, 2.0], [2.0, 1.0]])
