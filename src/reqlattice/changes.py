@@ -28,7 +28,6 @@ from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
 from reqlattice.errors import MissingAdoptedByError, UnknownTargetError, ValidationError
 from reqlattice.model import Component, Corpus, RelationSet, Requirement, SourceItem
 from reqlattice.partition import Partition, partition_requirements
-from reqlattice.relations import check_acyclic
 
 CASE_SPEC_STAYS_SPEC = "1a"
 CASE_SPEC_TO_GENERAL = "1b"
@@ -270,7 +269,7 @@ def _apply_source_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord
 def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactReport]:
     validate_change_set(cs, corpus)
     # no op adds a refines pair, so an acyclic input stays acyclic
-    check_acyclic(corpus.relations, {i for pair in corpus.relations.refines for i in pair})
+    corpus.relations.refinement_order  # raises CycleError; cached, and kept by every op but remove
     current = corpus
     records: list[OpRecord] = []
     for op in cs.ops:

@@ -103,10 +103,9 @@ def _component_scope_warnings(corpus: Corpus, parts: dict[str, Partition]) -> li
     rmap = corpus.requirement_map()
     for comp in corpus.components:
         for rid in sorted(comp.implements):
-            req = rmap.get(rid)
-            if req is None:
-                continue
-            part = parts[req.kind.value]
+            part = parts[rmap[rid].kind.value]
+            if rid not in part.general and part.owner_of(rid) is None:
+                continue  # no bucket of the level view holds it
             if comp.scope.kind == "general" and rid not in part.general:
                 warnings.append(Finding(
                     "COMPONENT_SCOPE", "warning", comp.id,

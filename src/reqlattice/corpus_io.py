@@ -37,7 +37,6 @@ from reqlattice.model import (
     SourceItem,
     SourceKind,
 )
-from reqlattice.relations import check_acyclic
 
 FORMAT_VERSION = 1
 
@@ -219,8 +218,7 @@ def parse_corpus(doc: Any) -> Corpus:
         components=tuple(components),
     )
     model.validate_corpus(corpus)
-    # surfaces CycleError for cyclic refinement declarations
-    check_acyclic(relations, {i for pair in relations.refines for i in pair})
+    relations.refinement_order  # built here once; raises CycleError on a cyclic declaration
     return corpus
 
 

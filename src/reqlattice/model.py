@@ -119,6 +119,16 @@ class RelationSet:
     refines: frozenset[tuple[str, str]] = frozenset()
     contradicts: frozenset[tuple[str, str]] = frozenset()
 
+    @cached_property
+    def refinement_order(self) -> dict[str, set[str]]:
+        """Direct ``refines`` adjacency over every id named in a pair, keyed in
+        topological order (refiners first), built once by relations.check_acyclic:
+        a cyclic relation raises its CycleError here. Shared, so never mutate it.
+        """
+        from reqlattice.relations import check_acyclic
+
+        return check_acyclic(self, {i for pair in self.refines for i in pair})
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -192,8 +202,8 @@ ALLOWED_PARENT_LEVELS = {
 def validate_corpus(corpus: Corpus) -> None:
     """Check every structural invariant; raise ValidationError on the first hit.
 
-    Refinement acyclicity is checked separately (relations.check_acyclic)
-    because it needs the refinement graph; the loader runs both.
+    Refinement acyclicity is checked separately, by building
+    ``RelationSet.refinement_order``; the loader does both.
     """
     from reqlattice.errors import ValidationError
 

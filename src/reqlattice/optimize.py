@@ -28,11 +28,11 @@ def optimize(ids: set[str] | frozenset[str], corpus: Corpus, scope: str) -> Opti
     is every id that refines nothing in ``ids``.
     """
     removed = min_refiner(corpus.relations, ids, lambda rid: rid)
-    has_weaker = {a for a, b in corpus.relations.refines if a in ids and b in ids}
+    order = corpus.relations.refinement_order
     return OptimizedView(
         scope=scope,
         strongest=frozenset(i for i in ids if i not in removed),
-        baseline=frozenset(i for i in ids if i not in has_weaker),
+        baseline=frozenset(i for i in ids if ids.isdisjoint(order.get(i, ()))),
         removed=removed,
     )
 

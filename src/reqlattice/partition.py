@@ -144,7 +144,8 @@ def check_elaboration(corpus: Corpus, parts: dict[str, Partition]) -> list[Findi
     must derive only from general sources; a jurisdiction-specific
     requirement may use the jurisdiction's own sources plus general ones,
     and is expected to use at least one specific source (warning otherwise:
-    it could arguably be general).
+    it could arguably be general). A requirement that the partition's level
+    view leaves out is not judged.
     """
     _check_same_corpus(corpus, *parts.values())
     findings: list[Finding] = []
@@ -163,6 +164,8 @@ def check_elaboration(corpus: Corpus, parts: dict[str, Partition]) -> list[Findi
                         ))
             else:
                 owner = rp.owner_of(r.id)
+                if owner is None:  # no bucket of the level view holds it
+                    continue
                 own = sp.specific.get(owner, frozenset())
                 for sid in sources:
                     if sid not in own and sid not in sp.general:

@@ -15,7 +15,8 @@ K = TypeVar("K")
 def check_acyclic(
     relations: RelationSet, ids: set[str] | frozenset[str]
 ) -> dict[str, set[str]]:
-    """Adjacency of ``refines`` restricted to ``ids``, checked to be acyclic.
+    """Adjacency of ``refines`` restricted to ``ids``, checked to be acyclic,
+    keyed in topological order (the search's finishing order, reversed).
 
     Raises CycleError with one witness cycle. The depth-first search visits
     starts and successors in sorted order, so the witness is reproducible;
@@ -29,6 +30,7 @@ def check_acyclic(
 
     WHITE, GREY, BLACK = 0, 1, 2
     color = {i: WHITE for i in ids}
+    finished: list[str] = []
     for start in sorted(ids):
         if color[start] != WHITE:
             continue
@@ -45,9 +47,10 @@ def check_acyclic(
                     pending.append(iter(sorted(edges[nxt])))
                     break
             else:
-                color[path.pop()] = BLACK
+                color[path[-1]] = BLACK
+                finished.append(path.pop())
                 pending.pop()
-    return edges
+    return {i: edges[i] for i in reversed(finished)}
 
 
 def min_refiner(
@@ -56,35 +59,21 @@ def min_refiner(
     """Least ``key(u)`` over each id's strict transitive refiners ``u``.
 
     Only ``refines`` pairs with both ends in ``ids`` count, and an id that
-    nothing in ``ids`` refines has no entry. One pass in topological order
-    carries ``min(key(a), best[a])`` along every edge ``a -> b``, so no
-    closure is built. A cycle leaves nodes unvisited; only then does
-    check_acyclic run, to raise its reproducible CycleError witness.
+    nothing in ``ids`` refines has no entry. One pass over the cached
+    refinement order carries ``min(key(a), best[a])`` along every edge
+    ``a -> b`` inside ``ids``, so no closure is built. A cyclic relation
+    raises CycleError, whatever ``ids`` holds.
     """
-    edges: dict[str, list[str]] = {i: [] for i in ids}
-    indegree = dict.fromkeys(ids, 0)
-    for a, b in relations.refines:
-        if a in edges and b in edges:
-            edges[a].append(b)
-            indegree[b] += 1
-
     best: dict[str, K] = {}
-    ready = [i for i, d in indegree.items() if d == 0]
-    visited = 0
-    while ready:
-        a = ready.pop()
-        visited += 1
+    for a, weaker in relations.refinement_order.items():
+        if a not in ids:
+            continue
         carried = key(a)
         if a in best and best[a] < carried:
             carried = best[a]
-        for b in edges[a]:
-            if b not in best or carried < best[b]:
+        for b in weaker:
+            if b in ids and (b not in best or carried < best[b]):
                 best[b] = carried
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                ready.append(b)
-    if visited < len(edges):
-        check_acyclic(relations, ids)  # raises: the unvisited nodes hold a cycle
     return best
 
 
@@ -121,10 +110,10 @@ def derive_contradictions(relations: RelationSet) -> frozenset[frozenset[str]]:
     relation stays irreflexive.
     """
     endpoints = {i for pair in relations.contradicts for i in pair}
-    check_acyclic(relations, endpoints | {i for pair in relations.refines for i in pair})
     direct: dict[str, list[str]] = {}
-    for strong, weak in relations.refines:
-        direct.setdefault(weak, []).append(strong)
+    for strong, weaker in relations.refinement_order.items():  # raises CycleError on a cycle
+        for weak in weaker:
+            direct.setdefault(weak, []).append(strong)
 
     # each endpoint with all its transitive refiners, by a reverse walk
     covered: dict[str, set[str]] = {}

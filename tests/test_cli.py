@@ -164,6 +164,18 @@ def test_level_kept_where_it_is_used(capsys, corpus_arg, command):
     assert code == EXIT_OK and err == ""
 
 
+@pytest.mark.parametrize("command,level,findings", [
+    ("partition", "org", "elaborationFindings"),
+    ("validate", "state", "warnings"),
+])
+def test_level_checks_judge_only_what_the_level_view_holds(capsys, corpus_arg, command, level, findings):
+    # the worked example has only national nodes: no level view below holds
+    # a requirement, so no requirement or component is judged there
+    code, out, err = invoke(capsys, command, *corpus_arg, "--level", level, "--strict", "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["body"][findings] == []
+
+
 def test_change_unknown_adopting_jurisdiction_exit_1(capsys, corpus_arg, tmp_path):
     path = tmp_path / "cs.reqchange.json"
     path.write_text(json.dumps({"formatVersion": 1, "label": "l", "ops": [

@@ -5,7 +5,9 @@ applies a few random mutations (a dropped field or element, a retyped or
 replaced value, every number of a subtree scaled, a duplicated element, an
 extra field) and runs one command on it through ``cli.run``. Whatever the
 input, the command must end in a documented exit code, print no traceback
-and never print a NaN.
+and never print a NaN. A second family writes what ``json.dumps`` never
+does (a non-finite number literal, 3000-deep nesting, a truncated text) or
+closes a ``refines`` cycle; each must end in exit 1 with one stderr line.
 """
 
 import contextlib
@@ -106,20 +108,14 @@ def _mutate(data, doc):
     return doc
 
 
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_mutated_documents_keep_the_exit_code_contract(data):
-    command = data.draw(st.sampled_from(sorted(COMMANDS)))
-    mutated = data.draw(st.sampled_from(["reqcorpus", *COMMANDS[command][1:]]))
-    docs = {suffix: json.loads(json.dumps(doc)) for suffix, doc in DOCS.items()}
-    for _ in range(data.draw(st.integers(1, 3))):
-        docs[mutated] = _mutate(data, docs[mutated])
-
+def _run(data, command, texts):
+    """Run ``command`` on the documents ``texts`` (suffix -> file text) with
+    drawn flags; returns the exit code, stdout and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for suffix, doc in docs.items():
+        for suffix, text in texts.items():
             paths[suffix] = str(Path(tmp) / f"fuzz.{suffix}.json")
-            Path(paths[suffix]).write_text(json.dumps(doc), encoding="utf-8")
+            Path(paths[suffix]).write_text(text, encoding="utf-8")
         argv = [command, "--corpus", paths["reqcorpus"],
                 *(paths.get(a, a) for a in COMMANDS[command]),
                 "--format", data.draw(st.sampled_from(["text", "json"]))]
@@ -130,9 +126,77 @@ def test_mutated_documents_keep_the_exit_code_contract(data):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
 
-    assert code in (0, 1, 2, 3), err.getvalue()
-    assert "Traceback" not in err.getvalue()
-    assert not re.search(r"\b(NaN|nan)\b", out.getvalue())
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_keep_the_exit_code_contract(data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    mutated = data.draw(st.sampled_from(["reqcorpus", *COMMANDS[command][1:]]))
+    docs = {suffix: json.loads(json.dumps(doc)) for suffix, doc in DOCS.items()}
+    for _ in range(data.draw(st.integers(1, 3))):
+        docs[mutated] = _mutate(data, docs[mutated])
+    code, out, err = _run(data, command, {suffix: json.dumps(doc) for suffix, doc in docs.items()})
+
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    assert not re.search(r"\b(NaN|nan)\b", out)
     if code == 1:
-        assert err.getvalue().count("\n") == 1 or err.getvalue().startswith("usage: ")
+        assert err.count("\n") == 1 or err.startswith("usage: ")
+
+
+# ---------------------------------------------------------------------------
+# inputs that json.dumps cannot write
+
+SLOT = "\x00slot\x00"  # a string no document holds, replaced in the dumped text
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _splice(doc, path, raw: str) -> str:
+    """``doc`` as JSON text, with ``raw`` in place of the value at ``path``."""
+    if not path:
+        return raw
+    doc = json.loads(json.dumps(doc))
+    _at(doc, path[:-1])[path[-1]] = SLOT
+    return json.dumps(doc).replace(json.dumps(SLOT), raw)
+
+
+def _raw_text(data, doc, action: str) -> str:
+    if action == "non-finite":  # formatVersion is a number in every document
+        numbers = [path for path in _locations(doc) if path and isinstance(_at(doc, path), (int, float))
+                   and not isinstance(_at(doc, path), bool)]
+        return _splice(doc, data.draw(st.sampled_from(numbers)),
+                       data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"])))
+    if action == "nested":
+        return _splice(doc, data.draw(st.sampled_from(list(_locations(doc)))), "[" * 3000 + "]" * 3000)
+    text = json.dumps(doc)
+    return text[:data.draw(st.integers(0, len(text) - 1))]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_raw_text_and_cyclic_documents_exit_1(data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    mutated = data.draw(st.sampled_from(["reqcorpus", *COMMANDS[command][1:]]))
+    action = data.draw(st.sampled_from(
+        ["non-finite", "nested", "truncated", *(["cycle"] if mutated == "reqcorpus" else [])]))
+    texts = {suffix: json.dumps(doc) for suffix, doc in DOCS.items()}
+    if action == "cycle":  # the reversed copy of a refines pair closes a two-cycle
+        doc = json.loads(texts["reqcorpus"])
+        pairs = doc["relations"]["refines"]
+        pairs.append(data.draw(st.sampled_from(pairs))[::-1])
+        texts["reqcorpus"] = json.dumps(doc)
+    else:
+        texts[mutated] = _raw_text(data, DOCS[mutated], action)
+    code, out, err = _run(data, command, texts)
+
+    assert (code, out) == (1, ""), err
+    assert err.count("\n") == 1 and err.startswith("reqlattice: ")
+    if action == "cycle":
+        assert err.startswith("reqlattice: refinement cycle: ")

@@ -281,6 +281,23 @@ class TestLevelPartitionOwner:
         )]
 
 
+def test_elaboration_skips_requirements_the_level_view_leaves_out():
+    # nat-b has no organisational node, so no org bucket holds r-b
+    corpus = make(
+        [jur("nat-a"), jur("nat-b"),
+         Jurisdiction("org-1", "org-1", Level.ORGANISATIONAL, "nat-a"),
+         Jurisdiction("org-2", "org-2", Level.ORGANISATIONAL, "nat-a")],
+        sources=[src("s-a", "nat-a", "law-a", "law a"), src("s-b", "nat-b", "law-b", "law b")],
+        requirements=[req("r-org", "org-1", "rule", "rule", derived=["s-a"]),
+                      req("r-b", "nat-b", "rule-b", "rule b", derived=["s-b"])],
+    )
+    parts = cli._level_partitions(corpus, "org", (SourceKind, RequirementKind))
+    assert [(f.code, f.message) for f in check_elaboration(corpus, parts)] == [(
+        "SPECIFIC_REQ_NO_SPECIFIC_SOURCE",
+        "specific requirement 'r-org' uses no source specific to 'org-1'",
+    )]
+
+
 class TestSpecificContradictionCondition:
     def test_cross_contradiction_silences_warning(self):
         corpus = make(
