@@ -286,18 +286,20 @@ def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactRepor
     return current, ImpactReport(label=cs.label, per_op=tuple(records), before=corpus, after=current)
 
 
-def reuse_hints(report: ImpactReport, corpus: Corpus) -> list[ReuseHint]:
+def reuse_hints(report: ImpactReport) -> list[ReuseHint]:
     """Component reuse candidates surfaced by 1b promotions.
 
-    ``corpus`` is the pre-change corpus the report lineage started from; it
-    supplies component ownership for the merged counterparts.
+    The pre-change corpus (``report.before``) supplies component ownership
+    for the merged counterparts; a 1b target is a modify target, so it is
+    in that corpus.
     """
+    corpus = report.before
     rmap = corpus.requirement_map()
     hints: list[ReuseHint] = []
     for record in report.per_op:
         if record.case_code != CASE_SPEC_TO_GENERAL:
             continue
-        promoter = rmap[record.target].jurisdiction if record.target in rmap else "?"
+        promoter = rmap[record.target].jurisdiction
         for rid in record.counterparts:
             for comp in _components_implementing(corpus, rid):
                 hints.append(ReuseHint(

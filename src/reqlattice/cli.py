@@ -63,18 +63,18 @@ def _build_parser() -> _Parser:
 _LEVEL_FLAG = {"national": Level.NATIONAL, "state": Level.STATE, "org": Level.ORGANISATIONAL}
 
 
-def _emit(args, report_type: str, body, text: Callable[[bool], str]) -> None:
+def _emit(args, report_type: str, body, text: Callable[..., str]) -> None:
     """Write the report to ``--out`` (for ``change`` that is the new corpus,
     so its report goes to stdout) or to stdout.
 
-    ``text(color)`` renders the text report; headings are coloured only when
-    the stream written to is a terminal.
+    ``text(body, color)`` renders the text report; headings are coloured
+    only when the stream written to is a terminal.
     """
     def write(stream) -> None:
         if args.format == "json":
             stream.write(reports.envelope_json(report_type, body))
         else:
-            stream.write(text(reports.use_color(stream)))
+            stream.write(text(body, reports.use_color(stream)))
 
     if args.out and args.command != "change":
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -87,13 +87,13 @@ def _level_partitions(corpus: Corpus, level_flag: str | None,
                       kinds: tuple[type[SourceKind] | type[RequirementKind], ...]) -> dict[str, Partition]:
     """The partitions of every kind in ``kinds`` (``SourceKind``,
     ``RequirementKind`` or both), over the flat corpus or a level frontier."""
-    selection = None if level_flag is None else hierarchy.select_level(corpus, _LEVEL_FLAG[level_flag])
+    frontier = None if level_flag is None else hierarchy.select_level(corpus, _LEVEL_FLAG[level_flag])
     out: dict[str, Partition] = {}
     if SourceKind in kinds:
-        views = {} if selection is None else hierarchy.level_source_view(corpus, selection)
+        views = {} if frontier is None else hierarchy.level_source_view(corpus, frontier)
         out.update({k.value: partition.partition_sources(corpus, k, views.get(k)) for k in SourceKind})
     if RequirementKind in kinds:
-        views = {} if selection is None else hierarchy.level_requirement_view(corpus, selection)
+        views = {} if frontier is None else hierarchy.level_requirement_view(corpus, frontier)
         out.update({k.value: partition.partition_requirements(corpus, k, views.get(k)) for k in RequirementKind})
     return out
 
@@ -121,9 +121,7 @@ def _cmd_validate(args, corpus: Corpus) -> int:
     parts = _level_partitions(corpus, args.level, (RequirementKind,))
     warnings = _component_scope_warnings(corpus, parts)
     body = {"valid": True, "warnings": [reports.finding_body(f) for f in warnings]}
-    lines = ["corpus valid"]
-    reports.render_findings(warnings, lines)
-    _emit(args, "validate", body, lambda color: "\n".join(lines) + "\n")
+    _emit(args, "validate", body, reports.validate_text)
     return EXIT_STRICT if args.strict and warnings else EXIT_OK
 
 
@@ -131,8 +129,7 @@ def _cmd_partition(args, corpus: Corpus) -> int:
     parts = _level_partitions(corpus, args.level, (SourceKind, RequirementKind))
     elaboration = partition.check_elaboration(corpus, parts)
     condition = partition.check_specific_contradiction_condition(corpus, *(parts[k.value] for k in SourceKind))
-    _emit(args, "partition", reports.partition_body(parts, elaboration, condition),
-          lambda color: reports.partition_text(parts, elaboration, condition, color))
+    _emit(args, "partition", reports.partition_body(parts, elaboration, condition), reports.partition_text)
     failing = [f for f in elaboration if f.severity == "error"] + condition
     return EXIT_STRICT if args.strict and failing else EXIT_OK
 
@@ -145,33 +142,29 @@ def _cmd_scenario(args, corpus: Corpus) -> int:
             classes[kind.value] = partition.classify_scenario(parts[kind.value])
         except EmptyAspectError:
             classes[kind.value] = None
-    _emit(args, "scenario", reports.scenario_body(classes),
-          lambda color: reports.scenario_text(classes))
+    _emit(args, "scenario", reports.scenario_body(classes), reports.scenario_text)
     return EXIT_OK
 
 
 def _cmd_optimize(args, corpus: Corpus) -> int:
     gv = optimize.global_view(corpus)
-    _emit(args, "optimize", reports.optimize_body(gv, args.emit),
-          lambda color: reports.optimize_text(gv, args.emit, color))
+    _emit(args, "optimize", reports.optimize_body(gv, args.emit), reports.optimize_text)
     return EXIT_STRICT if args.strict and gv.conflicts else EXIT_OK
 
 
 def _cmd_conflicts(args, corpus: Corpus) -> int:
     records = relations.find_conflicts(corpus, {r.id for r in corpus.requirements})
-    _emit(args, "conflicts", reports.conflicts_body(records),
-          lambda color: reports.conflicts_text(records))
+    _emit(args, "conflicts", reports.conflicts_body(records), reports.conflicts_text)
     return EXIT_STRICT if args.strict and records else EXIT_OK
 
 
 def _cmd_change(args, corpus: Corpus) -> int:
     cs = corpus_io.load_change_set(args.changes)  # apply_change_set validates it against the corpus
     new_corpus, report = apply_change_set(corpus, cs)
-    hints = reuse_hints(report, corpus)
+    hints = reuse_hints(report)
     if args.out:
         corpus_io.save_corpus(new_corpus, args.out)
-    _emit(args, "impact", reports.impact_body(report, hints),
-          lambda color: reports.impact_text(report, hints, color))
+    _emit(args, "impact", reports.impact_body(report, hints), reports.impact_text)
     return EXIT_OK
 
 
@@ -181,8 +174,7 @@ def _cmd_hierarchy(args, corpus: Corpus) -> int:
         j.id: sorted(hierarchy.effective_requirements(corpus, j.id))
         for j in corpus.jurisdictions
     }
-    _emit(args, "hierarchy", reports.hierarchy_body(findings, effective),
-          lambda color: reports.hierarchy_text(findings, effective, color))
+    _emit(args, "hierarchy", reports.hierarchy_body(findings, effective), reports.hierarchy_text)
     return EXIT_STRICT if args.strict and findings else EXIT_OK
 
 
@@ -190,8 +182,7 @@ def _cmd_rank(args, corpus: Corpus) -> int:
     alts = corpus_io.load_alternatives(args.alts)
     matrix = topsis.build_conflict_matrix(corpus, alts)
     ranking = topsis.rank_alternatives(matrix)
-    _emit(args, "ranking", reports.ranking_body(ranking),
-          lambda color: reports.ranking_text(ranking, color))
+    _emit(args, "ranking", reports.ranking_body(ranking), reports.ranking_text)
     return EXIT_OK
 
 

@@ -53,9 +53,9 @@ class UnknownIdError(ReqLatticeError):
 class UnknownTargetError(ReqLatticeError):
     """A change op targets an id that does not exist (or exists, for add)."""
 
-    def __init__(self, target: str, message: str | None = None):
+    def __init__(self, target: str):
         self.target = target
-        super().__init__(message or f"unknown change target: {target}")
+        super().__init__(f"unknown change target: {target}")
 
 
 class MissingAdoptedByError(ReqLatticeError):

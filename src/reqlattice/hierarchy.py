@@ -17,15 +17,9 @@ from reqlattice.partition import ItemView
 from reqlattice.relations import min_refiner
 
 
-@dataclass(frozen=True)
-class LevelSelection:
-    level: Level
-    frontier: tuple[str, ...]  # jurisdiction ids at that level, sorted
-
-
-def select_level(corpus: Corpus, level: Level) -> LevelSelection:
-    frontier = tuple(j.id for j in corpus.jurisdictions if j.level is level)  # id order
-    return LevelSelection(level=level, frontier=frontier)
+def select_level(corpus: Corpus, level: Level) -> tuple[str, ...]:
+    """The frontier of ``level``: the ids of its jurisdictions, in id order."""
+    return tuple(j.id for j in corpus.jurisdictions if j.level is level)
 
 
 def effective_requirements(corpus: Corpus, node: str) -> frozenset[str]:
@@ -40,31 +34,31 @@ def effective_requirements(corpus: Corpus, node: str) -> frozenset[str]:
     return frozenset(i for i, d in own_depth.items() if nearest.get(i, d) >= d)
 
 
-def level_requirement_view(corpus: Corpus, selection: LevelSelection) -> dict[RequirementKind, ItemView]:
+def level_requirement_view(corpus: Corpus, frontier: tuple[str, ...]) -> dict[RequirementKind, ItemView]:
     """Per-kind, per-frontier-node requirement sets, for partition analysis.
 
     Each frontier node's effective set is computed once and split by kind.
     """
     rmap = corpus.requirement_map()
     views: dict[RequirementKind, ItemView] = {
-        kind: {node: [] for node in selection.frontier} for kind in RequirementKind
+        kind: {node: [] for node in frontier} for kind in RequirementKind
     }
-    for node in selection.frontier:
+    for node in frontier:
         for rid in sorted(effective_requirements(corpus, node)):
             views[rmap[rid].kind][node].append(rmap[rid])
     return views
 
 
-def level_source_view(corpus: Corpus, selection: LevelSelection) -> dict[SourceKind, ItemView]:
+def level_source_view(corpus: Corpus, frontier: tuple[str, ...]) -> dict[SourceKind, ItemView]:
     """Per-kind, per-frontier-node source sets, for partition analysis.
 
     A node sees its own sources plus every ancestor's (no shadowing); one
     ancestor walk per frontier node serves every kind.
     """
     views: dict[SourceKind, ItemView] = {
-        kind: {node: [] for node in selection.frontier} for kind in SourceKind
+        kind: {node: [] for node in frontier} for kind in SourceKind
     }
-    for node in selection.frontier:
+    for node in frontier:
         visible = {node, *corpus.ancestor_chains[node]}
         for s in corpus.sources:  # id order
             if s.jurisdiction in visible:

@@ -224,16 +224,6 @@ def validate_corpus(corpus: Corpus) -> None:
                     f"{j.level.value} node {j.id!r} cannot have a {jmap[j.parent].level.value} parent",
                     item_id=j.id,
                 )
-    for j in corpus.jurisdictions:
-        # parent graph must be a forest
-        slow = j.id
-        seen_chain: set[str] = set()
-        while slow is not None:
-            if slow in seen_chain:
-                raise ValidationError("PARENT_CYCLE", f"jurisdiction parent chain loops at {slow!r}", item_id=slow)
-            seen_chain.add(slow)
-            node = jmap.get(slow)
-            slow = node.parent if node else None
 
     # one item per (jurisdiction, concept, kind): partitions and change ops
     # find a jurisdiction's version of a concept by that triple

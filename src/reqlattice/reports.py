@@ -135,114 +135,110 @@ def envelope_json(report_type: str, body) -> str:
 
 
 # ---------------------------------------------------------------------------
-# text renderings
+# text renderings: each prints its report's JSON body, in the body's order
 
-def render_findings(findings: list[Finding], lines: list[str]) -> None:
-    for f in findings:
-        lines.append(f"  [{f.severity}] {f.code} {f.item_id}: {f.message}")
+def _finding_lines(findings: list[dict]) -> list[str]:
+    return [f"  [{f['severity']}] {f['code']} {f['id']}: {f['message']}" for f in findings]
 
 
-def partition_text(parts: dict[str, Partition],
-                   elaboration: list[Finding],
-                   condition: list[Finding],
-                   color: bool = False) -> str:
+def validate_text(body: dict, color: bool = False) -> str:
+    return "\n".join(["corpus valid", *_finding_lines(body["warnings"])]) + "\n"
+
+
+def partition_text(body: dict, color: bool = False) -> str:
     lines = []
-    for kind, part in sorted(parts.items()):
-        lines.append(heading(f"{part.role} / {kind}", color))
-        if part.general_concepts:
+    for kind, part in body["perKind"].items():
+        lines.append(heading(f"{part['role']} / {kind}", color))
+        if part["general"]:
             lines.append("  general concepts:")
-            for key, ids in sorted(part.general_concepts.items()):
-                lines.append(f"    {key}: {', '.join(sorted(ids))}")
+            for key, ids in part["general"].items():
+                lines.append(f"    {key}: {', '.join(ids)}")
         else:
             lines.append("  general concepts: (none)")
-        for jid, ids in sorted(part.specific.items()):
-            lines.append(f"  specific to {jid}: {', '.join(sorted(ids)) or '(none)'}")
-    if elaboration:
+        for jid, ids in part["specific"].items():
+            lines.append(f"  specific to {jid}: {', '.join(ids) or '(none)'}")
+    if body["elaborationFindings"]:
         lines.append(heading("elaboration findings", color))
-        render_findings(elaboration, lines)
-    if condition:
+        lines += _finding_lines(body["elaborationFindings"])
+    if body["contradictionCondition"]:
         lines.append(heading("cross-jurisdiction contradiction condition", color))
-        render_findings(condition, lines)
+        lines += _finding_lines(body["contradictionCondition"])
     return "\n".join(lines) + "\n"
 
 
-def scenario_text(classes: dict[str, ScenarioClass | None]) -> str:
+def scenario_text(body: dict, color: bool = False) -> str:
     lines = []
-    for aspect, cls in sorted(classes.items()):
+    for aspect, cls in body.items():
         if cls is None:
             lines.append(f"{aspect}: no items")
         else:
-            lines.append(f"{aspect}: {cls.option.value} ({cls.note})")
+            lines.append(f"{aspect}: {cls['option']} ({cls['note']})")
     return "\n".join(lines) + "\n"
 
 
-def optimize_text(gv: GlobalView, emit: str = "both", color: bool = False) -> str:
-    lines = [heading("global optimized view", color)]
+def _view_lines(label: str, view: dict) -> list[str]:
+    lines = [f"  {label}:"]
+    if "strongest" in view:
+        lines.append(f"    strongest: {', '.join(view['strongest']) or '(empty)'}")
+        for removed, witness in view["removed"].items():
+            lines.append(f"    removed {removed} (refined by {witness})")
+    if "baseline" in view:
+        lines.append(f"    baseline:  {', '.join(view['baseline']) or '(empty)'}")
+    return lines
 
-    def emit_view(label: str, view: OptimizedView) -> None:
-        lines.append(f"  {label}:")
-        if emit in ("star", "both"):
-            lines.append(f"    strongest: {', '.join(sorted(view.strongest)) or '(empty)'}")
-            for removed, witness in sorted(view.removed.items()):
-                lines.append(f"    removed {removed} (refined by {witness})")
-        if emit in ("min", "both"):
-            lines.append(f"    baseline:  {', '.join(sorted(view.baseline)) or '(empty)'}")
 
-    emit_view("all requirements", gv.global_all)
-    for kind, view in sorted(gv.global_per_kind.items()):
-        emit_view(f"{kind} (global)", view)
-    for jid, kinds in sorted(gv.per_jurisdiction.items()):
+def optimize_text(body: dict, color: bool = False) -> str:
+    lines = [heading("global optimized view", color), *_view_lines("all requirements", body["global"])]
+    for kind, view in body["globalPerKind"].items():
+        lines += _view_lines(f"{kind} (global)", view)
+    for jid, kinds in body["perJurisdiction"].items():
         lines.append(heading(f"jurisdiction {jid}", color))
-        for kind, view in sorted(kinds.items()):
-            emit_view(kind, view)
+        for kind, view in kinds.items():
+            lines += _view_lines(kind, view)
     lines.append(heading("conflicts", color))
-    lines.append(conflicts_text(gv.conflicts).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + conflicts_text(body["conflicts"])
 
 
-def conflicts_text(records: list[ConflictRecord]) -> str:
-    if not records:
+def conflicts_text(body: list[dict], color: bool = False) -> str:
+    if not body:
         return "no conflicts\n"
-    lines = [f"  {a} <-> {b} ({r.origin})" for r in records for a, b in [r.pair]]
-    return "\n".join(lines) + "\n"
+    return "".join(f"  {a} <-> {b} ({r['origin']})\n" for r in body for a, b in [r["pair"]])
 
 
-def impact_text(report: ImpactReport, hints: list[ReuseHint], color: bool = False) -> str:
-    lines = [heading(f"change set: {report.label}", color)]
-    for rec in report.per_op:
-        lines.append(f"  {rec.op} {rec.target}: case {rec.case_code}, "
-                     f"affected {', '.join(sorted(rec.affected)) or '(none)'}")
-        for m in rec.migrations:
-            lines.append(f"    {m.item_id}: {m.from_set} -> {m.to_set}")
-        for cid, status in rec.component_impact:
-            lines.append(f"    component {cid}: {status}")
-    if hints:
+def impact_text(body: dict, color: bool = False) -> str:
+    lines = [heading(f"change set: {body['label']}", color)]
+    for rec in body["ops"]:
+        lines.append(f"  {rec['op']} {rec['target']}: case {rec['case']}, "
+                     f"affected {', '.join(rec['affected']) or '(none)'}")
+        for m in rec["migrations"]:
+            lines.append(f"    {m['id']}: {m['from']} -> {m['to']}")
+        for c in rec["components"]:
+            lines.append(f"    component {c['id']}: {c['status']}")
+    if body["reuseHints"]:
         lines.append(heading("reuse hints", color))
-        for h in hints:
-            lines.append(f"  {h.component_id} (of {h.owner_jurisdiction}) reusable for "
-                         f"{h.for_jurisdiction} via {h.via_requirement}")
+        for h in body["reuseHints"]:
+            lines.append(f"  {h['component']} (of {h['owner']}) reusable for {h['for']} via {h['via']}")
     return "\n".join(lines) + "\n"
 
 
-def hierarchy_text(findings: list[HierarchyFinding], effective: dict[str, list[str]],
-                   color: bool = False) -> str:
+def hierarchy_text(body: dict, color: bool = False) -> str:
     lines = []
-    if findings:
+    if body["findings"]:
         lines.append(heading("hierarchy findings", color))
-        for f in findings:
-            lines.append(f"  {f.code} {f.jurisdiction}: {f.message}")
+        for f in body["findings"]:
+            lines.append(f"  {f['code']} {f['jurisdiction']}: {f['message']}")
     else:
         lines.append("hierarchy well-formed")
     lines.append(heading("effective requirements", color))
-    for jid, ids in sorted(effective.items()):
+    for jid, ids in body["effectiveRequirements"].items():
         lines.append(f"  {jid}: {', '.join(ids) or '(none)'}")
     return "\n".join(lines) + "\n"
 
 
-def ranking_text(ranking: Ranking, color: bool = False) -> str:
+def ranking_text(body: dict, color: bool = False) -> str:
     lines = [heading("ranking (closeness to ideal)", color)]
-    for pos, (aid, closeness) in enumerate(ranking.entries, start=1):
-        lines.append(f"  {pos}. {aid}  {closeness:.6f}")
-    if ranking.dropped_criteria:
-        lines.append(f"  dropped zero-variance criteria: {', '.join(ranking.dropped_criteria)}")
+    for pos, entry in enumerate(body["ranking"], start=1):
+        lines.append(f"  {pos}. {entry['alternative']}  {entry['closeness']:.6f}")
+    if body["droppedCriteria"]:
+        lines.append(f"  dropped zero-variance criteria: {', '.join(body['droppedCriteria'])}")
     return "\n".join(lines) + "\n"

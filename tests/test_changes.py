@@ -238,19 +238,19 @@ class TestReuseHints:
     def test_hint_for_promoted_counterpart(self):
         corpus = three_country_corpus()
         _, report = apply_change_set(corpus, change_set(modify("r1-pay", "pay net fourteen")))
-        hints = reuse_hints(report, corpus)
+        hints = reuse_hints(report)
         assert [(h.component_id, h.for_jurisdiction) for h in hints] == [
             ("c2-pay", "s1"), ("c3-pay", "s1")]
 
     def test_no_hints_for_1a(self):
         corpus = three_country_corpus()
         _, report = apply_change_set(corpus, change_set(modify("r1-pay", "pay net ninety")))
-        assert reuse_hints(report, corpus) == []
+        assert reuse_hints(report) == []
 
     def test_multi_op_hints_union(self, worked_example, change_set_path):
         from reqlattice import corpus_io
         cs = corpus_io.load_change_set(change_set_path, worked_example)
         _, report = apply_change_set(worked_example, cs)
-        hints = reuse_hints(report, worked_example)
+        hints = reuse_hints(report)
         assert [(h.component_id, h.via_requirement) for h in hints] == [
             ("comp-fr-retention", "req-fr-retention")]

@@ -142,12 +142,12 @@ class TestLevelSelection:
     def test_frontier_nodes_have_the_level(self):
         corpus = tree_corpus()
         sel = select_level(corpus, Level.STATE)
-        assert sel.frontier == ("st",)
+        assert sel == ("st",)
 
     def test_level_view_uses_effective_sets(self):
         corpus = tree_corpus()
-        sel = select_level(corpus, Level.ORGANISATIONAL)
-        view = level_requirement_view(corpus, sel)[RequirementKind.FUNCTIONAL]
+        frontier = select_level(corpus, Level.ORGANISATIONAL)
+        view = level_requirement_view(corpus, frontier)[RequirementKind.FUNCTIONAL]
         assert {r.id for r in view["org"]} == {"r-nat", "r-st", "r-org"}
 
 

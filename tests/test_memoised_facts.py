@@ -92,8 +92,8 @@ def check_against_oracles(corpus: Corpus) -> None:
     }
 
     for level in Level:
-        selection = select_level(corpus, level)
-        got = level_requirement_view(corpus, selection)
+        frontier = select_level(corpus, level)
+        got = level_requirement_view(corpus, frontier)
         expect = oracle_level_view(corpus, level)
         for kind in RequirementKind:
             rmap = corpus.requirement_map()

@@ -78,6 +78,22 @@ def test_level_violations(child_level, parent_level):
     assert code_of(e) in ("LEVEL_VIOLATION", "DANGLING_REF")
 
 
+@pytest.mark.parametrize("jurisdictions", [
+    pytest.param([jur("de", Level.NATIONAL, parent="de")], id="national-self-parent"),
+    pytest.param([jur("nat"), jur("st", Level.STATE, parent="st")], id="state-self-parent"),
+    pytest.param([jur("nat"), jur("org", Level.ORGANISATIONAL, parent="org")], id="org-self-parent"),
+    pytest.param([jur("nat"), jur("s1", Level.STATE, parent="s2"), jur("s2", Level.STATE, parent="s1")],
+                 id="state-two-cycle"),
+    pytest.param([jur("nat"), jur("o1", Level.ORGANISATIONAL, parent="o2"),
+                  jur("o2", Level.ORGANISATIONAL, parent="o1")], id="org-two-cycle"),
+])
+def test_parent_cycles_are_level_violations(jurisdictions):
+    # every allowed parent sits at a strictly higher level, so no cycle gets past the level rule
+    with pytest.raises(ValidationError) as e:
+        validate_corpus(make(jurisdictions=jurisdictions))
+    assert code_of(e) == "LEVEL_VIOLATION"
+
+
 def test_org_under_state_and_under_national_both_ok():
     validate_corpus(make(jurisdictions=[
         jur("nat"), jur("st", Level.STATE, parent="nat"),

@@ -258,9 +258,9 @@ class TestLevelPartitionOwner:
             sources=[src("s-nat", "nat", "national-law", "national law")],
             requirements=[req("r-st", "st-a", "state-rule", "state rule", derived=["s-nat"])],
         )
-        selection = hierarchy.select_level(corpus, Level.ORGANISATIONAL)
-        req_views = hierarchy.level_requirement_view(corpus, selection)
-        source_views = hierarchy.level_source_view(corpus, selection)
+        frontier = hierarchy.select_level(corpus, Level.ORGANISATIONAL)
+        req_views = hierarchy.level_requirement_view(corpus, frontier)
+        source_views = hierarchy.level_source_view(corpus, frontier)
         return corpus, {
             **{k.value: partition_sources(corpus, k, source_views[k]) for k in SourceKind},
             **{k.value: partition_requirements(corpus, k, req_views[k]) for k in RequirementKind},
