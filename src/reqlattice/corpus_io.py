@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -48,51 +49,58 @@ _DEFAULT_STATIC = {SourceKind.LEGAL: False, SourceKind.CULTURAL: True}
 # ---------------------------------------------------------------------------
 # strict-schema helpers
 
-def _require_obj(value: Any, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError("BAD_TYPE", f"{what} must be an object")
-    return value
+def _schema(required: dict[str, type], optional: dict[str, type]) -> tuple[dict[str, type], Any]:
+    """A closed schema: every field's exact JSON type, required fields first, and the required keys."""
+    return {**required, **optional}, required.keys()
 
 
-def _take(obj: dict, what: str, required: dict[str, type], optional: dict[str, type]) -> dict:
+def _take(obj: Any, what: str, schema: tuple[dict[str, type], Any]) -> dict:
     """Check ``obj`` against a closed schema and return it.
 
-    The first unknown key fails first, then the first missing or wrongly
-    typed field in schema order, required fields before optional ones. A
-    JSON value's type is exact, so ``type(...) is`` keeps a bool out of an
-    int field.
+    One pass over the items accepts a valid record; any other is searched for
+    its first fault: a non-object, the first unknown key, then the first
+    missing or wrongly typed field in schema order, required fields first.
+    A JSON type is exact: ``type(...) is`` keeps a bool out of an int field.
     """
+    fields, required = schema
+    if type(obj) is dict:
+        for key, value in obj.items():
+            if type(value) is not fields.get(key):
+                break
+        else:
+            if obj.keys() >= required:
+                return obj
+    if not isinstance(obj, dict):
+        raise ValidationError("BAD_TYPE", f"{what} must be an object")
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in fields:
             raise ValidationError("UNKNOWN_FIELD", f"{what} has unknown field {key!r}")
-    for key, typ in required.items():
+    for key, typ in fields.items():
         if key not in obj:
-            raise ValidationError("MISSING_FIELD", f"{what} lacks required field {key!r}")
-        if type(obj[key]) is not typ:
+            if key in required:
+                raise ValidationError("MISSING_FIELD", f"{what} lacks required field {key!r}")
+        elif type(obj[key]) is not typ:
             raise ValidationError("BAD_TYPE", f"{what} field {key!r} has the wrong type")
-    for key, typ in optional.items():
-        if key in obj and type(obj[key]) is not typ:
-            raise ValidationError("BAD_TYPE", f"{what} field {key!r} has the wrong type")
-    return obj
+    return obj  # a dict subclass that passed the search
 
 
-def _enum(value: str, enum_cls, what: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(e.value for e in enum_cls)
-        raise ValidationError("BAD_ENUM", f"{what}: {value!r} is not one of {allowed}") from None
+def _member(members: dict[str, Any], record: dict, field: str, role: str):
+    """The enum member that ``record[field]`` names, looked up by value."""
+    member = members.get(record[field])
+    if member is None:
+        allowed = ", ".join(members)
+        raise ValidationError("BAD_ENUM", f"{role} {record['id']!r} {field}: {record[field]!r} is not one of {allowed}")
+    return member
 
 
 def _id_pairs(value: Any, what: str) -> list[tuple[str, str]]:
     if not isinstance(value, list):
         raise ValidationError("BAD_TYPE", f"{what} must be an array of id pairs")
-    pairs = []
     for entry in value:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) for x in entry)):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise ValidationError("BAD_TYPE", f"{what} entries must be [id, id] pairs")
-        pairs.append((entry[0], entry[1]))
-    return pairs
+    return [(a, b) for a, b in value]
 
 
 def _read_json(path: str | Path) -> Any:
@@ -100,6 +108,9 @@ def _read_json(path: str | Path) -> Any:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IOFailure(str(path), exc) from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not valid UTF-8: {exc.reason} at byte {exc.start}", path=str(path), line=line) from None
 
     def non_finite(token: str):
         raise ParseError(f"non-finite number {token} is not allowed", path=str(path))
@@ -114,12 +125,25 @@ def _read_json(path: str | Path) -> Any:
         return parse
 
     try:
-        return json.loads(text, parse_constant=non_finite,
-                          parse_float=finite(float), parse_int=finite(int))
+        doc = json.loads(text, parse_constant=non_finite,
+                         parse_float=finite(float), parse_int=finite(int))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=str(path), line=exc.lineno) from exc
     except RecursionError:
         raise ParseError("document nests too deeply", path=str(path)) from None
+    # a memchr for the backslash spares a valid document the escape search;
+    # json.loads joins an escaped surrogate pair, so a surrogate left in the
+    # document was escaped alone, and UTF-8 cannot encode it
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            context = exc.object[max(0, exc.start - 30):exc.end]
+            raise ParseError(f"unpaired surrogate escape in {context!r}", path=str(path)) from None
+    return doc
+
+
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD]")
 
 
 def _check_version(doc: dict, what: str) -> None:
@@ -131,12 +155,21 @@ def _check_version(doc: dict, what: str) -> None:
 # corpus
 
 _ITEM_FIELDS = {"id": str, "kind": str, "jurisdiction": str, "conceptKey": str, "text": str}
+_CORPUS_DOC = _schema({"formatVersion": int, "jurisdictions": list},
+                      {"sources": list, "requirements": list, "relations": dict, "components": list})
+_JURISDICTION = _schema({"id": str, "name": str, "level": str}, {"parent": str})
+_SOURCE = _schema(_ITEM_FIELDS, {"contentHash": str, "isStatic": bool})
+_REQUIREMENT = _schema(_ITEM_FIELDS, {"contentHash": str, "derivedFrom": list})
+_RELATIONS = _schema({}, {"refines": list, "contradicts": list})
+_COMPONENT = _schema({"id": str, "implements": list, "scope": str}, {"jurisdiction": str})
+#: each enum's members by value, in definition order
+_LEVELS, _SOURCE_KINDS, _REQUIREMENT_KINDS = ({e.value: e for e in cls} for cls in (Level, SourceKind, RequirementKind))
 
 
 def _source(raw: Any) -> SourceItem:
     """One source record, from a corpus or an add op's payload."""
-    s = _take(_require_obj(raw, "source"), "source", _ITEM_FIELDS, {"contentHash": str, "isStatic": bool})
-    kind = _enum(s["kind"], SourceKind, f"source {s['id']!r} kind")
+    s = _take(raw, "source", _SOURCE)
+    kind = _member(_SOURCE_KINDS, s, "kind", "source")
     return SourceItem(
         id=s["id"], kind=kind, jurisdiction=s["jurisdiction"],
         concept_key=s["conceptKey"], text=s["text"],
@@ -147,14 +180,13 @@ def _source(raw: Any) -> SourceItem:
 
 def _requirement(raw: Any) -> Requirement:
     """One requirement record, from a corpus or an add op's payload."""
-    r = _take(_require_obj(raw, "requirement"), "requirement", _ITEM_FIELDS,
-              {"contentHash": str, "derivedFrom": list})
-    derived = r.get("derivedFrom", [])
-    if not all(isinstance(x, str) for x in derived):
-        raise ValidationError("BAD_TYPE", f"requirement {r['id']!r} derivedFrom must hold ids")
+    r = _take(raw, "requirement", _REQUIREMENT)
+    derived = r.get("derivedFrom", ())
+    for sid in derived:
+        if not isinstance(sid, str):
+            raise ValidationError("BAD_TYPE", f"requirement {r['id']!r} derivedFrom must hold ids")
     return Requirement(
-        id=r["id"],
-        kind=_enum(r["kind"], RequirementKind, f"requirement {r['id']!r} kind"),
+        id=r["id"], kind=_member(_REQUIREMENT_KINDS, r, "kind", "requirement"),
         jurisdiction=r["jurisdiction"], concept_key=r["conceptKey"], text=r["text"],
         content_hash=r.get("contentHash") or model.content_hash(r["text"]),
         derived_from=frozenset(derived),
@@ -166,57 +198,41 @@ _ITEM_PARSERS = {"source": _source, "requirement": _requirement}
 
 
 def parse_corpus(doc: Any) -> Corpus:
-    top = _require_obj(doc, "corpus document")
-    fields = _take(
-        top,
-        "corpus document",
-        {"formatVersion": int, "jurisdictions": list},
-        {"sources": list, "requirements": list, "relations": dict, "components": list},
-    )
+    fields = _take(doc, "corpus document", _CORPUS_DOC)
     _check_version(fields, "corpus")
 
     jurisdictions = []
     for raw in fields["jurisdictions"]:
-        j = _take(_require_obj(raw, "jurisdiction"), "jurisdiction",
-                  {"id": str, "name": str, "level": str}, {"parent": str})
-        jurisdictions.append(Jurisdiction(
-            id=j["id"], name=j["name"],
-            level=_enum(j["level"], Level, f"jurisdiction {j['id']!r} level"),
-            parent=j.get("parent"),
-        ))
+        j = _take(raw, "jurisdiction", _JURISDICTION)
+        level = _member(_LEVELS, j, "level", "jurisdiction")
+        jurisdictions.append(Jurisdiction(id=j["id"], name=j["name"], level=level, parent=j.get("parent")))
 
-    sources = [_source(raw) for raw in fields.get("sources", [])]
-    requirements = [_requirement(raw) for raw in fields.get("requirements", [])]
+    sources = [_source(raw) for raw in fields.get("sources", ())]
+    requirements = [_requirement(raw) for raw in fields.get("requirements", ())]
 
-    rel_raw = _take(_require_obj(fields.get("relations", {}), "relations"), "relations",
-                    {}, {"refines": list, "contradicts": list})
+    rel_raw = _take(fields.get("relations", {}), "relations", _RELATIONS)
     relations = RelationSet(
         refines=frozenset(_id_pairs(rel_raw.get("refines", []), "relations.refines")),
         contradicts=frozenset(_id_pairs(rel_raw.get("contradicts", []), "relations.contradicts")),
     )
 
     components = []
-    for raw in fields.get("components", []):
-        c = _take(_require_obj(raw, "component"), "component",
-                  {"id": str, "implements": list, "scope": str}, {"jurisdiction": str})
+    for raw in fields.get("components", ()):
+        c = _take(raw, "component", _COMPONENT)
         if c["scope"] not in ("general", "specific"):
             raise ValidationError("BAD_ENUM", f"component {c['id']!r} scope must be general or specific")
         if c["scope"] == "specific" and "jurisdiction" not in c:
             raise ValidationError("MISSING_FIELD", f"specific component {c['id']!r} needs a jurisdiction")
         if c["scope"] == "general" and "jurisdiction" in c:
             raise ValidationError("UNKNOWN_FIELD", f"general component {c['id']!r} must not name a jurisdiction")
-        if not all(isinstance(x, str) for x in c["implements"]):
-            raise ValidationError("BAD_TYPE", f"component {c['id']!r} implements must hold ids")
+        for rid in c["implements"]:
+            if not isinstance(rid, str):
+                raise ValidationError("BAD_TYPE", f"component {c['id']!r} implements must hold ids")
         scope = ComponentScope.general() if c["scope"] == "general" else ComponentScope.specific(c["jurisdiction"])
         components.append(Component(id=c["id"], implements=frozenset(c["implements"]), scope=scope))
 
-    corpus = Corpus(
-        jurisdictions=tuple(jurisdictions),
-        sources=tuple(sources),
-        requirements=tuple(requirements),
-        relations=relations,
-        components=tuple(components),
-    )
+    corpus = Corpus(jurisdictions=tuple(jurisdictions), sources=tuple(sources), requirements=tuple(requirements),
+                    relations=relations, components=tuple(components))
     model.validate_corpus(corpus)
     relations.refinement_order  # built here once; raises CycleError on a cyclic declaration
     return corpus
@@ -315,6 +331,9 @@ class ChangeSet:
 #: the fields each op kind takes besides ``op`` and ``target``; a payload is
 #: required wherever it is allowed
 _OP_FIELDS = {"add": {"payload"}, "modify": {"payload", "adoptedBy"}, "remove": set()}
+_CHANGE_SET = _schema({"formatVersion": int, "label": str, "ops": list}, {})
+_CHANGE_OP = _schema({"op": str, "target": str}, {"payload": dict, "adoptedBy": list})
+_MODIFY_PAYLOAD = _schema({}, {"text": str, "conceptKey": str})
 
 
 def _add_item(target: str, payload: dict) -> SourceItem | Requirement:
@@ -331,14 +350,12 @@ def _add_item(target: str, payload: dict) -> SourceItem | Requirement:
 
 
 def parse_change_set(doc: Any) -> ChangeSet:
-    top = _take(_require_obj(doc, "change set"), "change set",
-                {"formatVersion": int, "label": str, "ops": list}, {})
+    top = _take(doc, "change set", _CHANGE_SET)
     _check_version(top, "change set")
     ops: list[ChangeOp] = []
     targets: set[str] = set()
     for raw in top["ops"]:
-        o = _take(_require_obj(raw, "change op"), "change op",
-                  {"op": str, "target": str}, {"payload": dict, "adoptedBy": list})
+        o = _take(raw, "change op", _CHANGE_OP)
         if o["op"] not in _OP_FIELDS:
             raise ValidationError("BAD_ENUM", f"op must be add/remove/modify, got {o['op']!r}")
         if o["target"] in targets:
@@ -355,7 +372,7 @@ def parse_change_set(doc: Any) -> ChangeSet:
         if o["op"] == "add":
             payload = _add_item(o["target"], o["payload"])
         elif o["op"] == "modify":
-            p = _take(o["payload"], f"payload of {o['target']!r}", {}, {"text": str, "conceptKey": str})
+            p = _take(o["payload"], f"payload of {o['target']!r}", _MODIFY_PAYLOAD)
             payload = ChangePayload(text=p.get("text"), concept_key=p.get("conceptKey"))
 
         adopted = None
@@ -403,15 +420,17 @@ class AlternativesFile:
     weights: dict[str, float]  # criterion id -> raw weight; may be empty
 
 
+_ALTERNATIVES_FILE = _schema({"formatVersion": int, "alternatives": list}, {"weights": dict})
+_ALTERNATIVE = _schema({"id": str, "satisfies": dict}, {})
+
+
 def parse_alternatives(doc: Any) -> AlternativesFile:
-    top = _take(_require_obj(doc, "alternatives file"), "alternatives file",
-                {"formatVersion": int, "alternatives": list}, {"weights": dict})
+    top = _take(doc, "alternatives file", _ALTERNATIVES_FILE)
     _check_version(top, "alternatives file")
     alts = []
     seen: set[str] = set()
     for raw in top["alternatives"]:
-        a = _take(_require_obj(raw, "alternative"), "alternative",
-                  {"id": str, "satisfies": dict}, {})
+        a = _take(raw, "alternative", _ALTERNATIVE)
         if a["id"] in seen:
             raise ValidationError("DUPLICATE_ID", f"alternative {a['id']!r} declared twice", item_id=a["id"])
         seen.add(a["id"])

@@ -228,8 +228,8 @@ def validate_corpus(corpus: Corpus) -> None:
     # one item per (jurisdiction, concept, kind): partitions and change ops
     # find a jurisdiction's version of a concept by that triple
     concept_holder: dict[tuple[str, str, SourceKind | RequirementKind], str] = {}
-
-    def check_concept(item: SourceItem | Requirement) -> None:
+    smap = corpus.source_map()
+    for item in (*corpus.sources, *corpus.requirements):
         if item.jurisdiction not in jmap:
             raise ValidationError(
                 "DANGLING_REF",
@@ -244,55 +244,47 @@ def validate_corpus(corpus: Corpus) -> None:
                 f"{item.kind.value}: {holder!r} and {item.id!r}",
                 item_id=item.id,
             )
-
-    smap = corpus.source_map()
-    for s in corpus.sources:
-        check_concept(s)
-
-    rmap = corpus.requirement_map()
-    for r in corpus.requirements:
-        check_concept(r)
-        if r.kind is RequirementKind.FUNCTIONAL and r.derived_from:
-            raise ValidationError("FUNCTIONAL_WITH_SOURCES", f"functional requirement {r.id!r} must not derive from sources", item_id=r.id)
-        allowed_kind = SOURCE_KIND_FOR_REQUIREMENT.get(r.kind)
-        for sid in sorted(r.derived_from):
+        if item.role == "source" or not item.derived_from:
+            continue
+        derived = item.derived_from
+        if item.kind is RequirementKind.FUNCTIONAL:
+            raise ValidationError("FUNCTIONAL_WITH_SOURCES", f"functional requirement {item.id!r} must not derive from sources", item_id=item.id)
+        allowed_kind = SOURCE_KIND_FOR_REQUIREMENT[item.kind]
+        for sid in sorted(derived) if len(derived) > 1 else derived:
             src = smap.get(sid)
             if src is None:
-                raise ValidationError("DANGLING_REF", f"requirement {r.id!r} derives from unknown source {sid!r}", item_id=r.id)
+                raise ValidationError("DANGLING_REF", f"requirement {item.id!r} derives from unknown source {sid!r}", item_id=item.id)
             if src.kind is not allowed_kind:
                 raise ValidationError(
                     "DERIVED_FROM_KIND",
-                    f"{r.kind.value} requirement {r.id!r} derives from {src.kind.value} source {sid!r}",
-                    item_id=r.id,
+                    f"{item.kind.value} requirement {item.id!r} derives from {src.kind.value} source {sid!r}",
+                    item_id=item.id,
                 )
-            if src.jurisdiction != r.jurisdiction and src.jurisdiction not in corpus.ancestor_chains[r.jurisdiction]:
+            if src.jurisdiction != item.jurisdiction and src.jurisdiction not in corpus.ancestor_chains[item.jurisdiction]:
                 raise ValidationError(
                     "DERIVED_FROM_JURISDICTION",
-                    f"requirement {r.id!r} derives from source {sid!r} of unrelated jurisdiction {src.jurisdiction!r}",
-                    item_id=r.id,
+                    f"requirement {item.id!r} derives from source {sid!r} of unrelated jurisdiction {src.jurisdiction!r}",
+                    item_id=item.id,
                 )
 
-    def _role_kind(item_id: str) -> tuple[str, str]:
-        if item_id in smap:
-            return "source", smap[item_id].kind.value
-        if item_id in rmap:
-            return "requirement", rmap[item_id].kind.value
-        raise ValidationError("DANGLING_REF", f"relation references unknown id {item_id!r}", item_id=item_id)
-
+    rmap = corpus.requirement_map()
+    items = {**smap, **rmap}
     for rel_name, pairs in (("refines", corpus.relations.refines), ("contradicts", corpus.relations.contradicts)):
         for a, b in sorted(pairs):
-            ra, rb = _role_kind(a), _role_kind(b)
+            for item_id in (a, b):
+                if item_id not in items:
+                    raise ValidationError("DANGLING_REF", f"relation references unknown id {item_id!r}", item_id=item_id)
             if a == b:
                 raise ValidationError("RELATION_IRREFLEXIVE", f"{rel_name} pair relates {a!r} to itself", item_id=a)
-            if ra[0] != rb[0]:
+            if items[a].role != items[b].role:
                 raise ValidationError("RELATION_ROLE_MISMATCH", f"{rel_name} pair ({a!r}, {b!r}) mixes roles", item_id=a)
-            if ra[1] != rb[1]:
+            if items[a].kind is not items[b].kind:
                 raise ValidationError("RELATION_KIND_MISMATCH", f"{rel_name} pair ({a!r}, {b!r}) mixes kinds", item_id=a)
 
     for c in corpus.components:
-        for rid in sorted(c.implements):
-            if rid not in rmap:
-                raise ValidationError("DANGLING_REF", f"component {c.id!r} implements unknown requirement {rid!r}", item_id=c.id)
+        missing = [rid for rid in c.implements if rid not in rmap]
+        if missing:
+            raise ValidationError("DANGLING_REF", f"component {c.id!r} implements unknown requirement {min(missing)!r}", item_id=c.id)
         if c.scope.kind == "specific" and c.scope.jurisdiction not in jmap:
             raise ValidationError("DANGLING_REF", f"component {c.id!r} scoped to unknown jurisdiction", item_id=c.id)
 

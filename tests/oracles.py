@@ -171,3 +171,71 @@ def random_corpus(
 
 def random_label(rng: random.Random, length: int = 6) -> str:
     return "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
+
+
+# ---------------------------------------------------------------------------
+# reference loader: the first fault of a corpus record, by ordered scans
+
+_ITEM_FIELDS = {"id": str, "kind": str, "jurisdiction": str, "conceptKey": str, "text": str}
+
+#: record role -> (required fields, optional fields), each in schema order
+RECORD_SCHEMAS = {
+    "jurisdiction": ({"id": str, "name": str, "level": str}, {"parent": str}),
+    "source": (_ITEM_FIELDS, {"contentHash": str, "isStatic": bool}),
+    "requirement": (_ITEM_FIELDS, {"contentHash": str, "derivedFrom": list}),
+    "component": ({"id": str, "implements": list, "scope": str}, {"jurisdiction": str}),
+}
+
+#: record role -> (its enum field, the allowed values in definition order)
+RECORD_ENUMS = {
+    "jurisdiction": ("level", [e.value for e in Level]),
+    "source": ("kind", [e.value for e in SourceKind]),
+    "requirement": ("kind", [e.value for e in RequirementKind]),
+    "component": ("scope", ["general", "specific"]),
+}
+
+
+def first_schema_error(obj, what: str, required: dict, optional: dict) -> tuple[str, str] | None:
+    """The first fault of ``obj`` against a closed schema, as (code, message):
+    a non-object, then the first unknown key in record order, then the first
+    missing or wrongly typed field in schema order, required fields before
+    optional ones. A JSON value's type is exact: a bool is not an int."""
+    if not isinstance(obj, dict):
+        return "BAD_TYPE", f"{what} must be an object"
+    for key in obj:
+        if key not in required and key not in optional:
+            return "UNKNOWN_FIELD", f"{what} has unknown field {key!r}"
+    for key, typ in required.items():
+        if key not in obj:
+            return "MISSING_FIELD", f"{what} lacks required field {key!r}"
+        if type(obj[key]) is not typ:
+            return "BAD_TYPE", f"{what} field {key!r} has the wrong type"
+    for key, typ in optional.items():
+        if key in obj and type(obj[key]) is not typ:
+            return "BAD_TYPE", f"{what} field {key!r} has the wrong type"
+    return None
+
+
+def first_record_error(role: str, record) -> tuple[str, str] | None:
+    """The first fault of one corpus record of ``role``, as (code, message):
+    its schema, then the checks on its own values in the loader's order."""
+    error = first_schema_error(record, role, *RECORD_SCHEMAS[role])
+    if error:
+        return error
+    rid = record["id"]
+    ids_field = {"requirement": "derivedFrom", "component": "implements"}.get(role)
+    if role == "requirement" and any(not isinstance(x, str) for x in record.get(ids_field, [])):
+        return "BAD_TYPE", f"requirement {rid!r} {ids_field} must hold ids"
+    field, allowed = RECORD_ENUMS[role]
+    if record[field] not in allowed:
+        if role == "component":
+            return "BAD_ENUM", f"component {rid!r} scope must be general or specific"
+        return "BAD_ENUM", f"{role} {rid!r} {field}: {record[field]!r} is not one of {', '.join(allowed)}"
+    if role == "component":
+        if record["scope"] == "specific" and "jurisdiction" not in record:
+            return "MISSING_FIELD", f"specific component {rid!r} needs a jurisdiction"
+        if record["scope"] == "general" and "jurisdiction" in record:
+            return "UNKNOWN_FIELD", f"general component {rid!r} must not name a jurisdiction"
+        if any(not isinstance(x, str) for x in record[ids_field]):
+            return "BAD_TYPE", f"component {rid!r} {ids_field} must hold ids"
+    return None
