@@ -3,7 +3,6 @@ optimization, change impact, hierarchy composition and conflict ranking."""
 
 from reqlattice.model import (
     Component,
-    ComponentScope,
     Corpus,
     Jurisdiction,
     Level,
@@ -18,7 +17,6 @@ from reqlattice.model import (
 
 __all__ = [
     "Component",
-    "ComponentScope",
     "Corpus",
     "Jurisdiction",
     "Level",

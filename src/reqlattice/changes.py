@@ -174,13 +174,13 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
         if (r.kind is target.kind and r.concept_key == new_target.concept_key
                 and r.content_hash == new_target.content_hash):
             matches.setdefault(r.jurisdiction, r.id)
-    others = sorted(all_jids - {owner})
+    others = sorted(all_jids - {owner})  # never empty: with one jurisdiction every requirement is general
     counterparts = [matches[jid] for jid in others] if matches.keys() >= set(others) else None
 
     out = _with_items(corpus, target.role, new_target)
     own_impact = tuple((c.id, "mustChange") for c in _components_implementing(corpus, op.target))
 
-    if counterparts is None or len(all_jids) == 1:
+    if counterparts is None:
         # 1a: still specific to its jurisdiction; nobody else is touched
         record = OpRecord(
             op="modify", target=op.target, case_code=CASE_SPEC_STAYS_SPEC,
@@ -226,9 +226,7 @@ def _apply_remove(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     purpose; revalidation rejects it so authors must update the elaboration.
     """
     rid = op.target
-    item = corpus.item(rid)
-    if item is None:
-        raise UnknownTargetError(rid)
+    item = corpus.item(rid)  # validate_change_set found it in the input; no other op targets it
     relations = RelationSet(
         refines=frozenset(p for p in corpus.relations.refines if rid not in p),
         contradicts=frozenset(p for p in corpus.relations.contradicts if rid not in p),
@@ -270,6 +268,9 @@ def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactRepor
     validate_change_set(cs, corpus)
     # no op adds a refines pair, so an acyclic input stays acyclic
     corpus.relations.refinement_order  # raises CycleError; cached, and kept by every op but remove
+    # a modify target exists in the input and no other op targets it, so it
+    # keeps the role it has there
+    source_ids = corpus.source_map().keys()
     current = corpus
     records: list[OpRecord] = []
     for op in cs.ops:
@@ -277,7 +278,7 @@ def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactRepor
             current, record = _apply_add(current, op)
         elif op.op == "remove":
             current, record = _apply_remove(current, op)
-        elif op.target in current.source_map():
+        elif op.target in source_ids:
             current, record = _apply_source_modify(current, op)
         else:
             current, record = classify_change(current, op)

@@ -106,14 +106,16 @@ def _component_scope_warnings(corpus: Corpus, parts: dict[str, Partition]) -> li
             part = parts[rmap[rid].kind.value]
             if rid not in part.general and part.owner_of(rid) is None:
                 continue  # no bucket of the level view holds it
-            if comp.scope.kind == "general" and rid not in part.general:
+            if comp.jurisdiction is None:
+                if rid not in part.general:
+                    warnings.append(Finding(
+                        "COMPONENT_SCOPE", "warning", comp.id,
+                        f"general component {comp.id!r} implements non-general requirement {rid!r}"))
+            # a jurisdiction off the level's frontier has no bucket to be judged against
+            elif comp.jurisdiction in part.specific and rid not in part.specific[comp.jurisdiction]:
                 warnings.append(Finding(
                     "COMPONENT_SCOPE", "warning", comp.id,
-                    f"general component {comp.id!r} implements non-general requirement {rid!r}"))
-            elif comp.scope.kind == "specific" and rid not in part.specific.get(comp.scope.jurisdiction, frozenset()):
-                warnings.append(Finding(
-                    "COMPONENT_SCOPE", "warning", comp.id,
-                    f"component {comp.id!r} of {comp.scope.jurisdiction!r} implements out-of-scope requirement {rid!r}"))
+                    f"component {comp.id!r} of {comp.jurisdiction!r} implements out-of-scope requirement {rid!r}"))
     return warnings
 
 

@@ -28,7 +28,6 @@ from reqlattice import model
 from reqlattice.errors import IOFailure, ParseError, ValidationError
 from reqlattice.model import (
     Component,
-    ComponentScope,
     Corpus,
     Jurisdiction,
     Level,
@@ -228,8 +227,8 @@ def parse_corpus(doc: Any) -> Corpus:
         for rid in c["implements"]:
             if not isinstance(rid, str):
                 raise ValidationError("BAD_TYPE", f"component {c['id']!r} implements must hold ids")
-        scope = ComponentScope.general() if c["scope"] == "general" else ComponentScope.specific(c["jurisdiction"])
-        components.append(Component(id=c["id"], implements=frozenset(c["implements"]), scope=scope))
+        components.append(Component(id=c["id"], implements=frozenset(c["implements"]),
+                                    jurisdiction=c.get("jurisdiction")))
 
     corpus = Corpus(jurisdictions=tuple(jurisdictions), sources=tuple(sources), requirements=tuple(requirements),
                     relations=relations, components=tuple(components))
@@ -250,9 +249,9 @@ def corpus_to_doc(corpus: Corpus) -> dict:
         return out
 
     def comp(c: Component) -> dict:
-        out = {"id": c.id, "implements": sorted(c.implements), "scope": c.scope.kind}
-        if c.scope.kind == "specific":
-            out["jurisdiction"] = c.scope.jurisdiction
+        out = {"id": c.id, "implements": sorted(c.implements), "scope": "general"}
+        if c.jurisdiction is not None:
+            out.update(scope="specific", jurisdiction=c.jurisdiction)
         return out
 
     return {

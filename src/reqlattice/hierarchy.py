@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from reqlattice.errors import UnknownIdError
-from reqlattice.model import ALLOWED_PARENT_LEVELS, Corpus, Level, RequirementKind, SourceKind
+from reqlattice.model import Corpus, Level, RequirementKind, SourceKind
 from reqlattice.partition import ItemView
 from reqlattice.relations import min_refiner
 
@@ -73,7 +73,7 @@ class HierarchyFinding:
     message: str
 
 
-# levels that need a parent: the finding for a node without one
+# the finding for a state or organisational node without a parent
 _ORPHANS = {
     Level.STATE: ("ORPHAN_STATE", "state {!r} has no national parent"),
     Level.ORGANISATIONAL: ("ORG_WITHOUT_ANCESTOR", "organisational node {!r} is not under any state or national node"),
@@ -81,28 +81,13 @@ _ORPHANS = {
 
 
 def validate_hierarchy(corpus: Corpus) -> list[HierarchyFinding]:
-    """Lint the jurisdiction forest; returns findings, never raises.
-
-    Works on corpora that would fail hard validation, so broken trees can be
-    diagnosed instead of merely rejected.
+    """Lint the jurisdiction forest for orphans: states and organisational
+    nodes without a parent. A dangling parent or one at a disallowed level is
+    rejected by :func:`~reqlattice.model.validate_corpus`, not linted here.
     """
     findings: list[HierarchyFinding] = []
-    jmap = corpus.jurisdiction_map()
     for j in corpus.jurisdictions:
-        parent = jmap.get(j.parent) if j.parent else None
-        allowed = ALLOWED_PARENT_LEVELS[j.level]
-        if not allowed:
-            if j.parent is not None:
-                findings.append(HierarchyFinding(
-                    "LEVEL_ORDER", j.id, f"{j.level.value} node {j.id!r} must not have a parent"))
-        elif parent is None:
+        if j.parent is None and j.level in _ORPHANS:
             code, message = _ORPHANS[j.level]
             findings.append(HierarchyFinding(code, j.id, message.format(j.id)))
-        elif parent.level not in allowed:
-            findings.append(HierarchyFinding(
-                "LEVEL_ORDER", j.id,
-                f"{j.level.value} node {j.id!r} cannot have a {parent.level.value} parent"))
-        if j.parent is not None and j.parent not in jmap:
-            findings.append(HierarchyFinding(
-                "DANGLING_PARENT", j.id, f"node {j.id!r} references unknown parent {j.parent!r}"))
     return findings

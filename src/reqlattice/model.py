@@ -2,8 +2,6 @@
 
 Dataclasses here do not self-validate; :func:`validate_corpus` checks every
 structural invariant and raises :class:`~reqlattice.errors.ValidationError`.
-This split lets analysis helpers (e.g. hierarchy lint) inspect deliberately
-broken corpora built in code.
 """
 
 from __future__ import annotations
@@ -86,26 +84,10 @@ class Requirement:
 
 
 @dataclass(frozen=True)
-class ComponentScope:
-    """Either general or specific to one jurisdiction."""
-
-    kind: str  # "general" | "specific"
-    jurisdiction: str | None = None
-
-    @classmethod
-    def general(cls) -> "ComponentScope":
-        return cls("general")
-
-    @classmethod
-    def specific(cls, jurisdiction: str) -> "ComponentScope":
-        return cls("specific", jurisdiction)
-
-
-@dataclass(frozen=True)
 class Component:
     id: str
     implements: frozenset[str]
-    scope: ComponentScope
+    jurisdiction: str | None  # the one jurisdiction it serves; None serves the general part
 
 
 @dataclass(frozen=True)
@@ -285,7 +267,7 @@ def validate_corpus(corpus: Corpus) -> None:
         missing = [rid for rid in c.implements if rid not in rmap]
         if missing:
             raise ValidationError("DANGLING_REF", f"component {c.id!r} implements unknown requirement {min(missing)!r}", item_id=c.id)
-        if c.scope.kind == "specific" and c.scope.jurisdiction not in jmap:
+        if c.jurisdiction is not None and c.jurisdiction not in jmap:
             raise ValidationError("DANGLING_REF", f"component {c.id!r} scoped to unknown jurisdiction", item_id=c.id)
 
 

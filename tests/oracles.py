@@ -13,6 +13,7 @@ import string
 
 from reqlattice import model
 from reqlattice.model import (
+    Component,
     Corpus,
     Jurisdiction,
     Level,
@@ -104,11 +105,14 @@ def random_corpus(
     max_concepts: int = 30,
     hash_alphabet: int = 3,
     with_relations: bool = False,
+    with_components: bool = False,
 ) -> Corpus:
     """Corpus with randomized concept presence and content collisions.
 
     A small hash alphabet makes cross-jurisdiction identity (and hence
     general-set membership) common enough to exercise both partition sides.
+    ``with_components`` adds up to four general or specific components, each
+    implementing a random subset of the requirements.
     """
     n_jur = rng.randint(1, max_jurisdictions)
     jurisdictions = tuple(
@@ -159,11 +163,20 @@ def random_corpus(
                     elif roll < 0.08:
                         contradicts.add((group[i].id, group[j].id))
 
+    components: list[Component] = []
+    if with_components:
+        rids = sorted(r.id for r in requirements)
+        for i in range(rng.randint(0, 4)):
+            implements = frozenset(rng.sample(rids, rng.randint(0, min(3, len(rids)))))
+            jurisdiction = None if rng.random() < 0.4 else rng.choice(jurisdictions).id
+            components.append(Component(id=f"comp-{i}", implements=implements, jurisdiction=jurisdiction))
+
     corpus = Corpus(
         jurisdictions=jurisdictions,
         sources=tuple(sources),
         requirements=tuple(requirements),
         relations=RelationSet(refines=frozenset(refines), contradicts=frozenset(contradicts)),
+        components=tuple(components),
     )
     model.validate_corpus(corpus)
     return corpus

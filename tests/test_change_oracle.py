@@ -1,0 +1,175 @@
+"""Random change sets checked against the per-concept partition oracle.
+
+Each example draws a random corpus with components and a sequence of ops on
+distinct targets: requirement modifies (new text and/or concept key, with
+``adoptedBy`` drawn mostly for general targets), adds, removes and source
+modifies. Some ops must fail: a modify or remove of an unknown id, an add
+over an existing id, a repeated target, an unknown adopting jurisdiction.
+
+A failing set raises ``ReqLatticeError`` and exits 1 through the CLI with
+one stderr line. A successful set yields a valid corpus that reloads as the
+same value, and its fingerprint is the digest of the saved bytes. The case
+of each requirement modify is recomputed by ``oracles.per_concept_partition``
+on the corpora before and after the op, each built from the ops before it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import per_concept_partition, random_corpus
+from reqlattice import cli, corpus_io, model
+from reqlattice.changes import apply_change_set
+from reqlattice.corpus_io import ChangeSet
+from reqlattice.errors import ReqLatticeError
+from reqlattice.model import RequirementKind, SourceKind
+
+
+def _general(corpus, kind):
+    """The general requirement ids of ``kind`` in the flat corpus."""
+    view = {j.id: [r for r in corpus.requirements if r.jurisdiction == j.id and r.kind is kind]
+            for j in corpus.jurisdictions}
+    return per_concept_partition(view)[0]
+
+
+def _rarely(data):
+    # a middle value: hypothesis draws the bounds of a range more often
+    return data.draw(st.integers(0, 11)) == 6
+
+
+def _text(data, items, concept, target):
+    """A text for ``concept``: half the time one that another item of the
+    concept has, so an edit can meet its counterparts' content."""
+    fresh = st.sampled_from([f"{concept} variant {k}" for k in range(4)])
+    held = sorted({i.text for i in items.values() if i.concept_key == concept and i.id != target})
+    return data.draw(st.one_of(st.sampled_from(held), fresh) if held else fresh)
+
+
+def _draw_op(data, corpus, i, used, general_ids):
+    """The ``i``-th op, on a target not in ``used``, and whether it must fail
+    whatever precedes it; None when no target is left."""
+    items = {**corpus.source_map(), **corpus.requirement_map()}
+    jids = [j.id for j in corpus.jurisdictions]
+    concepts = sorted({item.concept_key for item in items.values()} | {"c-new"})
+    op = data.draw(st.sampled_from(["modify", "modify", "modify", "remove", "add"]))
+    free = sorted(items.keys() - used)
+    free_requirements = sorted(corpus.requirement_map().keys() - used)
+    if (op == "add") != _rarely(data):
+        target = f"new-{i}"
+    elif free_requirements and data.draw(st.booleans()):
+        target = data.draw(st.sampled_from(free_requirements))
+    elif free:
+        target = data.draw(st.sampled_from(free))
+    else:
+        return None
+    doomed = (op == "add") == (target in items)
+    if op == "remove":
+        return {"op": "remove", "target": target}, doomed
+    if op == "add":
+        role = data.draw(st.sampled_from(["requirement", "source"]))
+        kinds = RequirementKind if role == "requirement" else SourceKind
+        concept = data.draw(st.sampled_from(concepts))
+        jurisdiction = "atlantis" if _rarely(data) else data.draw(st.sampled_from(jids))
+        payload = {"role": role, "kind": data.draw(st.sampled_from([k.value for k in kinds])),
+                   "jurisdiction": jurisdiction, "conceptKey": concept, "text": _text(data, items, concept, target)}
+        return {"op": "add", "target": target, "payload": payload}, doomed or jurisdiction == "atlantis"
+
+    payload = {}
+    if _rarely(data) or _rarely(data):
+        payload["conceptKey"] = data.draw(st.sampled_from(concepts))
+    if not payload or data.draw(st.booleans()):
+        concept = payload.get("conceptKey", items[target].concept_key if target in items else "c-new")
+        payload["text"] = _text(data, items, concept, target)
+    out = {"op": "modify", "target": target, "payload": payload}
+    # adoptedBy belongs to a general target; now and then draw it the other way
+    if (target in general_ids) != _rarely(data):
+        adopted = set(jids) if data.draw(st.booleans()) else data.draw(
+            st.sets(st.sampled_from(jids), min_size=1, max_size=max(1, len(jids) - 1)))
+        if _rarely(data):
+            adopted.add("atlantis")
+            doomed = True
+        out["adoptedBy"] = sorted(adopted)
+    return out, doomed
+
+
+def _run_cli(corpus, doc):
+    """Run ``change`` on the saved corpus and change set; returns the exit
+    code, stdout, stderr and the bytes written to ``--out``, if any."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_path, changes_path, out_path = (Path(tmp) / name for name in ("c.json", "cs.json", "after.json"))
+        corpus_io.save_corpus(corpus, corpus_path)
+        changes_path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(["change", "--corpus", str(corpus_path), "--changes", str(changes_path),
+                            "--out", str(out_path), "--format", "json"])
+        written = out_path.read_bytes() if out_path.exists() else None
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_change_sets_match_the_partition_oracle(data):
+    # one variant per concept makes general requirements, and so 2a/2b, common
+    corpus = random_corpus(random.Random(data.draw(st.integers(0, 2**32 - 1))), max_jurisdictions=3,
+                           max_concepts=8, hash_alphabet=data.draw(st.integers(1, 3)),
+                           with_relations=True, with_components=True)
+    general_ids = set().union(*(_general(corpus, kind) for kind in RequirementKind))
+    ops, doomed, used = [], False, set()
+    for i in range(data.draw(st.integers(1, 6))):
+        drawn = _draw_op(data, corpus, i, used, general_ids)
+        if drawn is None:
+            break
+        ops.append(drawn[0])
+        doomed |= drawn[1]
+        used.add(drawn[0]["target"])
+    if ops and _rarely(data):  # a second op on a target
+        ops.append(dict(data.draw(st.sampled_from(ops))))
+        doomed = True
+    doc = {"formatVersion": 1, "label": "oracle", "ops": ops}
+
+    try:
+        cs = corpus_io.parse_change_set(doc)
+        after, report = apply_change_set(corpus, cs)
+    except ReqLatticeError as exc:
+        code, out, err, written = _run_cli(corpus, doc)
+        assert (code, out, err, written) == (1, "", f"reqlattice: {exc}\n", None)
+        return
+    assert not doomed, ops
+
+    model.validate_corpus(after)
+    fingerprint = report.after_fingerprint  # read before a save fills it in
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "after.json"
+        corpus_io.save_corpus(after, path)
+        saved = path.read_bytes()
+        assert corpus_io.load_corpus(path) == after
+    assert fingerprint == hashlib.sha256(saved).hexdigest()
+    code, out, err, written = _run_cli(corpus, doc)
+    assert (code, err, written) == (0, "", saved)
+    assert json.loads(out)["body"]["after"] == fingerprint
+
+    prefixes = [apply_change_set(corpus, ChangeSet("prefix", cs.ops[:k]))[0] for k in range(len(cs.ops) + 1)]
+    for k, (op, record) in enumerate(zip(cs.ops, report.per_op, strict=True)):
+        assert (record.op, record.target) == (op.op, op.target)
+        before, after_op = prefixes[k], prefixes[k + 1]
+        target = before.requirement_map().get(op.target)
+        if op.op != "modify" or target is None:
+            continue
+        general_after = _general(after_op, target.kind)
+        if op.target in _general(before, target.kind):
+            expected = "2a" if op.adopted_by == {j.id for j in before.jurisdictions} else "2b"
+        else:
+            expected = "1b" if op.target in general_after else "1a"
+        assert record.case_code == expected
+        if expected == "1b":
+            rmap = after_op.requirement_map()
+            group = {rid for rid in general_after if rmap[rid].concept_key == rmap[op.target].concept_key}
+            assert sorted(record.counterparts) == sorted(group - {op.target})

@@ -17,7 +17,6 @@ from reqlattice.corpus_io import ChangeOp, ChangePayload, ChangeSet
 from reqlattice.errors import CycleError, MissingAdoptedByError, UnknownTargetError, ValidationError
 from reqlattice.model import (
     Component,
-    ComponentScope,
     Corpus,
     Jurisdiction,
     Level,
@@ -48,9 +47,9 @@ def three_country_corpus():
         req("r3-ui", "s3", "ui", "blue theme"),
     ]
     comps = [
-        Component("c2-pay", frozenset({"r2-pay"}), ComponentScope.specific("s2")),
-        Component("c3-pay", frozenset({"r3-pay"}), ComponentScope.specific("s3")),
-        Component("c-ui", frozenset({"r1-ui", "r2-ui", "r3-ui"}), ComponentScope.general()),
+        Component("c2-pay", frozenset({"r2-pay"}), jurisdiction="s2"),
+        Component("c3-pay", frozenset({"r3-pay"}), jurisdiction="s3"),
+        Component("c-ui", frozenset({"r1-ui", "r2-ui", "r3-ui"}), jurisdiction=None),
     ]
     corpus = Corpus(
         jurisdictions=(jur("s1"), jur("s2"), jur("s3")),

@@ -176,6 +176,34 @@ def test_level_checks_judge_only_what_the_level_view_holds(capsys, corpus_arg, c
     assert json.loads(out)["body"][findings] == []
 
 
+@pytest.mark.parametrize("level,warned", [(None, False), ("state", False), ("national", True)])
+def test_component_scope_judged_only_for_a_frontier_jurisdiction(capsys, tmp_path, level, warned):
+    # both states inherit the national requirement, so at --level state it is
+    # general there and the national component has no bucket to be judged
+    # against; at --level national 'de' is the one frontier node, the
+    # requirement is general and the specific component is flagged by the
+    # same rule as in a flat run
+    doc = {
+        "formatVersion": 1,
+        "jurisdictions": [
+            {"id": "de", "name": "Germany", "level": "national"},
+            {"id": "de-be", "name": "Berlin", "level": "state", "parent": "de"},
+            {"id": "de-by", "name": "Bavaria", "level": "state", "parent": "de"},
+        ],
+        "requirements": [{"id": "req-de-x", "kind": "functional", "jurisdiction": "de",
+                          "conceptKey": "x", "text": "log every access"}],
+        "components": [{"id": "comp-de", "implements": ["req-de-x"], "scope": "specific",
+                        "jurisdiction": "de"}],
+    }
+    path = tmp_path / "de.reqcorpus.json"
+    path.write_text(json.dumps(doc))
+    level_flag = [] if level is None else ["--level", level]
+    code, out, err = invoke(capsys, "validate", "--corpus", str(path), *level_flag, "--strict", "--format", "json")
+    assert err == ""
+    warnings = json.loads(out)["body"]["warnings"]
+    assert (code, [w["id"] for w in warnings]) == ((EXIT_STRICT, ["comp-de"]) if warned else (EXIT_OK, []))
+
+
 def test_change_unknown_adopting_jurisdiction_exit_1(capsys, corpus_arg, tmp_path):
     path = tmp_path / "cs.reqchange.json"
     path.write_text(json.dumps({"formatVersion": 1, "label": "l", "ops": [

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from oracles import random_corpus
-from reqlattice import corpus_io
+from reqlattice import corpus_io, model
 from reqlattice.errors import IOFailure, ParseError, ValidationError
-from reqlattice.model import Corpus, Jurisdiction, Level
+from reqlattice.model import Component, Corpus, Jurisdiction, Level
 
 
 MINIMAL = {
@@ -111,6 +111,20 @@ class TestSaveCorpus:
             path = tmp_path / f"r{i}.json"
             corpus_io.save_corpus(corpus, path)
             assert corpus_io.load_corpus(path) == corpus
+
+    @pytest.mark.parametrize("jurisdiction", [None, "x", "ghost"])
+    def test_component_round_trips_or_is_rejected(self, tmp_path, jurisdiction):
+        # a component the validator accepts reloads as the same value
+        corpus = Corpus(jurisdictions=(Jurisdiction("x", "X", Level.NATIONAL),), sources=(), requirements=(),
+                        components=(Component("c", frozenset(), jurisdiction=jurisdiction),))
+        try:
+            model.validate_corpus(corpus)
+        except ValidationError as e:
+            assert (jurisdiction, e.code) == ("ghost", "DANGLING_REF")
+            return
+        path = tmp_path / "c.json"
+        corpus_io.save_corpus(corpus, path)
+        assert corpus_io.load_corpus(path) == corpus
 
 
 class TestChangeSetIO:

@@ -166,8 +166,9 @@ class TestValidateHierarchy:
             jurisdictions=(jur("nat"), jur("s1", Level.STATE, "nat"),
                            jur("s2", Level.STATE, "s1")),
             sources=(), requirements=())
-        codes = [f.code for f in validate_hierarchy(corpus)]
-        assert codes == ["LEVEL_ORDER"]
+        with pytest.raises(ValidationError) as e:
+            model.validate_corpus(corpus)
+        assert e.value.code == "LEVEL_VIOLATION"
 
     def test_orphan_state(self):
         corpus = Corpus(jurisdictions=(jur("st", Level.STATE),), sources=(), requirements=())
@@ -177,40 +178,40 @@ class TestValidateHierarchy:
     def test_national_with_parent(self):
         corpus = Corpus(jurisdictions=(jur("a"), jur("b", Level.NATIONAL, "a")),
                         sources=(), requirements=())
-        codes = [f.code for f in validate_hierarchy(corpus)]
-        assert codes == ["LEVEL_ORDER"]
+        with pytest.raises(ValidationError) as e:
+            model.validate_corpus(corpus)
+        assert e.value.code == "LEVEL_VIOLATION"
 
     @pytest.mark.parametrize(("level", "parent", "codes"), [
         (Level.NATIONAL, None, []),
-        (Level.NATIONAL, "ghost", ["LEVEL_ORDER", "DANGLING_PARENT"]),
-        (Level.NATIONAL, "p-nat", ["LEVEL_ORDER"]),
-        (Level.NATIONAL, "p-st", ["LEVEL_ORDER"]),
-        (Level.NATIONAL, "p-org", ["LEVEL_ORDER"]),
+        (Level.NATIONAL, "ghost", ["DANGLING_REF"]),
+        (Level.NATIONAL, "p-nat", ["LEVEL_VIOLATION"]),
+        (Level.NATIONAL, "p-st", ["LEVEL_VIOLATION"]),
+        (Level.NATIONAL, "p-org", ["LEVEL_VIOLATION"]),
         (Level.STATE, None, ["ORPHAN_STATE"]),
-        (Level.STATE, "ghost", ["ORPHAN_STATE", "DANGLING_PARENT"]),
+        (Level.STATE, "ghost", ["DANGLING_REF"]),
         (Level.STATE, "p-nat", []),
-        (Level.STATE, "p-st", ["LEVEL_ORDER"]),
-        (Level.STATE, "p-org", ["LEVEL_ORDER"]),
+        (Level.STATE, "p-st", ["LEVEL_VIOLATION"]),
+        (Level.STATE, "p-org", ["LEVEL_VIOLATION"]),
         (Level.ORGANISATIONAL, None, ["ORG_WITHOUT_ANCESTOR"]),
-        (Level.ORGANISATIONAL, "ghost", ["ORG_WITHOUT_ANCESTOR", "DANGLING_PARENT"]),
+        (Level.ORGANISATIONAL, "ghost", ["DANGLING_REF"]),
         (Level.ORGANISATIONAL, "p-nat", []),
         (Level.ORGANISATIONAL, "p-st", []),
-        (Level.ORGANISATIONAL, "p-org", ["LEVEL_ORDER"]),
+        (Level.ORGANISATIONAL, "p-org", ["LEVEL_VIOLATION"]),
     ])
     def test_parent_level_rules(self, level, parent, codes):
-        # a well-formed national > state > org backbone plus the node "x"
+        # a well-formed national > state > org backbone plus the node "x": hard
+        # validation rejects a dangling or wrong-level parent, and the lint
+        # reports an orphan in a forest that passes it
         corpus = Corpus(
             jurisdictions=(jur("p-nat"), jur("p-st", Level.STATE, "p-nat"),
                            jur("p-org", Level.ORGANISATIONAL, "p-st"), jur("x", level, parent)),
             sources=(), requirements=())
-        findings = validate_hierarchy(corpus)
-        assert [(f.jurisdiction, f.code) for f in findings] == [("x", code) for code in codes]
-        if parent not in (None, "ghost"):
-            # an existing parent breaks the level order exactly when hard
-            # validation rejects it
-            try:
+        if codes in (["DANGLING_REF"], ["LEVEL_VIOLATION"]):
+            with pytest.raises(ValidationError) as e:
                 model.validate_corpus(corpus)
-                rejected = False
-            except ValidationError as exc:
-                rejected = exc.code == "LEVEL_VIOLATION"
-            assert rejected == (codes == ["LEVEL_ORDER"])
+            assert (e.value.code, e.value.item_id) == (codes[0], "x")
+        else:
+            model.validate_corpus(corpus)
+            findings = validate_hierarchy(corpus)
+            assert [(f.jurisdiction, f.code) for f in findings] == [("x", code) for code in codes]

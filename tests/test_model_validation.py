@@ -4,7 +4,6 @@ from reqlattice import model
 from reqlattice.errors import ValidationError
 from reqlattice.model import (
     Component,
-    ComponentScope,
     Corpus,
     Jurisdiction,
     Level,
@@ -198,7 +197,7 @@ def test_self_relation_rejected():
 def test_component_implementing_unknown_requirement():
     with pytest.raises(ValidationError) as e:
         validate_corpus(make(components=[
-            Component("c1", frozenset({"ghost"}), ComponentScope.general()),
+            Component("c1", frozenset({"ghost"}), jurisdiction=None),
         ]))
     assert code_of(e) == "DANGLING_REF"
 
