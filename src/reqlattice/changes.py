@@ -12,22 +12,23 @@ Each modify of a requirement lands in exactly one of four cases:
   new content (their components must change), keepers stay on the old one
   (their components are untouched).
 
-Ops are applied sequentially. A requirement modify recomputes only the
-partition of its target's kind, before the op. Ops can only remove
-``refines`` pairs, so acyclicity is checked once, on the input corpus. The
-whole change set is atomic: any failure leaves the input corpus untouched
-(it is immutable) and raises.
+Ops are applied sequentially. A requirement modify partitions only its
+target's concept: the old one before the op and the new one after it. Ops
+can only remove ``refines`` pairs, so acyclicity is checked once, on the
+input corpus. The whole change set is atomic: any failure leaves the input
+corpus untouched (it is immutable) and raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from reqlattice import model
 from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
 from reqlattice.errors import MissingAdoptedByError, UnknownTargetError, ValidationError
-from reqlattice.model import Component, Corpus, RelationSet, Requirement, SourceItem
-from reqlattice.partition import Partition, partition_requirements
+from reqlattice.model import Component, Corpus, RelationSet, Requirement, RequirementKind, SourceItem
+from reqlattice.partition import ItemView, partition_requirements
 
 CASE_SPEC_STAYS_SPEC = "1a"
 CASE_SPEC_TO_GENERAL = "1b"
@@ -86,11 +87,6 @@ def _components_implementing(corpus: Corpus, rid: str) -> list[Component]:
     return [c for c in corpus.components if rid in c.implements]  # id order
 
 
-def _set_name(part: Partition, rid: str) -> str:
-    owner = part.owner_of(rid)
-    return "general" if owner is None else f"specific:{owner}"
-
-
 #: the corpus member that holds the items of each role
 _MEMBER = {"source": "sources", "requirement": "requirements"}
 
@@ -114,31 +110,37 @@ def _apply_payload(item: SourceItem | Requirement, payload) -> SourceItem | Requ
     return replace(item, text=text, concept_key=concept, content_hash=model.content_hash(text))
 
 
+def _concept_view(corpus: Corpus, kind: RequirementKind, concept_key: str) -> ItemView:
+    """Each jurisdiction's items of ``kind`` for one concept. Generality is
+    decided per concept, so its partition agrees with the whole kind's."""
+    return {
+        j.id: [r for r in corpus.members.get((j.id, kind), ()) if r.concept_key == concept_key]
+        for j in corpus.jurisdictions
+    }
+
+
 def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     """Classify and apply one modify op targeting a requirement.
 
     Returns the updated corpus (not yet revalidated) and the per-op record.
     """
-    rmap = corpus.requirement_map()
-    target = rmap.get(op.target)
+    target = corpus.requirement_map().get(op.target)
     if target is None:
         raise UnknownTargetError(op.target)
-    part = partition_requirements(corpus, target.kind)
-    all_jids = frozenset(j.id for j in corpus.jurisdictions)
-    new_target = _apply_payload(target, op.payload)
+    view = _concept_view(corpus, target.kind, target.concept_key)
+    all_jids = frozenset(view)
 
-    if op.target in part.general:
+    if op.target in partition_requirements(corpus, target.kind, view).general:
         if op.adopted_by is None:
             raise MissingAdoptedByError(op.target)
-        group = sorted(part.general_concepts[target.concept_key])
-        by_jur = {rmap[rid].jurisdiction: rid for rid in group}
+        group = [items[0] for items in view.values()]  # one per jurisdiction, in jurisdiction order
 
         if op.adopted_by == all_jids:
             # 2a: the new version stays general, every counterpart is updated
-            out = _with_items(corpus, target.role, *(_apply_payload(rmap[rid], op.payload) for rid in group))
+            out = _with_items(corpus, target.role, *(_apply_payload(r, op.payload) for r in group))
             impact = tuple(
                 (c.id, "mustChange")
-                for rid in group for c in _components_implementing(corpus, rid)
+                for r in sorted(group, key=attrgetter("id")) for c in _components_implementing(corpus, r.id)
             )
             record = OpRecord(
                 op="modify", target=op.target, case_code=CASE_GEN_STAYS_GEN,
@@ -151,14 +153,13 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
         adopters = []
         migrations = []
         impact = []
-        for jid in sorted(all_jids):
-            rid = by_jur[jid]
-            if jid in op.adopted_by:
-                adopters.append(_apply_payload(rmap[rid], op.payload))
-                impact.extend((c.id, "mustChange") for c in _components_implementing(corpus, rid))
+        for r in group:
+            if r.jurisdiction in op.adopted_by:
+                adopters.append(_apply_payload(r, op.payload))
+                impact.extend((c.id, "mustChange") for c in _components_implementing(corpus, r.id))
             else:
-                impact.extend((c.id, "unchanged") for c in _components_implementing(corpus, rid))
-            migrations.append(Migration(rid, "general", f"specific:{jid}"))
+                impact.extend((c.id, "unchanged") for c in _components_implementing(corpus, r.id))
+            migrations.append(Migration(r.id, "general", f"specific:{r.jurisdiction}"))
         record = OpRecord(
             op="modify", target=op.target, case_code=CASE_GEN_SPLITS,
             migrations=tuple(migrations), affected=frozenset(op.adopted_by),
@@ -168,42 +169,37 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
 
     # target sits in a specific set
     _reject_adopted_by(op)
-    owner = part.owner_of(op.target)
-    matches: dict[str, str] = {}  # jurisdiction -> its first identical item, in one walk
-    for r in corpus.requirements:
-        if (r.kind is target.kind and r.concept_key == new_target.concept_key
-                and r.content_hash == new_target.content_hash):
-            matches.setdefault(r.jurisdiction, r.id)
-    others = sorted(all_jids - {owner})  # never empty: with one jurisdiction every requirement is general
-    counterparts = [matches[jid] for jid in others] if matches.keys() >= set(others) else None
-
+    new_target = _apply_payload(target, op.payload)
     out = _with_items(corpus, target.role, new_target)
     own_impact = tuple((c.id, "mustChange") for c in _components_implementing(corpus, op.target))
+    after = _concept_view(out, target.kind, new_target.concept_key)
 
-    if counterparts is None:
+    if op.target not in partition_requirements(out, target.kind, after).general:
         # 1a: still specific to its jurisdiction; nobody else is touched
         record = OpRecord(
             op="modify", target=op.target, case_code=CASE_SPEC_STAYS_SPEC,
-            migrations=(), affected=frozenset({owner}), component_impact=own_impact,
+            migrations=(), affected=frozenset({target.jurisdiction}), component_impact=own_impact,
         )
         return out, record
 
     # 1b: now identical everywhere; the concept joins the general set and the
-    # counterparts' components become reuse candidates for the promoter. Each
-    # jurisdiction holds one item per (concept, kind), so every id moves (a
-    # change that breaks that is rejected when the op's result is validated).
+    # counterparts' components become reuse candidates for the promoter. A
+    # counterpart was specific before the op: were it general, another item of
+    # the target's jurisdiction would hold the new content, a repeat that
+    # validation rejects.
+    counterparts = [r for items in after.values() for r in items if r.id != op.target]  # jurisdiction order
     migrations = [
-        Migration(rid, _set_name(part, rid), "general")
-        for rid in sorted([op.target, *counterparts])
+        Migration(r.id, f"specific:{r.jurisdiction}", "general")
+        for r in sorted([new_target, *counterparts], key=attrgetter("id"))
     ]
     reuse = tuple(
         (c.id, "reusable")
-        for rid in counterparts for c in _components_implementing(corpus, rid)
+        for r in counterparts for c in _components_implementing(corpus, r.id)
     )
     record = OpRecord(
         op="modify", target=op.target, case_code=CASE_SPEC_TO_GENERAL,
         migrations=tuple(migrations), affected=all_jids,
-        component_impact=own_impact + reuse, counterparts=tuple(counterparts),
+        component_impact=own_impact + reuse, counterparts=tuple(r.id for r in counterparts),
     )
     return out, record
 
@@ -231,8 +227,8 @@ def _apply_remove(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
         refines=frozenset(p for p in corpus.relations.refines if rid not in p),
         contradicts=frozenset(p for p in corpus.relations.contradicts if rid not in p),
     )
-    components = tuple(
-        replace(c, implements=frozenset(c.implements - {rid})) for c in corpus.components
+    components = tuple(  # untouched components stay the same objects, as in _with_items
+        replace(c, implements=c.implements - {rid}) if rid in c.implements else c for c in corpus.components
     )
     out = replace(
         corpus,

@@ -7,6 +7,7 @@ strict-mode findings, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Callable
 
@@ -29,6 +30,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID)
 
 
+@functools.cache  # built on first use; each parse_args call fills a fresh namespace
 def _build_parser() -> _Parser:
     parser = _Parser(prog="reqlattice", description="Multi-jurisdiction requirements analysis")
     sub = parser.add_subparsers(dest="command", required=True)

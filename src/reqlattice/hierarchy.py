@@ -10,6 +10,7 @@ unit, so the flat partition engine works unchanged at any level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from reqlattice.errors import UnknownIdError
 from reqlattice.model import Corpus, Level, RequirementKind, SourceKind
@@ -24,14 +25,23 @@ def select_level(corpus: Corpus, level: Level) -> tuple[str, ...]:
 
 def effective_requirements(corpus: Corpus, node: str) -> frozenset[str]:
     """Requirement ids visible at ``node``: own plus non-shadowed ancestors'."""
-    chain = corpus.ancestor_chains.get(node)
-    if chain is None:
+    ancestors = corpus.ancestor_chains.get(node)
+    if ancestors is None:
         raise UnknownIdError(node)
-    depth = {jid: i for i, jid in enumerate((node, *chain))}  # nearest first
-    own_depth = {r.id: depth[r.jurisdiction] for r in corpus.requirements if r.jurisdiction in depth}
+    own_depth = {  # pool id -> depth of its jurisdiction, nearest first
+        r.id: depth
+        for depth, jid in enumerate((node, *ancestors))
+        for kind in RequirementKind for r in corpus.members.get((jid, kind), ())
+    }
     # only a strictly nearer refiner, reached inside the pool, shadows an ancestor's version
     nearest = min_refiner(corpus.relations, own_depth, own_depth.__getitem__)
     return frozenset(i for i, d in own_depth.items() if nearest.get(i, d) >= d)
+
+
+def _pool(corpus: Corpus, node: str, kind: SourceKind | RequirementKind) -> list:
+    """The items of ``kind`` held by ``node`` or an ancestor, in id order."""
+    jids = (node, *corpus.ancestor_chains[node])
+    return sorted((i for jid in jids for i in corpus.members.get((jid, kind), ())), key=attrgetter("id"))
 
 
 def level_requirement_view(corpus: Corpus, frontier: tuple[str, ...]) -> dict[RequirementKind, ItemView]:
@@ -39,31 +49,17 @@ def level_requirement_view(corpus: Corpus, frontier: tuple[str, ...]) -> dict[Re
 
     Each frontier node's effective set is computed once and split by kind.
     """
-    rmap = corpus.requirement_map()
-    views: dict[RequirementKind, ItemView] = {
-        kind: {node: [] for node in frontier} for kind in RequirementKind
+    effective = {node: effective_requirements(corpus, node) for node in frontier}
+    return {
+        kind: {node: [r for r in _pool(corpus, node, kind) if r.id in effective[node]] for node in frontier}
+        for kind in RequirementKind
     }
-    for node in frontier:
-        for rid in sorted(effective_requirements(corpus, node)):
-            views[rmap[rid].kind][node].append(rmap[rid])
-    return views
 
 
 def level_source_view(corpus: Corpus, frontier: tuple[str, ...]) -> dict[SourceKind, ItemView]:
-    """Per-kind, per-frontier-node source sets, for partition analysis.
-
-    A node sees its own sources plus every ancestor's (no shadowing); one
-    ancestor walk per frontier node serves every kind.
-    """
-    views: dict[SourceKind, ItemView] = {
-        kind: {node: [] for node in frontier} for kind in SourceKind
-    }
-    for node in frontier:
-        visible = {node, *corpus.ancestor_chains[node]}
-        for s in corpus.sources:  # id order
-            if s.jurisdiction in visible:
-                views[s.kind][node].append(s)
-    return views
+    """Per-kind, per-frontier-node source sets, for partition analysis: a
+    node sees its own sources plus every ancestor's (no shadowing)."""
+    return {kind: {node: _pool(corpus, node, kind) for node in frontier} for kind in SourceKind}
 
 
 @dataclass(frozen=True)

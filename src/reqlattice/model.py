@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -167,6 +168,16 @@ class Corpus:
                 node = jmap.get(node.parent)
             chains[jid] = tuple(out)
         return chains
+
+    @cached_property
+    def members(self) -> dict[tuple[str, SourceKind | RequirementKind], tuple[SourceItem | Requirement, ...]]:
+        """Each jurisdiction's items of each kind, in id order, built once;
+        a (jurisdiction, kind) with no items has no key. Shared, hence tuples.
+        """
+        groups: defaultdict[tuple[str, SourceKind | RequirementKind], list] = defaultdict(list)
+        for item in (*self.sources, *self.requirements):
+            groups[item.jurisdiction, item.kind].append(item)
+        return {key: tuple(items) for key, items in groups.items()}
 
     def ancestors(self, jurisdiction_id: str) -> list[str]:
         """Ancestor jurisdiction ids, nearest first. Assumes a valid forest."""

@@ -50,21 +50,19 @@ def global_view(corpus: Corpus) -> GlobalView:
 
     The conflict list over the global union is what feeds the TOPSIS ranking.
     """
-    buckets: dict[tuple[str, RequirementKind], set[str]] = {}
-    for r in corpus.requirements:
-        buckets.setdefault((r.jurisdiction, r.kind), set()).add(r.id)
+    ids = {(j.id, kind): {r.id for r in corpus.members.get((j.id, kind), ())}
+           for j in corpus.jurisdictions for kind in RequirementKind}
     per_jur = {
-        j.id: {kind.value: optimize(buckets.get((j.id, kind), set()), corpus, f"{kind.value}@{j.id}")
-               for kind in RequirementKind}
+        j.id: {kind.value: optimize(ids[j.id, kind], corpus, f"{kind.value}@{j.id}") for kind in RequirementKind}
         for j in corpus.jurisdictions
     }
 
+    per_kind = {kind: set().union(*(ids[j.id, kind] for j in corpus.jurisdictions)) for kind in RequirementKind}
     global_per_kind = {
-        kind.value: optimize({r.id for r in corpus.requirements if r.kind is kind}, corpus, f"{kind.value}@global")
-        for kind in RequirementKind
+        kind.value: optimize(per_kind[kind], corpus, f"{kind.value}@global") for kind in RequirementKind
     }
 
-    all_ids = {r.id for r in corpus.requirements}
+    all_ids = set().union(*per_kind.values())
     return GlobalView(
         per_jurisdiction=per_jur,
         global_per_kind=global_per_kind,

@@ -8,6 +8,7 @@ kind (legal / cultural / functional) and always forms a disjoint cover.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -70,17 +71,12 @@ class Finding:
     message: str
 
 
-ItemView = dict[str, list]  # jurisdiction id -> items analyzed as that node's set
+ItemView = dict[str, Sequence]  # jurisdiction id -> items analyzed as that node's set
 
 
 def flat_view(corpus: Corpus, kind: SourceKind | RequirementKind) -> ItemView:
     """Flat view: each jurisdiction owns exactly its own items of ``kind``."""
-    items = corpus.sources if isinstance(kind, SourceKind) else corpus.requirements
-    view: ItemView = {j.id: [] for j in corpus.jurisdictions}
-    for item in items:
-        if item.kind is kind:
-            view[item.jurisdiction].append(item)
-    return view
+    return {j.id: corpus.members.get((j.id, kind), ()) for j in corpus.jurisdictions}
 
 
 def _partition(role: str, corpus: Corpus, kind: SourceKind | RequirementKind, view: ItemView | None) -> Partition:

@@ -193,6 +193,16 @@ class TestApplyChangeSet:
         comp = next(c for c in new.components if c.id == "c2-pay")
         assert comp.implements == frozenset()
 
+    def test_remove_keeps_untouched_components(self):
+        corpus = three_country_corpus()
+        new, _ = apply_change_set(corpus, change_set(ChangeOp(op="remove", target="r2-pay")))
+        kept = {c.id: c for c in corpus.components}
+        for comp in new.components:
+            if comp.id == "c2-pay":
+                assert comp.implements == frozenset() and comp is not kept[comp.id]
+            else:
+                assert comp is kept[comp.id]
+
     def test_atomic_failure_leaves_input_untouched(self):
         corpus = three_country_corpus()
         before = model.corpus_fingerprint(corpus)

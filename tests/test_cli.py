@@ -232,6 +232,17 @@ def test_emit_flag_filters_optimize_report(capsys, corpus_arg):
     assert "strongest" in body["global"] and "baseline" not in body["global"]
 
 
+def test_shared_parser_leaks_nothing_between_runs(capsys, corpus_arg):
+    _, out_min, _ = invoke(capsys, "optimize", *corpus_arg, "--format", "json", "--emit", "min")
+    assert "strongest" not in json.loads(out_min)["body"]["global"]
+    _, out, _ = invoke(capsys, "optimize", *corpus_arg, "--format", "json")
+    assert "strongest" in json.loads(out)["body"]["global"]
+    code, _, err = invoke(capsys, "optimize", *corpus_arg, "--emit", "max")
+    assert code == EXIT_INVALID and "usage" in err
+    code, _, err = invoke(capsys, "optimize", *corpus_arg, "--format", "json", "--emit", "min")
+    assert (code, err) == (EXIT_OK, "")
+
+
 def test_level_flag(capsys, tmp_path):
     doc = {
         "formatVersion": 1,
@@ -441,3 +452,15 @@ def test_commands_partition_only_what_they_report(capsys, corpus_arg, monkeypatc
     monkeypatch.setattr(owner, unused, unexpected)
     code, _, err = invoke(capsys, command, *corpus_arg, *(["--level", level] if level else []))
     assert code == EXIT_OK and err == ""
+
+
+def test_change_partitions_only_the_changed_concepts(capsys, corpus_arg, change_set_path, monkeypatch):
+    from reqlattice import partition
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("change built a whole-kind flat view")
+
+    monkeypatch.setattr(partition, "flat_view", unexpected)
+    code, out, err = invoke(capsys, "change", *corpus_arg, "--changes", str(change_set_path), "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    assert [op["case"] for op in json.loads(out)["body"]["ops"]] == ["1b", "2b"]

@@ -1,8 +1,9 @@
 """Memoised corpus facts stay fresh across change application.
 
-Every fact cached on a ``Corpus`` or ``Partition`` (fingerprint, owner map)
-must equal its from-scratch value on each corpus a change set produces, and
-the analyses that read those caches must still match the brute-force oracles.
+Every fact cached on a ``Corpus`` or ``Partition`` (fingerprint, item
+grouping, owner map) must equal its from-scratch value on each corpus a
+change set produces, and the analyses that read those caches must still
+match the brute-force oracles.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from reqlattice.changes import apply_change_set
 from reqlattice.corpus_io import Alternative, AlternativesFile, ChangeOp, ChangePayload, ChangeSet
 from reqlattice.errors import PartitionMismatchError
 from reqlattice.hierarchy import level_requirement_view, select_level
-from reqlattice.model import Corpus, Level, Requirement, RequirementKind
+from reqlattice.model import Corpus, Jurisdiction, Level, RelationSet, Requirement, RequirementKind, SourceKind
 from reqlattice.optimize import optimize
 from reqlattice.partition import _check_same_corpus, partition_requirements
 from reqlattice.topsis import build_conflict_matrix
@@ -65,15 +66,24 @@ def random_op(rng: random.Random, corpus: Corpus, n: int) -> ChangeOp:
         concept_key=f"added-{n}", text=f"added {n}", content_hash=model.content_hash(f"added {n}")))
 
 
+def scratch_members(corpus: Corpus) -> dict:
+    """Every non-empty (jurisdiction, kind) group, in id order, one filter per pair."""
+    items = sorted((*corpus.sources, *corpus.requirements), key=lambda i: i.id)
+    groups = {(j.id, kind): tuple(i for i in items if i.jurisdiction == j.id and i.kind is kind)
+              for j in corpus.jurisdictions for kind in (*SourceKind, *RequirementKind)}
+    return {key: group for key, group in groups.items() if group}
+
+
 def oracle_level_view(corpus: Corpus, level: Level) -> dict:
-    """Own plus ancestor requirements, minus those a strictly nearer one refines."""
+    """Own plus ancestor requirements, minus those a strictly nearer one
+    refines along a path inside the node's pool."""
     ids = {r.id for r in corpus.requirements}
-    closure = path_enumeration_closure(set(corpus.relations.refines), ids)
     jur_of = {r.id: r.jurisdiction for r in corpus.requirements}
     views = {}
     for node in sorted(j.id for j in corpus.jurisdictions if j.level is level):
         depth = {jid: i for i, jid in enumerate([node, *corpus.ancestors(node)])}
         pool = {i for i in ids if jur_of[i] in depth}
+        closure = path_enumeration_closure(set(corpus.relations.refines), pool)
         views[node] = {
             i for i in pool
             if not any((s, i) in closure and depth[jur_of[s]] < depth[jur_of[i]] for s in pool)
@@ -116,12 +126,15 @@ def test_memoised_facts_match_scratch_after_each_change(seed):
                                         hash_alphabet=2, with_relations=True))
     for n in range(rng.randint(1, 4)):
         before_fp = model.corpus_fingerprint(corpus)  # fills the cache first
+        before_members = corpus.members
         before_parts = {k: partition_requirements(corpus, k) for k in RequirementKind}
         op = random_op(rng, corpus, n)
         after, _report = apply_change_set(corpus, ChangeSet(label=f"op{n}", ops=(op,)))
 
         assert model.corpus_fingerprint(corpus) == scratch_fingerprint(corpus) == before_fp
         assert model.corpus_fingerprint(after) == scratch_fingerprint(after)
+        assert corpus.members is before_members and before_members == scratch_members(corpus)
+        assert after.members == scratch_members(after)
         if after != corpus:
             assert model.corpus_fingerprint(after) != before_fp
             with pytest.raises(PartitionMismatchError):
@@ -129,3 +142,22 @@ def test_memoised_facts_match_scratch_after_each_change(seed):
         _check_same_corpus(corpus, *before_parts.values())
         check_against_oracles(after)
         corpus = after
+
+
+def test_oracle_level_view_counts_only_paths_inside_the_pool():
+    """``u@n`` refines ``w@s`` refines ``i@p``: the path from ``u`` leaves
+    ``n``'s pool at ``w``, so nothing shadows ``i`` at ``n``."""
+    def req(rid, jid):
+        return Requirement(id=rid, kind=RequirementKind.FUNCTIONAL, jurisdiction=jid, concept_key=rid,
+                           text=rid, content_hash=model.content_hash(rid))
+
+    corpus = Corpus(
+        jurisdictions=(Jurisdiction("p", "p", Level.NATIONAL), Jurisdiction("n", "n", Level.STATE, "p"),
+                       Jurisdiction("s", "s", Level.STATE, "p")),
+        sources=(),
+        requirements=(req("i", "p"), req("u", "n"), req("w", "s")),
+        relations=RelationSet(refines=frozenset({("u", "w"), ("w", "i")})),
+    )
+    model.validate_corpus(corpus)
+    assert oracle_level_view(corpus, Level.STATE) == {"n": {"i", "u"}, "s": {"w"}}
+    check_against_oracles(corpus)
