@@ -15,8 +15,11 @@ Each modify of a requirement lands in exactly one of four cases:
 Ops are applied sequentially. A requirement modify partitions only its
 target's concept: the old one before the op and the new one after it. Ops
 can only remove ``refines`` pairs, so acyclicity is checked once, on the
-input corpus. The whole change set is atomic: any failure leaves the input
-corpus untouched (it is immutable) and raises.
+input corpus. The input is valid, so each op is checked only against the
+rules it can break, on the items it touched, and hands its id map,
+groupings and ancestor chains to the next corpus. The whole change set is
+atomic: any failure leaves the input corpus untouched (it is immutable)
+and raises.
 """
 
 from __future__ import annotations
@@ -91,11 +94,43 @@ def _components_implementing(corpus: Corpus, rid: str) -> list[Component]:
 _MEMBER = {"source": "sources", "requirement": "requirements"}
 
 
-def _with_items(corpus: Corpus, role: str, *updated: SourceItem | Requirement) -> Corpus:
-    """Swap in the updated items of ``role`` in a single pass."""
-    name = _MEMBER[role]
-    by_id = {item.id: item for item in updated}
-    return replace(corpus, **{name: tuple(by_id.get(x.id, x) for x in getattr(corpus, name))})
+def _with_items(corpus: Corpus, *written: SourceItem | Requirement, removed: SourceItem | Requirement | None = None,
+                **fields) -> Corpus:
+    """``corpus`` after an op that wrote ``written`` (items of one role) or
+    dropped ``removed``, with ``fields`` replaced too. It takes over the id
+    map and ancestor chains, and the groupings with the touched ones rebuilt.
+
+    Ops keep the jurisdictions and only drop relation pairs and component
+    links, and ``_apply_add`` checks an added id, so only the per-item rules
+    can newly fail: on the written items, the rest of their (jurisdiction,
+    concept, kind) and the requirements deriving from a removed source.
+    """
+    touched = (*written, removed) if removed else written
+    if not touched:  # a 2b split that no jurisdiction adopts
+        return corpus
+    by_id = {**corpus.by_id, **{item.id: item for item in written}}
+    added = [item for item in written if item.id not in corpus.by_id]
+    name = _MEMBER[touched[0].role]
+    kept = [by_id[x.id] for x in getattr(corpus, name) if x is not removed]
+    out = replace(corpus, **{name: (*kept, *added)}, **fields)
+    if removed:
+        del by_id[removed.id]
+
+    # a modify keeps an item's jurisdiction and kind: its new version takes the old one's place
+    members = dict(corpus.members)
+    for key in {(item.jurisdiction, item.kind) for item in touched}:
+        group = [by_id[x.id] for x in members.pop(key, ()) if x.id in by_id]
+        group += [x for x in added if (x.jurisdiction, x.kind) == key]
+        if group:
+            members[key] = tuple(sorted(group, key=attrgetter("id")))
+    vars(out).update(by_id=by_id, members=members, ancestor_chains=corpus.ancestor_chains)
+
+    checked = {x.id: x for item in written for x in members[item.jurisdiction, item.kind]
+               if x.concept_key == item.concept_key}
+    if isinstance(removed, SourceItem):
+        checked.update((r.id, r) for r in out.requirements if removed.id in r.derived_from)
+    model.check_items(out, sorted(checked.values(), key=lambda x: (x.role != "source", x.id)), by_id)
+    return out
 
 
 def _reject_adopted_by(op: ChangeOp) -> None:
@@ -120,12 +155,10 @@ def _concept_view(corpus: Corpus, kind: RequirementKind, concept_key: str) -> It
 
 
 def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
-    """Classify and apply one modify op targeting a requirement.
-
-    Returns the updated corpus (not yet revalidated) and the per-op record.
-    """
-    target = corpus.requirement_map().get(op.target)
-    if target is None:
+    """Classify and apply one modify op targeting a requirement; returns the
+    new corpus, checked as ``_with_items`` says, and the op's record."""
+    target = corpus.by_id.get(op.target)
+    if not isinstance(target, Requirement):
         raise UnknownTargetError(op.target)
     view = _concept_view(corpus, target.kind, target.concept_key)
     all_jids = frozenset(view)
@@ -137,50 +170,41 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
 
         if op.adopted_by == all_jids:
             # 2a: the new version stays general, every counterpart is updated
-            out = _with_items(corpus, target.role, *(_apply_payload(r, op.payload) for r in group))
+            out = _with_items(corpus, *(_apply_payload(r, op.payload) for r in group))
             impact = tuple(
                 (c.id, "mustChange")
                 for r in sorted(group, key=attrgetter("id")) for c in _components_implementing(corpus, r.id)
             )
-            record = OpRecord(
+            return out, OpRecord(
                 op="modify", target=op.target, case_code=CASE_GEN_STAYS_GEN,
                 migrations=(), affected=all_jids, component_impact=impact,
             )
-            return out, record
 
         # 2b: the concept leaves the general set; adopters switch to the new
         # content, keepers stay on the old version untouched
-        adopters = []
-        migrations = []
-        impact = []
-        for r in group:
-            if r.jurisdiction in op.adopted_by:
-                adopters.append(_apply_payload(r, op.payload))
-                impact.extend((c.id, "mustChange") for c in _components_implementing(corpus, r.id))
-            else:
-                impact.extend((c.id, "unchanged") for c in _components_implementing(corpus, r.id))
-            migrations.append(Migration(r.id, "general", f"specific:{r.jurisdiction}"))
-        record = OpRecord(
+        adopts = {r.id: r.jurisdiction in op.adopted_by for r in group}
+        impact = tuple((c.id, "mustChange" if adopts[r.id] else "unchanged")
+                       for r in group for c in _components_implementing(corpus, r.id))
+        out = _with_items(corpus, *(_apply_payload(r, op.payload) for r in group if adopts[r.id]))
+        return out, OpRecord(
             op="modify", target=op.target, case_code=CASE_GEN_SPLITS,
-            migrations=tuple(migrations), affected=frozenset(op.adopted_by),
-            component_impact=tuple(impact),
+            migrations=tuple(Migration(r.id, "general", f"specific:{r.jurisdiction}") for r in group),
+            affected=frozenset(op.adopted_by), component_impact=impact,
         )
-        return _with_items(corpus, target.role, *adopters), record
 
     # target sits in a specific set
     _reject_adopted_by(op)
     new_target = _apply_payload(target, op.payload)
-    out = _with_items(corpus, target.role, new_target)
+    out = _with_items(corpus, new_target)
     own_impact = tuple((c.id, "mustChange") for c in _components_implementing(corpus, op.target))
     after = _concept_view(out, target.kind, new_target.concept_key)
 
     if op.target not in partition_requirements(out, target.kind, after).general:
         # 1a: still specific to its jurisdiction; nobody else is touched
-        record = OpRecord(
+        return out, OpRecord(
             op="modify", target=op.target, case_code=CASE_SPEC_STAYS_SPEC,
             migrations=(), affected=frozenset({target.jurisdiction}), component_impact=own_impact,
         )
-        return out, record
 
     # 1b: now identical everywhere; the concept joins the general set and the
     # counterparts' components become reuse candidates for the promoter. A
@@ -196,33 +220,31 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
         (c.id, "reusable")
         for r in counterparts for c in _components_implementing(corpus, r.id)
     )
-    record = OpRecord(
+    return out, OpRecord(
         op="modify", target=op.target, case_code=CASE_SPEC_TO_GENERAL,
         migrations=tuple(migrations), affected=all_jids,
         component_impact=own_impact + reuse, counterparts=tuple(r.id for r in counterparts),
     )
-    return out, record
 
 
 def _apply_add(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     item = op.payload  # parsed by corpus_io as the corpus record of its role
-    name = _MEMBER[item.role]
-    out = replace(corpus, **{name: (*getattr(corpus, name), item)})
-    record = OpRecord(
+    # the change set keeps its id off every item; a jurisdiction or component may hold it
+    model.check_unique_ids((*corpus.ancestor_chains, *(c.id for c in corpus.components), item.id))
+    return _with_items(corpus, item), OpRecord(
         op="add", target=op.target, case_code=CASE_ADD, migrations=(),
         affected=frozenset({item.jurisdiction}), component_impact=(),
     )
-    return out, record
 
 
 def _apply_remove(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     """Drop the item plus the relation pairs and component links naming it.
 
     A requirement still deriving from a removed source is left dangling on
-    purpose; revalidation rejects it so authors must update the elaboration.
+    purpose; the check rejects it so authors must update the elaboration.
     """
     rid = op.target
-    item = corpus.item(rid)  # validate_change_set found it in the input; no other op targets it
+    item = corpus.by_id[rid]  # validate_change_set found it in the input; no other op targets it
     relations = RelationSet(
         refines=frozenset(p for p in corpus.relations.refines if rid not in p),
         contradicts=frozenset(p for p in corpus.relations.contradicts if rid not in p),
@@ -230,43 +252,29 @@ def _apply_remove(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     components = tuple(  # untouched components stay the same objects, as in _with_items
         replace(c, implements=c.implements - {rid}) if rid in c.implements else c for c in corpus.components
     )
-    out = replace(
-        corpus,
-        sources=tuple(s for s in corpus.sources if s.id != rid),
-        requirements=tuple(r for r in corpus.requirements if r.id != rid),
-        relations=relations,
-        components=components,
-    )
     impacted = tuple((c.id, "mustChange") for c in _components_implementing(corpus, rid))
-    record = OpRecord(
+    return _with_items(corpus, removed=item, relations=relations, components=components), OpRecord(
         op="remove", target=rid, case_code=CASE_REMOVE, migrations=(),
         affected=frozenset({item.jurisdiction}), component_impact=impacted,
     )
-    return out, record
 
 
 def _apply_source_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     _reject_adopted_by(op)
-    old = corpus.source_map()[op.target]
-    out = _with_items(corpus, old.role, _apply_payload(old, op.payload))
-    dependents = [r.id for r in corpus.requirements if old.id in r.derived_from]
-    impact = tuple(
-        (c.id, "mustChange") for rid in dependents for c in _components_implementing(corpus, rid)
-    )
-    record = OpRecord(
+    old = corpus.by_id[op.target]
+    impact = tuple((c.id, "mustChange") for r in corpus.requirements if old.id in r.derived_from
+                   for c in _components_implementing(corpus, r.id))
+    return _with_items(corpus, _apply_payload(old, op.payload)), OpRecord(
         op="modify", target=op.target, case_code=CASE_SOURCE_CHANGE, migrations=(),
         affected=frozenset({old.jurisdiction}), component_impact=impact,
     )
-    return out, record
 
 
 def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactReport]:
     validate_change_set(cs, corpus)
     # no op adds a refines pair, so an acyclic input stays acyclic
     corpus.relations.refinement_order  # raises CycleError; cached, and kept by every op but remove
-    # a modify target exists in the input and no other op targets it, so it
-    # keeps the role it has there
-    source_ids = corpus.source_map().keys()
+    # a modify target keeps the role it has in the input: no other op targets it
     current = corpus
     records: list[OpRecord] = []
     for op in cs.ops:
@@ -274,11 +282,10 @@ def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactRepor
             current, record = _apply_add(current, op)
         elif op.op == "remove":
             current, record = _apply_remove(current, op)
-        elif op.target in source_ids:
+        elif isinstance(corpus.by_id[op.target], SourceItem):
             current, record = _apply_source_modify(current, op)
         else:
             current, record = classify_change(current, op)
-        model.validate_corpus(current)
         records.append(record)
     return current, ImpactReport(label=cs.label, per_op=tuple(records), before=corpus, after=current)
 
@@ -291,17 +298,17 @@ def reuse_hints(report: ImpactReport) -> list[ReuseHint]:
     in that corpus.
     """
     corpus = report.before
-    rmap = corpus.requirement_map()
+    items = corpus.by_id
     hints: list[ReuseHint] = []
     for record in report.per_op:
         if record.case_code != CASE_SPEC_TO_GENERAL:
             continue
-        promoter = rmap[record.target].jurisdiction
+        promoter = items[record.target].jurisdiction
         for rid in record.counterparts:
             for comp in _components_implementing(corpus, rid):
                 hints.append(ReuseHint(
                     component_id=comp.id,
-                    owner_jurisdiction=rmap[rid].jurisdiction,
+                    owner_jurisdiction=items[rid].jurisdiction,
                     for_jurisdiction=promoter,
                     via_requirement=rid,
                 ))

@@ -385,7 +385,7 @@ def parse_change_set(doc: Any) -> ChangeSet:
 
 def validate_change_set(cs: ChangeSet, corpus: Corpus) -> None:
     """Cross-check a parsed change set against a concrete corpus."""
-    known = set(corpus.source_map()) | set(corpus.requirement_map())
+    known = corpus.by_id
     jids = set(corpus.jurisdiction_map())
     for op in cs.ops:
         if op.op in ("modify", "remove") and op.target not in known:

@@ -9,9 +9,13 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
+
+from reqlattice.errors import ValidationError
 
 
 class Level(str, Enum):
@@ -125,7 +129,7 @@ class Corpus:
         # canonical member order by id, so structurally equal corpora compare
         # equal regardless of construction order
         for name in ("jurisdictions", "sources", "requirements", "components"):
-            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=lambda e: e.id)))
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=attrgetter("id"))))
 
     @cached_property
     def fingerprint(self) -> str:
@@ -147,8 +151,13 @@ class Corpus:
     def requirement_map(self) -> dict[str, Requirement]:
         return {r.id: r for r in self.requirements}
 
+    @cached_property
+    def by_id(self) -> dict[str, SourceItem | Requirement]:
+        """Every source and requirement by id, built once. Shared, so never mutate it."""
+        return {item.id: item for item in (*self.sources, *self.requirements)}
+
     def item(self, item_id: str) -> SourceItem | Requirement | None:
-        return self.source_map().get(item_id) or self.requirement_map().get(item_id)
+        return self.by_id.get(item_id)
 
     @cached_property
     def ancestor_chains(self) -> dict[str, tuple[str, ...]]:
@@ -198,13 +207,7 @@ def validate_corpus(corpus: Corpus) -> None:
     Refinement acyclicity is checked separately, by building
     ``RelationSet.refinement_order``; the loader does both.
     """
-    from reqlattice.errors import ValidationError
-
-    seen: set[str] = set()
-    for entity in (*corpus.jurisdictions, *corpus.sources, *corpus.requirements, *corpus.components):
-        if entity.id in seen:
-            raise ValidationError("DUPLICATE_ID", f"id {entity.id!r} declared twice", item_id=entity.id)
-        seen.add(entity.id)
+    check_unique_ids([e.id for e in (*corpus.jurisdictions, *corpus.sources, *corpus.requirements, *corpus.components)])
 
     jmap = corpus.jurisdiction_map()
     for j in corpus.jurisdictions:
@@ -218,12 +221,53 @@ def validate_corpus(corpus: Corpus) -> None:
                     item_id=j.id,
                 )
 
+    items = {item.id: item for item in (*corpus.sources, *corpus.requirements)}
+    check_items(corpus, (*corpus.sources, *corpus.requirements), items)
+
+    for rel_name, pairs in (("refines", corpus.relations.refines), ("contradicts", corpus.relations.contradicts)):
+        for a, b in sorted(pairs):
+            for item_id in (a, b):
+                if item_id not in items:
+                    raise ValidationError("DANGLING_REF", f"relation references unknown id {item_id!r}", item_id=item_id)
+            if a == b:
+                raise ValidationError("RELATION_IRREFLEXIVE", f"{rel_name} pair relates {a!r} to itself", item_id=a)
+            if items[a].role != items[b].role:
+                raise ValidationError("RELATION_ROLE_MISMATCH", f"{rel_name} pair ({a!r}, {b!r}) mixes roles", item_id=a)
+            if items[a].kind is not items[b].kind:
+                raise ValidationError("RELATION_KIND_MISMATCH", f"{rel_name} pair ({a!r}, {b!r}) mixes kinds", item_id=a)
+
+    for c in corpus.components:
+        missing = [rid for rid in c.implements if not isinstance(items.get(rid), Requirement)]
+        if missing:
+            raise ValidationError("DANGLING_REF", f"component {c.id!r} implements unknown requirement {min(missing)!r}", item_id=c.id)
+        if c.jurisdiction is not None and c.jurisdiction not in jmap:
+            raise ValidationError("DANGLING_REF", f"component {c.id!r} scoped to unknown jurisdiction", item_id=c.id)
+
+
+def check_unique_ids(ids: Iterable[str]) -> None:
+    """Raise ValidationError on the first id that repeats an earlier one."""
+    seen: set[str] = set()
+    for entity_id in ids:
+        if entity_id in seen:
+            raise ValidationError("DUPLICATE_ID", f"id {entity_id!r} declared twice", item_id=entity_id)
+        seen.add(entity_id)
+
+
+def check_items(corpus: Corpus, items: Iterable[SourceItem | Requirement],
+                by_id: dict[str, SourceItem | Requirement]) -> None:
+    """The per-item rules over ``items`` of a corpus with unique ids, whose
+    sources and requirements ``by_id`` maps; raise ValidationError on the
+    first hit. A change op passes the items it may have broken, with the
+    rest of each (jurisdiction, concept, kind) among them, in
+    :func:`validate_corpus`'s order (sources, then requirements, each by
+    id), so both meet the same first error.
+    """
     # one item per (jurisdiction, concept, kind): partitions and change ops
     # find a jurisdiction's version of a concept by that triple
     concept_holder: dict[tuple[str, str, SourceKind | RequirementKind], str] = {}
-    smap = corpus.source_map()
-    for item in (*corpus.sources, *corpus.requirements):
-        if item.jurisdiction not in jmap:
+    jids = {j.id for j in corpus.jurisdictions}
+    for item in items:
+        if item.jurisdiction not in jids:
             raise ValidationError(
                 "DANGLING_REF",
                 f"{item.role} {item.id!r} references unknown jurisdiction {item.jurisdiction!r}",
@@ -244,8 +288,8 @@ def validate_corpus(corpus: Corpus) -> None:
             raise ValidationError("FUNCTIONAL_WITH_SOURCES", f"functional requirement {item.id!r} must not derive from sources", item_id=item.id)
         allowed_kind = SOURCE_KIND_FOR_REQUIREMENT[item.kind]
         for sid in sorted(derived) if len(derived) > 1 else derived:
-            src = smap.get(sid)
-            if src is None:
+            src = by_id.get(sid)
+            if not isinstance(src, SourceItem):
                 raise ValidationError("DANGLING_REF", f"requirement {item.id!r} derives from unknown source {sid!r}", item_id=item.id)
             if src.kind is not allowed_kind:
                 raise ValidationError(
@@ -259,27 +303,6 @@ def validate_corpus(corpus: Corpus) -> None:
                     f"requirement {item.id!r} derives from source {sid!r} of unrelated jurisdiction {src.jurisdiction!r}",
                     item_id=item.id,
                 )
-
-    rmap = corpus.requirement_map()
-    items = {**smap, **rmap}
-    for rel_name, pairs in (("refines", corpus.relations.refines), ("contradicts", corpus.relations.contradicts)):
-        for a, b in sorted(pairs):
-            for item_id in (a, b):
-                if item_id not in items:
-                    raise ValidationError("DANGLING_REF", f"relation references unknown id {item_id!r}", item_id=item_id)
-            if a == b:
-                raise ValidationError("RELATION_IRREFLEXIVE", f"{rel_name} pair relates {a!r} to itself", item_id=a)
-            if items[a].role != items[b].role:
-                raise ValidationError("RELATION_ROLE_MISMATCH", f"{rel_name} pair ({a!r}, {b!r}) mixes roles", item_id=a)
-            if items[a].kind is not items[b].kind:
-                raise ValidationError("RELATION_KIND_MISMATCH", f"{rel_name} pair ({a!r}, {b!r}) mixes kinds", item_id=a)
-
-    for c in corpus.components:
-        missing = [rid for rid in c.implements if rid not in rmap]
-        if missing:
-            raise ValidationError("DANGLING_REF", f"component {c.id!r} implements unknown requirement {min(missing)!r}", item_id=c.id)
-        if c.jurisdiction is not None and c.jurisdiction not in jmap:
-            raise ValidationError("DANGLING_REF", f"component {c.id!r} scoped to unknown jurisdiction", item_id=c.id)
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import random
 import string
+from dataclasses import replace
 
 from reqlattice import model
+from reqlattice.changes import ImpactReport, Migration, OpRecord
+from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
+from reqlattice.errors import MissingAdoptedByError, UnknownTargetError, ValidationError
 from reqlattice.model import (
+    SOURCE_KIND_FOR_REQUIREMENT,
     Component,
     Corpus,
     Jurisdiction,
@@ -106,13 +111,16 @@ def random_corpus(
     hash_alphabet: int = 3,
     with_relations: bool = False,
     with_components: bool = False,
+    with_derivations: bool = False,
 ) -> Corpus:
     """Corpus with randomized concept presence and content collisions.
 
     A small hash alphabet makes cross-jurisdiction identity (and hence
     general-set membership) common enough to exercise both partition sides.
     ``with_components`` adds up to four general or specific components, each
-    implementing a random subset of the requirements.
+    implementing a random subset of the requirements. ``with_derivations``
+    has each legal- or cultural-based requirement derive from up to two
+    sources its kind and jurisdiction allow.
     """
     n_jur = rng.randint(1, max_jurisdictions)
     jurisdictions = tuple(
@@ -146,6 +154,14 @@ def random_corpus(
                     concept_key=key, text=text,
                     content_hash=model.content_hash(text),
                 ))
+
+    if with_derivations:
+        allowed: dict[tuple[str, SourceKind], list[str]] = {}
+        for s in sources:
+            allowed.setdefault((s.jurisdiction, s.kind), []).append(s.id)
+        for i, r in enumerate(requirements):
+            ids = allowed.get((r.jurisdiction, SOURCE_KIND_FOR_REQUIREMENT.get(r.kind)), [])
+            requirements[i] = replace(r, derived_from=frozenset(rng.sample(ids, rng.randint(0, min(2, len(ids))))))
 
     refines: set[tuple[str, str]] = set()
     contradicts: set[tuple[str, str]] = set()
@@ -252,3 +268,120 @@ def first_record_error(role: str, record) -> tuple[str, str] | None:
         if any(not isinstance(x, str) for x in record[ids_field]):
             return "BAD_TYPE", f"component {rid!r} {ids_field} must hold ids"
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference change path: each op builds a fresh corpus, with no cached fact
+# carried over, and the whole corpus is validated after it
+
+def _concept_items(corpus: Corpus, kind: RequirementKind, concept: str) -> dict[str, list[Requirement]]:
+    return {j.id: [r for r in corpus.requirements if (r.jurisdiction, r.kind, r.concept_key) == (j.id, kind, concept)]
+            for j in corpus.jurisdictions}
+
+
+def _edit(item, payload):
+    text = payload.text if payload.text is not None else item.text
+    concept = payload.concept_key if payload.concept_key is not None else item.concept_key
+    return replace(item, text=text, concept_key=concept, content_hash=model.content_hash(text))
+
+
+def _swap(corpus: Corpus, *updated) -> Corpus:
+    new = {item.id: item for item in updated}
+    return Corpus(corpus.jurisdictions, tuple(new.get(s.id, s) for s in corpus.sources),
+                  tuple(new.get(r.id, r) for r in corpus.requirements), corpus.relations, corpus.components)
+
+
+def _implementing(corpus: Corpus, rid: str) -> list[str]:
+    return [c.id for c in corpus.components if rid in c.implements]
+
+
+def _no_adopted_by(op: ChangeOp) -> None:
+    if op.adopted_by is not None:
+        raise ValidationError(
+            "UNKNOWN_FIELD", f"modify op on {op.target!r} takes adoptedBy only for a general-set requirement")
+
+
+def _scratch_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
+    target = corpus.requirement_map().get(op.target)
+    if target is None:
+        raise UnknownTargetError(op.target)
+    view = _concept_items(corpus, target.kind, target.concept_key)
+    all_jids = frozenset(view)
+    if op.target in per_concept_partition(view)[0]:
+        if op.adopted_by is None:
+            raise MissingAdoptedByError(op.target)
+        group = [items[0] for items in view.values()]
+        if op.adopted_by == all_jids:
+            impact = tuple((c, "mustChange") for r in sorted(group, key=lambda r: r.id) for c in _implementing(corpus, r.id))
+            out = _swap(corpus, *(_edit(r, op.payload) for r in group))
+            return out, OpRecord("modify", op.target, "2a", (), all_jids, impact)
+        adopts = {r.id: r.jurisdiction in op.adopted_by for r in group}
+        impact = tuple((c, "mustChange" if adopts[r.id] else "unchanged") for r in group for c in _implementing(corpus, r.id))
+        migrations = tuple(Migration(r.id, "general", f"specific:{r.jurisdiction}") for r in group)
+        out = _swap(corpus, *(_edit(r, op.payload) for r in group if adopts[r.id]))
+        return out, OpRecord("modify", op.target, "2b", migrations, frozenset(op.adopted_by), impact)
+    _no_adopted_by(op)
+    new_target = _edit(target, op.payload)
+    out = _swap(corpus, new_target)
+    own = tuple((c, "mustChange") for c in _implementing(corpus, op.target))
+    after = _concept_items(out, target.kind, new_target.concept_key)
+    if op.target not in per_concept_partition(after)[0]:
+        return out, OpRecord("modify", op.target, "1a", (), frozenset({target.jurisdiction}), own)
+    counterparts = [r for items in after.values() for r in items if r.id != op.target]
+    migrations = tuple(Migration(r.id, f"specific:{r.jurisdiction}", "general")
+                       for r in sorted([new_target, *counterparts], key=lambda r: r.id))
+    reuse = tuple((c, "reusable") for r in counterparts for c in _implementing(corpus, r.id))
+    return out, OpRecord("modify", op.target, "1b", migrations, all_jids, own + reuse, tuple(r.id for r in counterparts))
+
+
+def _scratch_source_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
+    _no_adopted_by(op)
+    old = corpus.source_map()[op.target]
+    impact = tuple((c, "mustChange") for r in corpus.requirements if old.id in r.derived_from
+                   for c in _implementing(corpus, r.id))
+    return _swap(corpus, _edit(old, op.payload)), OpRecord(
+        "modify", op.target, "SOURCE_CHANGE", (), frozenset({old.jurisdiction}), impact)
+
+
+def _scratch_add(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
+    item = op.payload
+    sources, requirements = corpus.sources, corpus.requirements
+    if item.role == "source":
+        sources += (item,)
+    else:
+        requirements += (item,)
+    out = Corpus(corpus.jurisdictions, sources, requirements, corpus.relations, corpus.components)
+    return out, OpRecord("add", op.target, "ADD", (), frozenset({item.jurisdiction}), ())
+
+
+def _scratch_remove(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
+    rid = op.target
+    item = corpus.source_map().get(rid) or corpus.requirement_map()[rid]
+    out = Corpus(
+        corpus.jurisdictions,
+        tuple(s for s in corpus.sources if s.id != rid),
+        tuple(r for r in corpus.requirements if r.id != rid),
+        RelationSet(refines=frozenset(p for p in corpus.relations.refines if rid not in p),
+                    contradicts=frozenset(p for p in corpus.relations.contradicts if rid not in p)),
+        tuple(replace(c, implements=c.implements - {rid}) for c in corpus.components),
+    )
+    impact = tuple((c, "mustChange") for c in _implementing(corpus, rid))
+    return out, OpRecord("remove", rid, "REMOVE", (), frozenset({item.jurisdiction}), impact)
+
+
+def scratch_apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactReport]:
+    """``changes.apply_change_set`` as a from-scratch loop: each op yields a
+    new corpus that caches nothing from the one before, and
+    ``validate_corpus`` checks the whole of it."""
+    validate_change_set(cs, corpus)
+    corpus.relations.refinement_order  # raises CycleError
+    source_ids = corpus.source_map().keys()
+    current, records = corpus, []
+    for op in cs.ops:
+        if op.op in ("add", "remove"):
+            current, record = (_scratch_add if op.op == "add" else _scratch_remove)(current, op)
+        else:
+            current, record = (_scratch_source_modify if op.target in source_ids else _scratch_modify)(current, op)
+        model.validate_corpus(current)
+        records.append(record)
+    return current, ImpactReport(label=cs.label, per_op=tuple(records), before=corpus, after=current)

@@ -1,16 +1,23 @@
-"""Random change sets checked against the per-concept partition oracle.
+"""Random change sets checked against the per-concept partition oracle and
+against the from-scratch change path.
 
-Each example draws a random corpus with components and a sequence of ops on
-distinct targets: requirement modifies (new text and/or concept key, with
-``adoptedBy`` drawn mostly for general targets), adds, removes and source
-modifies. Some ops must fail: a modify or remove of an unknown id, an add
-over an existing id, a repeated target, an unknown adopting jurisdiction.
+Each example draws a random corpus with components and derivations and a
+sequence of ops on distinct targets: requirement modifies (new text and/or
+concept key, with ``adoptedBy`` drawn mostly for general targets), adds
+(some deriving from sources), removes (some of a source that requirements
+derive from) and source modifies. Some ops must fail: a modify or remove of
+an unknown id, an add over an existing item, jurisdiction or component id, an
+add deriving from an unknown source, from one of the wrong kind or
+jurisdiction or at all for a functional requirement, a repeated target, an
+unknown adopting jurisdiction.
 
 A failing set raises ``ReqLatticeError`` and exits 1 through the CLI with
 one stderr line. A successful set yields a valid corpus that reloads as the
 same value, and its fingerprint is the digest of the saved bytes. The case
 of each requirement modify is recomputed by ``oracles.per_concept_partition``
 on the corpora before and after the op, each built from the ops before it.
+``oracles.scratch_apply_change_set`` gives the same outcome, record for
+record, or the same error.
 """
 
 import contextlib
@@ -24,12 +31,12 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_concept_partition, random_corpus
+from oracles import per_concept_partition, random_corpus, scratch_apply_change_set
 from reqlattice import cli, corpus_io, model
 from reqlattice.changes import apply_change_set
 from reqlattice.corpus_io import ChangeSet
 from reqlattice.errors import ReqLatticeError
-from reqlattice.model import RequirementKind, SourceKind
+from reqlattice.model import SOURCE_KIND_FOR_REQUIREMENT, Corpus, RequirementKind, SourceKind
 
 
 def _general(corpus, kind):
@@ -61,24 +68,34 @@ def _draw_op(data, corpus, i, used, general_ids):
     op = data.draw(st.sampled_from(["modify", "modify", "modify", "remove", "add"]))
     free = sorted(items.keys() - used)
     free_requirements = sorted(corpus.requirement_map().keys() - used)
-    if (op == "add") != _rarely(data):
+    derived_sources = sorted({sid for r in corpus.requirements for sid in r.derived_from} - used)
+    clashes = [*jids, *(c.id for c in corpus.components)]
+    if op == "add" and _rarely(data):
+        target = data.draw(st.sampled_from(clashes))
+    elif (op == "add") != _rarely(data):
         target = f"new-{i}"
+    elif op == "remove" and derived_sources and data.draw(st.booleans()):
+        target = data.draw(st.sampled_from(derived_sources))
     elif free_requirements and data.draw(st.booleans()):
         target = data.draw(st.sampled_from(free_requirements))
     elif free:
         target = data.draw(st.sampled_from(free))
     else:
         return None
-    doomed = (op == "add") == (target in items)
+    doomed = (op == "add") == (target in items) or target in clashes
     if op == "remove":
         return {"op": "remove", "target": target}, doomed
     if op == "add":
         role = data.draw(st.sampled_from(["requirement", "source"]))
         kinds = RequirementKind if role == "requirement" else SourceKind
+        kind = data.draw(st.sampled_from(list(kinds)))
         concept = data.draw(st.sampled_from(concepts))
         jurisdiction = "atlantis" if _rarely(data) else data.draw(st.sampled_from(jids))
-        payload = {"role": role, "kind": data.draw(st.sampled_from([k.value for k in kinds])),
-                   "jurisdiction": jurisdiction, "conceptKey": concept, "text": _text(data, items, concept, target)}
+        payload = {"role": role, "kind": kind.value, "jurisdiction": jurisdiction, "conceptKey": concept,
+                   "text": _text(data, items, concept, target)}
+        if role == "requirement" and data.draw(st.booleans()):
+            payload["derivedFrom"], fails = _derived_from(data, corpus, kind, jurisdiction)
+            doomed |= fails
         return {"op": "add", "target": target, "payload": payload}, doomed or jurisdiction == "atlantis"
 
     payload = {}
@@ -99,6 +116,43 @@ def _draw_op(data, corpus, i, used, general_ids):
     return out, doomed
 
 
+def _derived_from(data, corpus, kind, jurisdiction):
+    """Up to two source ids for an added requirement, mostly ones its kind
+    and jurisdiction allow; and whether they must fail: an unknown id, a
+    source of the wrong kind or of another jurisdiction, or any source for a
+    functional requirement. An allowed source may still be gone, removed by
+    an earlier op."""
+    allowed = SOURCE_KIND_FOR_REQUIREMENT.get(kind)
+    fitting = [s.id for s in corpus.sources if s.jurisdiction == jurisdiction and s.kind is allowed]
+    wrong_kind = [s.id for s in corpus.sources if s.kind is not allowed]
+    elsewhere = [s.id for s in corpus.sources if s.jurisdiction != jurisdiction and s.kind is allowed]
+    pools = [st.sampled_from(ids) for ids in (fitting, fitting, wrong_kind, elsewhere, ["unknown-source"]) if ids]
+    ids = data.draw(st.lists(st.one_of(pools), max_size=2, unique=True))
+    return ids, bool(ids) and (kind is RequirementKind.FUNCTIONAL or not set(ids) <= set(fitting))
+
+
+def _draw_change_set(data) -> tuple[Corpus, dict, bool]:
+    """A random corpus, a change-set document for it, and whether the set
+    must fail."""
+    # one variant per concept makes general requirements, and so 2a/2b, common
+    corpus = random_corpus(random.Random(data.draw(st.integers(0, 2**32 - 1))), max_jurisdictions=3,
+                           max_concepts=8, hash_alphabet=data.draw(st.integers(1, 3)),
+                           with_relations=True, with_components=True, with_derivations=True)
+    general_ids = set().union(*(_general(corpus, kind) for kind in RequirementKind))
+    ops, doomed, used = [], False, set()
+    for i in range(data.draw(st.integers(1, 6))):
+        drawn = _draw_op(data, corpus, i, used, general_ids)
+        if drawn is None:
+            break
+        ops.append(drawn[0])
+        doomed |= drawn[1]
+        used.add(drawn[0]["target"])
+    if ops and _rarely(data):  # a second op on a target
+        ops.append(dict(data.draw(st.sampled_from(ops))))
+        doomed = True
+    return corpus, {"formatVersion": 1, "label": "oracle", "ops": ops}, doomed
+
+
 def _run_cli(corpus, doc):
     """Run ``change`` on the saved corpus and change set; returns the exit
     code, stdout, stderr and the bytes written to ``--out``, if any."""
@@ -117,24 +171,8 @@ def _run_cli(corpus, doc):
 @given(st.data())
 @settings(max_examples=400, deadline=None)
 def test_change_sets_match_the_partition_oracle(data):
-    # one variant per concept makes general requirements, and so 2a/2b, common
-    corpus = random_corpus(random.Random(data.draw(st.integers(0, 2**32 - 1))), max_jurisdictions=3,
-                           max_concepts=8, hash_alphabet=data.draw(st.integers(1, 3)),
-                           with_relations=True, with_components=True)
-    general_ids = set().union(*(_general(corpus, kind) for kind in RequirementKind))
-    ops, doomed, used = [], False, set()
-    for i in range(data.draw(st.integers(1, 6))):
-        drawn = _draw_op(data, corpus, i, used, general_ids)
-        if drawn is None:
-            break
-        ops.append(drawn[0])
-        doomed |= drawn[1]
-        used.add(drawn[0]["target"])
-    if ops and _rarely(data):  # a second op on a target
-        ops.append(dict(data.draw(st.sampled_from(ops))))
-        doomed = True
-    doc = {"formatVersion": 1, "label": "oracle", "ops": ops}
-
+    corpus, doc, doomed = _draw_change_set(data)
+    ops = doc["ops"]
     try:
         cs = corpus_io.parse_change_set(doc)
         after, report = apply_change_set(corpus, cs)
@@ -173,3 +211,35 @@ def test_change_sets_match_the_partition_oracle(data):
             rmap = after_op.requirement_map()
             group = {rid for rid in general_after if rmap[rid].concept_key == rmap[op.target].concept_key}
             assert sorted(record.counterparts) == sorted(group - {op.target})
+
+
+def _outcome(apply, corpus, cs):
+    try:
+        return apply(corpus, cs)
+    except ReqLatticeError as exc:
+        return exc
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_incremental_path_matches_the_from_scratch_path(data):
+    corpus, doc, _ = _draw_change_set(data)
+    try:
+        cs = corpus_io.parse_change_set(doc)
+    except ReqLatticeError:
+        return  # both paths take the parsed set
+    # the reference gets an equal corpus with nothing cached on it
+    want = _outcome(scratch_apply_change_set, Corpus(corpus.jurisdictions, corpus.sources, corpus.requirements,
+                                                      corpus.relations, corpus.components), cs)
+    got = _outcome(apply_change_set, corpus, cs)
+    if isinstance(want, ReqLatticeError) or isinstance(got, ReqLatticeError):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    (after, report), (want_after, want_report) = got, want
+    assert after == want_after and report == want_report
+    assert report.per_op == want_report.per_op
+    assert (after.members, after.by_id, after.ancestor_chains) == (
+        want_after.members, want_after.by_id, want_after.ancestor_chains)
+    assert corpus_io.canonical_bytes(after) == corpus_io.canonical_bytes(want_after)
+    assert (report.before_fingerprint, report.after_fingerprint) == (
+        want_report.before_fingerprint, want_report.after_fingerprint)

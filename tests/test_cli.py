@@ -464,3 +464,15 @@ def test_change_partitions_only_the_changed_concepts(capsys, corpus_arg, change_
     code, out, err = invoke(capsys, "change", *corpus_arg, "--changes", str(change_set_path), "--format", "json")
     assert (code, err) == (EXIT_OK, "")
     assert [op["case"] for op in json.loads(out)["body"]["ops"]] == ["1b", "2b"]
+
+
+def test_change_validates_the_whole_corpus_only_on_load(capsys, corpus_arg, change_set_path, tmp_path, monkeypatch):
+    from reqlattice import model
+
+    calls = []
+    validate_corpus = model.validate_corpus
+    monkeypatch.setattr(model, "validate_corpus", lambda corpus: calls.append(1) or validate_corpus(corpus))
+    out_path = tmp_path / "after.json"
+    code, _, err = invoke(capsys, "change", *corpus_arg, "--changes", str(change_set_path), "--out", str(out_path))
+    assert (code, err, len(calls)) == (EXIT_OK, "", 1)
+    assert out_path.exists()

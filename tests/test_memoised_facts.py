@@ -1,9 +1,9 @@
 """Memoised corpus facts stay fresh across change application.
 
 Every fact cached on a ``Corpus`` or ``Partition`` (fingerprint, item
-grouping, owner map) must equal its from-scratch value on each corpus a
-change set produces, and the analyses that read those caches must still
-match the brute-force oracles.
+grouping, id map, ancestor chains, owner map) must equal its from-scratch
+value on each corpus a change set produces, and the analyses that read
+those caches must still match the brute-force oracles.
 """
 
 import hashlib
@@ -135,6 +135,8 @@ def test_memoised_facts_match_scratch_after_each_change(seed):
         assert model.corpus_fingerprint(after) == scratch_fingerprint(after)
         assert corpus.members is before_members and before_members == scratch_members(corpus)
         assert after.members == scratch_members(after)
+        fresh = Corpus(after.jurisdictions, after.sources, after.requirements, after.relations, after.components)
+        assert (after.ancestor_chains, after.by_id) == (fresh.ancestor_chains, fresh.by_id)
         if after != corpus:
             assert model.corpus_fingerprint(after) != before_fp
             with pytest.raises(PartitionMismatchError):
