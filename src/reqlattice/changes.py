@@ -15,11 +15,12 @@ Each modify of a requirement lands in exactly one of four cases:
 Ops are applied sequentially. A requirement modify partitions only its
 target's concept: the old one before the op and the new one after it. Ops
 can only remove ``refines`` pairs, so acyclicity is checked once, on the
-input corpus. The input is valid, so each op is checked only against the
-rules it can break, on the items it touched, and hands its id map,
-groupings and ancestor chains to the next corpus. The whole change set is
-atomic: any failure leaves the input corpus untouched (it is immutable)
-and raises.
+input corpus. The ops edit one working copy of the input's id map and
+item groupings in place, and the new corpus is built once, from it, after
+the last op. The input is valid, so each op is checked only against the
+rules it can break, on the items it touched. The whole change set is
+atomic: any failure discards the working copy, leaves the input corpus
+untouched (it is immutable) and raises.
 """
 
 from __future__ import annotations
@@ -86,51 +87,46 @@ class ReuseHint:
     via_requirement: str
 
 
-def _components_implementing(corpus: Corpus, rid: str) -> list[Component]:
-    return [c for c in corpus.components if rid in c.implements]  # id order
+def _components_implementing(work: Corpus | _Draft, rid: str) -> list[Component]:
+    return [c for c in work.components if rid in c.implements]  # id order
 
 
-#: the corpus member that holds the items of each role
-_MEMBER = {"source": "sources", "requirement": "requirements"}
+class _Draft:
+    """A change set's working copy of the input's id map and (jurisdiction,
+    kind) groups, edited in place by each op. Ops keep the jurisdictions,
+    so ``base`` (the input) answers for them and their ancestor chains.
 
-
-def _with_items(corpus: Corpus, *written: SourceItem | Requirement, removed: SourceItem | Requirement | None = None,
-                **fields) -> Corpus:
-    """``corpus`` after an op that wrote ``written`` (items of one role) or
-    dropped ``removed``, with ``fields`` replaced too. It takes over the id
-    map and ancestor chains, and the groupings with the touched ones rebuilt.
-
-    Ops keep the jurisdictions and only drop relation pairs and component
-    links, and ``_apply_add`` checks an added id, so only the per-item rules
-    can newly fail: on the written items, the rest of their (jurisdiction,
-    concept, kind) and the requirements deriving from a removed source.
+    Ops only drop relation pairs and component links, and ``_apply_add``
+    checks an added id, so only the per-item rules can newly fail: on the
+    written items, the rest of their (jurisdiction, concept, kind) and the
+    requirements deriving from a removed source.
     """
-    touched = (*written, removed) if removed else written
-    if not touched:  # a 2b split that no jurisdiction adopts
-        return corpus
-    by_id = {**corpus.by_id, **{item.id: item for item in written}}
-    added = [item for item in written if item.id not in corpus.by_id]
-    name = _MEMBER[touched[0].role]
-    kept = [by_id[x.id] for x in getattr(corpus, name) if x is not removed]
-    out = replace(corpus, **{name: (*kept, *added)}, **fields)
-    if removed:
-        del by_id[removed.id]
 
-    # a modify keeps an item's jurisdiction and kind: its new version takes the old one's place
-    members = dict(corpus.members)
-    for key in {(item.jurisdiction, item.kind) for item in touched}:
-        group = [by_id[x.id] for x in members.pop(key, ()) if x.id in by_id]
-        group += [x for x in added if (x.jurisdiction, x.kind) == key]
-        if group:
-            members[key] = tuple(sorted(group, key=attrgetter("id")))
-    vars(out).update(by_id=by_id, members=members, ancestor_chains=corpus.ancestor_chains)
+    def __init__(self, base: Corpus):
+        self.base = base
+        self.by_id = dict(base.by_id)
+        # a group keeps an item's place when a modify writes its new version
+        self.groups = {key: {x.id: x for x in group} for key, group in base.members.items()}
+        self.relations = base.relations
+        self.components = base.components
 
-    checked = {x.id: x for item in written for x in members[item.jurisdiction, item.kind]
-               if x.concept_key == item.concept_key}
-    if isinstance(removed, SourceItem):
-        checked.update((r.id, r) for r in out.requirements if removed.id in r.derived_from)
-    model.check_items(out, sorted(checked.values(), key=lambda x: (x.role != "source", x.id)), by_id)
-    return out
+    def write(self, *items: SourceItem | Requirement) -> None:
+        for item in items:
+            self.by_id[item.id] = item
+            self.groups.setdefault((item.jurisdiction, item.kind), {})[item.id] = item
+        checked = {x.id: x for item in items for x in self.groups[item.jurisdiction, item.kind].values()
+                   if x.concept_key == item.concept_key}
+        model.check_items(self.base, sorted(checked.values(), key=lambda x: (x.role != "source", x.id)), self.by_id)
+
+    def remove(self, item: SourceItem | Requirement) -> None:
+        del self.by_id[item.id], self.groups[item.jurisdiction, item.kind][item.id]
+        if isinstance(item, SourceItem):
+            model.check_items(self.base, self.deriving_from(item.id), self.by_id)
+
+    def deriving_from(self, sid: str) -> list[Requirement]:
+        """The requirements deriving from source ``sid``, in id order."""
+        return sorted((x for x in self.by_id.values() if x.role == "requirement" and sid in x.derived_from),
+                      key=attrgetter("id"))
 
 
 def _reject_adopted_by(op: ChangeOp) -> None:
@@ -145,37 +141,38 @@ def _apply_payload(item: SourceItem | Requirement, payload) -> SourceItem | Requ
     return replace(item, text=text, concept_key=concept, content_hash=model.content_hash(text))
 
 
-def _concept_view(corpus: Corpus, kind: RequirementKind, concept_key: str) -> ItemView:
+def _concept_view(work: _Draft, kind: RequirementKind, concept_key: str) -> ItemView:
     """Each jurisdiction's items of ``kind`` for one concept. Generality is
     decided per concept, so its partition agrees with the whole kind's."""
     return {
-        j.id: [r for r in corpus.members.get((j.id, kind), ()) if r.concept_key == concept_key]
-        for j in corpus.jurisdictions
+        j.id: [r for r in work.groups.get((j.id, kind), {}).values() if r.concept_key == concept_key]
+        for j in work.base.jurisdictions
     }
 
 
-def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
-    """Classify and apply one modify op targeting a requirement; returns the
-    new corpus, checked as ``_with_items`` says, and the op's record."""
-    target = corpus.by_id.get(op.target)
+def classify_change(work: _Draft, op: ChangeOp) -> OpRecord:
+    """Classify and apply one modify op targeting a requirement; writes the
+    new versions into ``work``, checked as :class:`_Draft` says, and returns
+    the op's record."""
+    target = work.by_id.get(op.target)
     if not isinstance(target, Requirement):
         raise UnknownTargetError(op.target)
-    view = _concept_view(corpus, target.kind, target.concept_key)
+    view = _concept_view(work, target.kind, target.concept_key)
     all_jids = frozenset(view)
 
-    if op.target in partition_requirements(corpus, target.kind, view).general:
+    if op.target in partition_requirements(work.base, target.kind, view).general:
         if op.adopted_by is None:
             raise MissingAdoptedByError(op.target)
         group = [items[0] for items in view.values()]  # one per jurisdiction, in jurisdiction order
 
         if op.adopted_by == all_jids:
             # 2a: the new version stays general, every counterpart is updated
-            out = _with_items(corpus, *(_apply_payload(r, op.payload) for r in group))
+            work.write(*(_apply_payload(r, op.payload) for r in group))
             impact = tuple(
                 (c.id, "mustChange")
-                for r in sorted(group, key=attrgetter("id")) for c in _components_implementing(corpus, r.id)
+                for r in sorted(group, key=attrgetter("id")) for c in _components_implementing(work, r.id)
             )
-            return out, OpRecord(
+            return OpRecord(
                 op="modify", target=op.target, case_code=CASE_GEN_STAYS_GEN,
                 migrations=(), affected=all_jids, component_impact=impact,
             )
@@ -184,9 +181,9 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
         # content, keepers stay on the old version untouched
         adopts = {r.id: r.jurisdiction in op.adopted_by for r in group}
         impact = tuple((c.id, "mustChange" if adopts[r.id] else "unchanged")
-                       for r in group for c in _components_implementing(corpus, r.id))
-        out = _with_items(corpus, *(_apply_payload(r, op.payload) for r in group if adopts[r.id]))
-        return out, OpRecord(
+                       for r in group for c in _components_implementing(work, r.id))
+        work.write(*(_apply_payload(r, op.payload) for r in group if adopts[r.id]))
+        return OpRecord(
             op="modify", target=op.target, case_code=CASE_GEN_SPLITS,
             migrations=tuple(Migration(r.id, "general", f"specific:{r.jurisdiction}") for r in group),
             affected=frozenset(op.adopted_by), component_impact=impact,
@@ -195,13 +192,13 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     # target sits in a specific set
     _reject_adopted_by(op)
     new_target = _apply_payload(target, op.payload)
-    out = _with_items(corpus, new_target)
-    own_impact = tuple((c.id, "mustChange") for c in _components_implementing(corpus, op.target))
-    after = _concept_view(out, target.kind, new_target.concept_key)
+    work.write(new_target)
+    own_impact = tuple((c.id, "mustChange") for c in _components_implementing(work, op.target))
+    after = _concept_view(work, target.kind, new_target.concept_key)
 
-    if op.target not in partition_requirements(out, target.kind, after).general:
+    if op.target not in partition_requirements(work.base, target.kind, after).general:
         # 1a: still specific to its jurisdiction; nobody else is touched
-        return out, OpRecord(
+        return OpRecord(
             op="modify", target=op.target, case_code=CASE_SPEC_STAYS_SPEC,
             migrations=(), affected=frozenset({target.jurisdiction}), component_impact=own_impact,
         )
@@ -218,53 +215,56 @@ def classify_change(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     ]
     reuse = tuple(
         (c.id, "reusable")
-        for r in counterparts for c in _components_implementing(corpus, r.id)
+        for r in counterparts for c in _components_implementing(work, r.id)
     )
-    return out, OpRecord(
+    return OpRecord(
         op="modify", target=op.target, case_code=CASE_SPEC_TO_GENERAL,
         migrations=tuple(migrations), affected=all_jids,
         component_impact=own_impact + reuse, counterparts=tuple(r.id for r in counterparts),
     )
 
 
-def _apply_add(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
+def _apply_add(work: _Draft, op: ChangeOp) -> OpRecord:
     item = op.payload  # parsed by corpus_io as the corpus record of its role
     # the change set keeps its id off every item; a jurisdiction or component may hold it
-    model.check_unique_ids((*corpus.ancestor_chains, *(c.id for c in corpus.components), item.id))
-    return _with_items(corpus, item), OpRecord(
+    model.check_unique_ids((*work.base.ancestor_chains, *(c.id for c in work.components), item.id))
+    work.write(item)
+    return OpRecord(
         op="add", target=op.target, case_code=CASE_ADD, migrations=(),
         affected=frozenset({item.jurisdiction}), component_impact=(),
     )
 
 
-def _apply_remove(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
+def _apply_remove(work: _Draft, op: ChangeOp) -> OpRecord:
     """Drop the item plus the relation pairs and component links naming it.
 
     A requirement still deriving from a removed source is left dangling on
     purpose; the check rejects it so authors must update the elaboration.
     """
     rid = op.target
-    item = corpus.by_id[rid]  # validate_change_set found it in the input; no other op targets it
-    relations = RelationSet(
-        refines=frozenset(p for p in corpus.relations.refines if rid not in p),
-        contradicts=frozenset(p for p in corpus.relations.contradicts if rid not in p),
+    item = work.by_id[rid]  # validate_change_set found it in the input; no other op targets it
+    impacted = tuple((c.id, "mustChange") for c in _components_implementing(work, rid))
+    work.relations = RelationSet(
+        refines=frozenset(p for p in work.relations.refines if rid not in p),
+        contradicts=frozenset(p for p in work.relations.contradicts if rid not in p),
     )
-    components = tuple(  # untouched components stay the same objects, as in _with_items
-        replace(c, implements=c.implements - {rid}) if rid in c.implements else c for c in corpus.components
+    work.components = tuple(  # untouched components stay the same objects
+        replace(c, implements=c.implements - {rid}) if rid in c.implements else c for c in work.components
     )
-    impacted = tuple((c.id, "mustChange") for c in _components_implementing(corpus, rid))
-    return _with_items(corpus, removed=item, relations=relations, components=components), OpRecord(
+    work.remove(item)
+    return OpRecord(
         op="remove", target=rid, case_code=CASE_REMOVE, migrations=(),
         affected=frozenset({item.jurisdiction}), component_impact=impacted,
     )
 
 
-def _apply_source_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
+def _apply_source_modify(work: _Draft, op: ChangeOp) -> OpRecord:
     _reject_adopted_by(op)
-    old = corpus.by_id[op.target]
-    impact = tuple((c.id, "mustChange") for r in corpus.requirements if old.id in r.derived_from
-                   for c in _components_implementing(corpus, r.id))
-    return _with_items(corpus, _apply_payload(old, op.payload)), OpRecord(
+    old = work.by_id[op.target]
+    impact = tuple((c.id, "mustChange") for r in work.deriving_from(old.id)
+                   for c in _components_implementing(work, r.id))
+    work.write(_apply_payload(old, op.payload))
+    return OpRecord(
         op="modify", target=op.target, case_code=CASE_SOURCE_CHANGE, migrations=(),
         affected=frozenset({old.jurisdiction}), component_impact=impact,
     )
@@ -274,20 +274,18 @@ def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactRepor
     validate_change_set(cs, corpus)
     # no op adds a refines pair, so an acyclic input stays acyclic
     corpus.relations.refinement_order  # raises CycleError; cached, and kept by every op but remove
-    # a modify target keeps the role it has in the input: no other op targets it
-    current = corpus
+    work = _Draft(corpus)
     records: list[OpRecord] = []
     for op in cs.ops:
-        if op.op == "add":
-            current, record = _apply_add(current, op)
-        elif op.op == "remove":
-            current, record = _apply_remove(current, op)
-        elif isinstance(corpus.by_id[op.target], SourceItem):
-            current, record = _apply_source_modify(current, op)
-        else:
-            current, record = classify_change(current, op)
-        records.append(record)
-    return current, ImpactReport(label=cs.label, per_op=tuple(records), before=corpus, after=current)
+        if op.op in ("add", "remove"):
+            apply = _apply_add if op.op == "add" else _apply_remove
+        else:  # a modify target keeps the role it has in the input: no other op targets it
+            apply = _apply_source_modify if isinstance(corpus.by_id[op.target], SourceItem) else classify_change
+        records.append(apply(work, op))
+    items = work.by_id.values()
+    after = Corpus(corpus.jurisdictions, tuple(x for x in items if x.role == "source"),
+                   tuple(x for x in items if x.role == "requirement"), work.relations, work.components)
+    return after, ImpactReport(label=cs.label, per_op=tuple(records), before=corpus, after=after)
 
 
 def reuse_hints(report: ImpactReport) -> list[ReuseHint]:

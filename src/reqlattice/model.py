@@ -145,9 +145,6 @@ class Corpus:
     def jurisdiction_map(self) -> dict[str, Jurisdiction]:
         return {j.id: j for j in self.jurisdictions}
 
-    def source_map(self) -> dict[str, SourceItem]:
-        return {s.id: s for s in self.sources}
-
     def requirement_map(self) -> dict[str, Requirement]:
         return {r.id: r for r in self.requirements}
 
@@ -155,9 +152,6 @@ class Corpus:
     def by_id(self) -> dict[str, SourceItem | Requirement]:
         """Every source and requirement by id, built once. Shared, so never mutate it."""
         return {item.id: item for item in (*self.sources, *self.requirements)}
-
-    def item(self, item_id: str) -> SourceItem | Requirement | None:
-        return self.by_id.get(item_id)
 
     @cached_property
     def ancestor_chains(self) -> dict[str, tuple[str, ...]]:

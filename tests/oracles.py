@@ -90,6 +90,14 @@ def per_concept_partition(view: dict[str, list]) -> tuple[set[str], dict[str, se
     return general, specific
 
 
+def scratch_members(corpus: Corpus) -> dict:
+    """Every non-empty (jurisdiction, kind) group, in id order, one filter per pair."""
+    items = sorted((*corpus.sources, *corpus.requirements), key=lambda i: i.id)
+    groups = {(j.id, kind): tuple(i for i in items if i.jurisdiction == j.id and i.kind is kind)
+              for j in corpus.jurisdictions for kind in (*SourceKind, *RequirementKind)}
+    return {key: group for key, group in groups.items() if group}
+
+
 # ---------------------------------------------------------------------------
 # random generators
 
@@ -336,7 +344,7 @@ def _scratch_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
 
 def _scratch_source_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     _no_adopted_by(op)
-    old = corpus.source_map()[op.target]
+    old = {s.id: s for s in corpus.sources}[op.target]
     impact = tuple((c, "mustChange") for r in corpus.requirements if old.id in r.derived_from
                    for c in _implementing(corpus, r.id))
     return _swap(corpus, _edit(old, op.payload)), OpRecord(
@@ -356,7 +364,7 @@ def _scratch_add(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
 
 def _scratch_remove(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     rid = op.target
-    item = corpus.source_map().get(rid) or corpus.requirement_map()[rid]
+    item = {s.id: s for s in corpus.sources}.get(rid) or corpus.requirement_map()[rid]
     out = Corpus(
         corpus.jurisdictions,
         tuple(s for s in corpus.sources if s.id != rid),
@@ -375,7 +383,7 @@ def scratch_apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, Imp
     ``validate_corpus`` checks the whole of it."""
     validate_change_set(cs, corpus)
     corpus.relations.refinement_order  # raises CycleError
-    source_ids = corpus.source_map().keys()
+    source_ids = {s.id for s in corpus.sources}
     current, records = corpus, []
     for op in cs.ops:
         if op.op in ("add", "remove"):

@@ -31,7 +31,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_concept_partition, random_corpus, scratch_apply_change_set
+from oracles import per_concept_partition, random_corpus, scratch_apply_change_set, scratch_members
 from reqlattice import cli, corpus_io, model
 from reqlattice.changes import apply_change_set
 from reqlattice.corpus_io import ChangeSet
@@ -62,7 +62,7 @@ def _text(data, items, concept, target):
 def _draw_op(data, corpus, i, used, general_ids):
     """The ``i``-th op, on a target not in ``used``, and whether it must fail
     whatever precedes it; None when no target is left."""
-    items = {**corpus.source_map(), **corpus.requirement_map()}
+    items = corpus.by_id
     jids = [j.id for j in corpus.jurisdictions]
     concepts = sorted({item.concept_key for item in items.values()} | {"c-new"})
     op = data.draw(st.sampled_from(["modify", "modify", "modify", "remove", "add"]))
@@ -232,6 +232,9 @@ def test_incremental_path_matches_the_from_scratch_path(data):
     want = _outcome(scratch_apply_change_set, Corpus(corpus.jurisdictions, corpus.sources, corpus.requirements,
                                                       corpus.relations, corpus.components), cs)
     got = _outcome(apply_change_set, corpus, cs)
+    # the change path edits copies: whether it returns or raises, the input's facts stay as built
+    fresh = Corpus(corpus.jurisdictions, corpus.sources, corpus.requirements, corpus.relations, corpus.components)
+    assert corpus.by_id == fresh.by_id and corpus.members == scratch_members(corpus)
     if isinstance(want, ReqLatticeError) or isinstance(got, ReqLatticeError):
         assert (type(got), str(got)) == (type(want), str(want))
         return

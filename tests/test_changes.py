@@ -180,6 +180,17 @@ class TestApplyChangeSet:
         ids = {r.id for r in new.requirements}
         assert "r1-new" in ids and "r1-pay" not in ids
 
+    def test_a_change_set_builds_one_corpus(self, monkeypatch):
+        corpus = three_country_corpus()
+        built = []
+        post_init = Corpus.__post_init__
+        monkeypatch.setattr(Corpus, "__post_init__", lambda self: built.append(self) or post_init(self))
+        add = ChangeOp(op="add", target="r1-new",
+                       payload=req("r1-new", "s1", "newkey", "brand new", kind=RequirementKind.FUNCTIONAL))
+        new, _ = apply_change_set(corpus, change_set(
+            modify("r1-pay", "pay net fourteen"), add, ChangeOp(op="remove", target="r3-ui")))
+        assert len(built) == 1 and built[0] is new
+
     def test_remove_prunes_relations_and_components(self):
         corpus = three_country_corpus()
         corpus = Corpus(

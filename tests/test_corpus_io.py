@@ -179,7 +179,7 @@ class TestChangeSetIO:
         doc = dict(MINIMAL, requirements=[], sources=[
             {"id": "s", "kind": "legal", "jurisdiction": "de", "conceptKey": "s", "text": "s"}])
         doc[f"{role}s"].append(dict(record, id="x1"))
-        assert cs.ops[0].payload == corpus_io.parse_corpus(doc).item("x1")
+        assert cs.ops[0].payload == corpus_io.parse_corpus(doc).by_id["x1"]
 
     @pytest.mark.parametrize("payload,code", [
         ({"kind": "legal", "jurisdiction": "de", "conceptKey": "k", "text": "t"}, "MISSING_FIELD"),

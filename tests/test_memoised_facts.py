@@ -20,13 +20,14 @@ from oracles import (
     fixpoint_contradictions,
     path_enumeration_closure,
     random_corpus,
+    scratch_members,
 )
 from reqlattice import corpus_io, model
 from reqlattice.changes import apply_change_set
 from reqlattice.corpus_io import Alternative, AlternativesFile, ChangeOp, ChangePayload, ChangeSet
 from reqlattice.errors import PartitionMismatchError
 from reqlattice.hierarchy import level_requirement_view, select_level
-from reqlattice.model import Corpus, Jurisdiction, Level, RelationSet, Requirement, RequirementKind, SourceKind
+from reqlattice.model import Corpus, Jurisdiction, Level, RelationSet, Requirement, RequirementKind
 from reqlattice.optimize import optimize
 from reqlattice.partition import _check_same_corpus, partition_requirements
 from reqlattice.topsis import build_conflict_matrix
@@ -64,14 +65,6 @@ def random_op(rng: random.Random, corpus: Corpus, n: int) -> ChangeOp:
     return ChangeOp("add", f"added-{n}", Requirement(
         id=f"added-{n}", kind=rng.choice(list(RequirementKind)), jurisdiction=rng.choice(jids),
         concept_key=f"added-{n}", text=f"added {n}", content_hash=model.content_hash(f"added {n}")))
-
-
-def scratch_members(corpus: Corpus) -> dict:
-    """Every non-empty (jurisdiction, kind) group, in id order, one filter per pair."""
-    items = sorted((*corpus.sources, *corpus.requirements), key=lambda i: i.id)
-    groups = {(j.id, kind): tuple(i for i in items if i.jurisdiction == j.id and i.kind is kind)
-              for j in corpus.jurisdictions for kind in (*SourceKind, *RequirementKind)}
-    return {key: group for key, group in groups.items() if group}
 
 
 def oracle_level_view(corpus: Corpus, level: Level) -> dict:
