@@ -41,6 +41,7 @@ CASE_GEN_SPLITS = "2b"
 CASE_ADD = "ADD"
 CASE_REMOVE = "REMOVE"
 CASE_SOURCE_CHANGE = "SOURCE_CHANGE"
+_ELABORATED_FROM = {source: kind for kind, source in model.SOURCE_KIND_FOR_REQUIREMENT.items()}
 
 
 @dataclass(frozen=True)
@@ -121,12 +122,14 @@ class _Draft:
     def remove(self, item: SourceItem | Requirement) -> None:
         del self.by_id[item.id], self.groups[item.jurisdiction, item.kind][item.id]
         if isinstance(item, SourceItem):
-            model.check_items(self.base, self.deriving_from(item.id), self.by_id)
+            model.check_items(self.base, self.deriving_from(item), self.by_id)
 
-    def deriving_from(self, sid: str) -> list[Requirement]:
-        """The requirements deriving from source ``sid``, in id order."""
-        return sorted((x for x in self.by_id.values() if x.role == "requirement" and sid in x.derived_from),
-                      key=attrgetter("id"))
+    def deriving_from(self, source: SourceItem) -> list[Requirement]:
+        """The requirements deriving from ``source``, in id order. Every op leaves the copy valid, so only
+        groups of the kind elaborated from its kind, at or below its jurisdiction, can hold them."""
+        return sorted((r for jid, chain in self.base.ancestor_chains.items() if source.jurisdiction in (jid, *chain)
+                       for r in self.groups.get((jid, _ELABORATED_FROM[source.kind]), {}).values()
+                       if source.id in r.derived_from), key=attrgetter("id"))
 
 
 def _reject_adopted_by(op: ChangeOp) -> None:
@@ -261,7 +264,7 @@ def _apply_remove(work: _Draft, op: ChangeOp) -> OpRecord:
 def _apply_source_modify(work: _Draft, op: ChangeOp) -> OpRecord:
     _reject_adopted_by(op)
     old = work.by_id[op.target]
-    impact = tuple((c.id, "mustChange") for r in work.deriving_from(old.id)
+    impact = tuple((c.id, "mustChange") for r in work.deriving_from(old)
                    for c in _components_implementing(work, r.id))
     work.write(_apply_payload(old, op.payload))
     return OpRecord(

@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from reqlattice import model
 from reqlattice.errors import IOFailure, ParseError, ValidationError
@@ -241,57 +241,54 @@ def load_corpus(path: str | Path) -> Corpus:
     return parse_corpus(_read_json(path))
 
 
-def corpus_to_doc(corpus: Corpus) -> dict:
-    def jur(j: Jurisdiction) -> dict:
-        out = {"id": j.id, "name": j.name, "level": j.level.value}
-        if j.parent is not None:
-            out["parent"] = j.parent
-        return out
-
-    def comp(c: Component) -> dict:
-        out = {"id": c.id, "implements": sorted(c.implements), "scope": "general"}
-        if c.jurisdiction is not None:
-            out.update(scope="specific", jurisdiction=c.jurisdiction)
-        return out
-
-    return {
-        "formatVersion": FORMAT_VERSION,
-        "jurisdictions": [jur(j) for j in corpus.jurisdictions],
-        "sources": [
-            {"id": s.id, "kind": s.kind.value, "jurisdiction": s.jurisdiction,
-             "conceptKey": s.concept_key, "text": s.text,
-             "contentHash": s.content_hash, "isStatic": s.is_static}
-            for s in corpus.sources
-        ],
-        "requirements": [
-            {"id": r.id, "kind": r.kind.value, "jurisdiction": r.jurisdiction,
-             "conceptKey": r.concept_key, "text": r.text,
-             "contentHash": r.content_hash, "derivedFrom": sorted(r.derived_from)}
-            for r in corpus.requirements
-        ],
-        "relations": {
-            "refines": sorted([a, b] for a, b in corpus.relations.refines),
-            "contradicts": sorted(sorted([a, b]) for a, b in corpus.relations.contradicts),
-        },
-        "components": [comp(c) for c in corpus.components],
-    }
-
-
 def canonical_json(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+_str = json.encoder.encode_basestring  # the C escaper of json.dumps(ensure_ascii=False)
+_FIELD = ",\n      "  # between two fields of a source or requirement: nearly all the bytes, so one f-string each
+
+
+def _block(parts: Iterable[str] | dict[str, str | None], depth: int) -> str:
+    """A JSON array of rendered parts, or an object of rendered values keyed in the order given (None
+    leaves a key out), as ``indent=2`` lays it out at ``depth``."""
+    pad, brackets = "\n" + "  " * depth, "{}" if isinstance(parts, dict) else "[]"
+    if isinstance(parts, dict):
+        parts = [f'"{key}": {value}' for key, value in parts.items() if value is not None]
+    inner = f",{pad}  ".join(parts)
+    return f"{brackets[0]}{pad}  {inner}{pad}{brackets[1]}" if inner else brackets
+
+
 def canonical_bytes(corpus: Corpus) -> bytes:
-    return canonical_json(corpus_to_doc(corpus)).encode("utf-8")
+    """canonical_json of the corpus's document (tests/oracles.py), laid out record by record, keys sorted."""
+    return (_block({
+        "components": _block([_block({
+            "id": _str(c.id), "implements": _block(map(_str, sorted(c.implements)), 3),
+            "jurisdiction": None if c.jurisdiction is None else _str(c.jurisdiction),
+            "scope": '"general"' if c.jurisdiction is None else '"specific"'}, 2) for c in corpus.components], 1),
+        "formatVersion": str(FORMAT_VERSION),
+        "jurisdictions": _block([_block({"id": _str(j.id), "level": _str(j.level.value), "name": _str(j.name),
+                                         "parent": None if j.parent is None else _str(j.parent)}, 2)
+                                 for j in corpus.jurisdictions], 1),
+        "relations": _block({
+            "contradicts": _block([_block(map(_str, p), 3) for p in sorted(sorted(p) for p in corpus.relations.contradicts)], 2),
+            "refines": _block([_block(map(_str, p), 3) for p in sorted(corpus.relations.refines)], 2)}, 1),
+        "requirements": _block([
+            f'{{\n      "conceptKey": {_str(r.concept_key)}{_FIELD}"contentHash": {_str(r.content_hash)}{_FIELD}'
+            f'"derivedFrom": {_block(map(_str, sorted(r.derived_from)), 3)}{_FIELD}"id": {_str(r.id)}{_FIELD}'
+            f'"jurisdiction": {_str(r.jurisdiction)}{_FIELD}"kind": {_str(r.kind.value)}{_FIELD}"text": {_str(r.text)}\n    }}'
+            for r in corpus.requirements], 1),
+        "sources": _block([
+            f'{{\n      "conceptKey": {_str(s.concept_key)}{_FIELD}"contentHash": {_str(s.content_hash)}{_FIELD}'
+            f'"id": {_str(s.id)}{_FIELD}"isStatic": {"true" if s.is_static else "false"}{_FIELD}'
+            f'"jurisdiction": {_str(s.jurisdiction)}{_FIELD}"kind": {_str(s.kind.value)}{_FIELD}"text": {_str(s.text)}\n    }}'
+            for s in corpus.sources], 1),
+    }, 0) + "\n").encode("utf-8")
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the canonical bytes; their digest becomes the corpus fingerprint.
-
-    ``Corpus.fingerprint`` is a cached property, so filling its slot in the
-    instance dict spares a second serialisation when the fingerprint is
-    read after saving.
-    """
+    """Write the canonical bytes and fill the cached ``Corpus.fingerprint`` slot
+    with their digest, so reading the fingerprint after saving serialises nothing."""
     data = canonical_bytes(corpus)
     try:
         Path(path).write_bytes(data)

@@ -12,7 +12,7 @@ import random
 import string
 from dataclasses import replace
 
-from reqlattice import model
+from reqlattice import corpus_io, model
 from reqlattice.changes import ImpactReport, Migration, OpRecord
 from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
 from reqlattice.errors import MissingAdoptedByError, UnknownTargetError, ValidationError
@@ -96,6 +96,44 @@ def scratch_members(corpus: Corpus) -> dict:
     groups = {(j.id, kind): tuple(i for i in items if i.jurisdiction == j.id and i.kind is kind)
               for j in corpus.jurisdictions for kind in (*SourceKind, *RequirementKind)}
     return {key: group for key, group in groups.items() if group}
+
+
+def corpus_to_doc(corpus: Corpus) -> dict:
+    """The corpus as a JSON document; ``corpus_io.canonical_json`` of it is
+    the reference for ``corpus_io.canonical_bytes``."""
+    def jur(j: Jurisdiction) -> dict:
+        out = {"id": j.id, "name": j.name, "level": j.level.value}
+        if j.parent is not None:
+            out["parent"] = j.parent
+        return out
+
+    def comp(c: Component) -> dict:
+        out = {"id": c.id, "implements": sorted(c.implements), "scope": "general"}
+        if c.jurisdiction is not None:
+            out.update(scope="specific", jurisdiction=c.jurisdiction)
+        return out
+
+    return {
+        "formatVersion": corpus_io.FORMAT_VERSION,
+        "jurisdictions": [jur(j) for j in corpus.jurisdictions],
+        "sources": [
+            {"id": s.id, "kind": s.kind.value, "jurisdiction": s.jurisdiction,
+             "conceptKey": s.concept_key, "text": s.text,
+             "contentHash": s.content_hash, "isStatic": s.is_static}
+            for s in corpus.sources
+        ],
+        "requirements": [
+            {"id": r.id, "kind": r.kind.value, "jurisdiction": r.jurisdiction,
+             "conceptKey": r.concept_key, "text": r.text,
+             "contentHash": r.content_hash, "derivedFrom": sorted(r.derived_from)}
+            for r in corpus.requirements
+        ],
+        "relations": {
+            "refines": sorted([a, b] for a, b in corpus.relations.refines),
+            "contradicts": sorted(sorted([a, b]) for a, b in corpus.relations.contradicts),
+        },
+        "components": [comp(c) for c in corpus.components],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import scratch_apply_change_set
 from reqlattice import model
 from reqlattice.changes import (
     CASE_GEN_SPLITS,
@@ -23,6 +24,8 @@ from reqlattice.model import (
     RelationSet,
     Requirement,
     RequirementKind,
+    SourceItem,
+    SourceKind,
 )
 from reqlattice.partition import partition_requirements
 
@@ -252,6 +255,51 @@ class TestApplyChangeSet:
         assert "consent-capture" not in part.general_concepts
         assert part.owner_of("req-de-consent") == "de"
         assert part.owner_of("req-fr-consent") == "fr"
+
+
+def source_tree_corpus():
+    """Nation n > state st > org o, and nation m. A legal source of n is
+    elaborated at n, st and o; a cultural source of n only at o."""
+    def source(i, kind):
+        return SourceItem(id=i, kind=kind, jurisdiction="n", concept_key=i, text=i,
+                          content_hash=model.content_hash(i), is_static=False)
+
+    def derived(i, jurisdiction, sid, kind=RequirementKind.LEGAL_BASED):
+        return replace(req(i, jurisdiction, "k", i, kind), derived_from=frozenset({sid}))
+
+    corpus = Corpus(
+        jurisdictions=(jur("n"), jur("m"), Jurisdiction("st", "st", Level.STATE, parent="n"),
+                       Jurisdiction("o", "o", Level.ORGANISATIONAL, parent="st")),
+        sources=(source("s-law", SourceKind.LEGAL), source("s-custom", SourceKind.CULTURAL)),
+        requirements=(derived("r-st", "st", "s-law"), derived("r-o", "o", "s-law"), derived("r-n", "n", "s-law"),
+                      derived("r-o-custom", "o", "s-custom", RequirementKind.CULTURAL_BASED),
+                      req("r-m", "m", "k", "r-m")),
+        components=tuple(Component(f"c-{r}", frozenset({f"r-{r}"}), jurisdiction=r) for r in ("n", "m", "o", "st")),
+    )
+    model.validate_corpus(corpus)
+    return corpus
+
+
+class TestSourceOpsReachDerivationsBelow:
+    """Source modifies and removals find the requirements deriving from the
+    source at its jurisdiction and every jurisdiction below it."""
+
+    def test_source_modify_flags_every_level_in_requirement_order(self):
+        corpus = source_tree_corpus()
+        cs = change_set(modify("s-law", "a new law"))
+        new, report = apply_change_set(corpus, cs)
+        assert report.per_op[0].component_impact == (("c-n", "mustChange"), ("c-o", "mustChange"),
+                                                     ("c-st", "mustChange"))
+        want, want_report = scratch_apply_change_set(corpus, cs)
+        assert new == want and report.per_op == want_report.per_op
+
+    def test_source_removal_rejects_a_derivation_two_levels_below(self):
+        corpus = source_tree_corpus()
+        cs = change_set(ChangeOp(op="remove", target="s-custom"))
+        for apply in (apply_change_set, scratch_apply_change_set):
+            with pytest.raises(ValidationError) as err:
+                apply(corpus, cs)
+            assert (err.value.code, err.value.item_id) == ("DANGLING_REF", "r-o-custom")
 
 
 class TestReuseHints:

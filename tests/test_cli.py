@@ -147,6 +147,16 @@ def test_change_out_serialises_the_new_corpus_once(capsys, corpus_arg, change_se
     assert body["after"] == corpus_io.load_corpus(out_path).fingerprint
 
 
+def test_change_reports_the_digest_of_the_input_file(capsys, corpus_arg, change_set_path, tmp_path, worked_example_path):
+    import hashlib
+
+    # the worked example is stored in canonical form, so its fingerprint is the digest of the file
+    code, out, _ = invoke(capsys, "change", *corpus_arg, "--changes", str(change_set_path),
+                          "--out", str(tmp_path / "after.reqcorpus.json"), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["body"]["before"] == hashlib.sha256(worked_example_path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("command,flag", [
     *[pytest.param(c, ["--level", "state"], id=c) for c in ("optimize", "conflicts", "change", "hierarchy", "rank")],
     *[pytest.param(c, ["--strict"], id=f"{c}-strict") for c in ("scenario", "change", "rank")],
