@@ -181,7 +181,12 @@ def classify_change(work: _Draft, op: ChangeOp) -> OpRecord:
             )
 
         # 2b: the concept leaves the general set; adopters switch to the new
-        # content, keepers stay on the old version untouched
+        # content, keepers stay on the old version untouched; a new version
+        # equal to the old one would split nothing
+        new_target = _apply_payload(target, op.payload)
+        if (new_target.concept_key, new_target.content_hash) == (target.concept_key, target.content_hash):
+            raise ValidationError("NO_CHANGE", f"modify op on {op.target!r} keeps its concept key and content, "
+                                  "so a partial adoptedBy splits nothing")
         adopts = {r.id: r.jurisdiction in op.adopted_by for r in group}
         impact = tuple((c.id, "mustChange" if adopts[r.id] else "unchanged")
                        for r in group for c in _components_implementing(work, r.id))

@@ -157,7 +157,7 @@ def _cmd_optimize(args, corpus: Corpus) -> int:
 
 
 def _cmd_conflicts(args, corpus: Corpus) -> int:
-    records = relations.find_conflicts(corpus, {r.id for r in corpus.requirements})
+    records = relations.find_conflicts(corpus)
     _emit(args, "conflicts", reports.conflicts_body(records), reports.conflicts_text)
     return EXIT_STRICT if args.strict and records else EXIT_OK
 

@@ -369,6 +369,8 @@ def parse_change_set(doc: Any) -> ChangeSet:
             payload = _add_item(o["target"], o["payload"])
         elif o["op"] == "modify":
             p = _take(o["payload"], f"payload of {o['target']!r}", _MODIFY_PAYLOAD)
+            if not p:
+                raise ValidationError("MISSING_FIELD", f"modify op on {o['target']!r} needs a text or conceptKey")
             payload = ChangePayload(text=p.get("text"), concept_key=p.get("conceptKey"))
 
         adopted = None

@@ -7,7 +7,7 @@ baseline keeps the minimal elements, the floor any compliant system must meet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from reqlattice.model import Corpus, RequirementKind
 from reqlattice.relations import ConflictRecord, find_conflicts, min_refiner
@@ -42,14 +42,11 @@ class GlobalView:
     per_jurisdiction: dict[str, dict[str, OptimizedView]]  # jid -> kind -> view
     global_per_kind: dict[str, OptimizedView]
     global_all: OptimizedView
-    conflicts: list[ConflictRecord] = field(default_factory=list)
+    conflicts: list[ConflictRecord]
 
 
 def global_view(corpus: Corpus) -> GlobalView:
-    """Per-kind, per-jurisdiction and global optimized sets plus conflicts.
-
-    The conflict list over the global union is what feeds the TOPSIS ranking.
-    """
+    """Per-kind, per-jurisdiction and global optimized sets plus conflicts."""
     ids = {(j.id, kind): {r.id for r in corpus.members.get((j.id, kind), ())}
            for j in corpus.jurisdictions for kind in RequirementKind}
     per_jur = {
@@ -62,15 +59,9 @@ def global_view(corpus: Corpus) -> GlobalView:
         kind.value: optimize(per_kind[kind], corpus, f"{kind.value}@global") for kind in RequirementKind
     }
 
-    all_ids = set().union(*per_kind.values())
     return GlobalView(
         per_jurisdiction=per_jur,
         global_per_kind=global_per_kind,
-        global_all=optimize(all_ids, corpus, "all@global"),
-        conflicts=find_conflicts(corpus, all_ids),
+        global_all=optimize(set().union(*per_kind.values()), corpus, "all@global"),
+        conflicts=find_conflicts(corpus),
     )
-
-
-def conflict_requirement_ids(conflicts: list[ConflictRecord]) -> list[str]:
-    """Sorted requirement ids involved in any of the conflicts."""
-    return sorted({i for record in conflicts for i in record.pair})

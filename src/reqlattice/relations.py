@@ -6,8 +6,8 @@ from collections.abc import Callable, Collection
 from dataclasses import dataclass
 from typing import TypeVar
 
-from reqlattice.errors import CycleError, UnknownIdError
-from reqlattice.model import Corpus, RelationSet
+from reqlattice.errors import CycleError
+from reqlattice.model import Corpus, RelationSet, Requirement
 
 K = TypeVar("K")
 
@@ -142,17 +142,12 @@ class ConflictRecord:
     origin: str  # "explicit" | "derived"
 
 
-def find_conflicts(corpus: Corpus, scope: set[str] | frozenset[str]) -> list[ConflictRecord]:
-    """Every derived contradiction with both endpoints in ``scope``, sorted."""
-    known = corpus.requirement_map()
-    for rid in sorted(scope):
-        if rid not in known:
-            raise UnknownIdError(rid)
+def find_conflicts(corpus: Corpus) -> list[ConflictRecord]:
+    """Every derived contradiction between two requirements (not sources), sorted."""
+    items = corpus.by_id
     explicit = {frozenset(p) for p in corpus.relations.contradicts}
-    out = []
-    for pair in derive_contradictions(corpus.relations):
-        a, b = sorted(pair)
-        if a in scope and b in scope:
-            out.append(ConflictRecord((a, b), "explicit" if pair in explicit else "derived"))
+    out = [ConflictRecord(tuple(sorted(pair)), "explicit" if pair in explicit else "derived")
+           for pair in derive_contradictions(corpus.relations)
+           if all(isinstance(items.get(i), Requirement) for i in pair)]
     out.sort(key=lambda c: c.pair)
     return out

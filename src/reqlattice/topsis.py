@@ -16,7 +16,6 @@ import numpy as np
 from reqlattice.corpus_io import AlternativesFile
 from reqlattice.errors import DegenerateMatrixError, UnknownRequirementError
 from reqlattice.model import Corpus
-from reqlattice.optimize import conflict_requirement_ids
 from reqlattice.relations import find_conflicts
 
 
@@ -122,7 +121,7 @@ def build_conflict_matrix(corpus: Corpus, alts: AlternativesFile) -> DecisionMat
     direction; equal weights unless the alternatives file overrides them);
     values are each alternative's satisfaction scores, defaulting to 0.
     """
-    conflict_ids = conflict_requirement_ids(find_conflicts(corpus, {r.id for r in corpus.requirements}))
+    conflict_ids = sorted({i for record in find_conflicts(corpus) for i in record.pair})
     conflict_set = set(conflict_ids)
     for alt in alts.alternatives:
         for rid in alt.satisfies:

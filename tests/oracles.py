@@ -361,6 +361,10 @@ def _scratch_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
             impact = tuple((c, "mustChange") for r in sorted(group, key=lambda r: r.id) for c in _implementing(corpus, r.id))
             out = _swap(corpus, *(_edit(r, op.payload) for r in group))
             return out, OpRecord("modify", op.target, "2a", (), all_jids, impact)
+        new_target = _edit(target, op.payload)
+        if (new_target.concept_key, new_target.content_hash) == (target.concept_key, target.content_hash):
+            raise ValidationError(
+                "NO_CHANGE", f"modify op on {op.target!r} keeps its concept key and content, so a partial adoptedBy splits nothing")
         adopts = {r.id: r.jurisdiction in op.adopted_by for r in group}
         impact = tuple((c, "mustChange" if adopts[r.id] else "unchanged") for r in group for c in _implementing(corpus, r.id))
         migrations = tuple(Migration(r.id, "general", f"specific:{r.jurisdiction}") for r in group)

@@ -19,6 +19,7 @@ from oracles import (
 from reqlattice import cli, corpus_io, model, partition
 from reqlattice.changes import apply_change_set
 from reqlattice.corpus_io import ChangeOp, ChangePayload, ChangeSet
+from reqlattice.errors import ValidationError
 from reqlattice.model import (
     Corpus,
     Jurisdiction,
@@ -156,6 +157,14 @@ def test_criterion_4_change_case_exhaustiveness():
             adopted = frozenset(rng.sample(jids, rng.randint(1, len(jids))))
         op = ChangeOp(op="modify", target=target.id,
                       payload=ChangePayload(text=new_text), adopted_by=adopted)
+        if adopted is not None and len(adopted) < len(corpus.jurisdictions) \
+                and model.content_hash(new_text) == target.content_hash:
+            # a partial adoption of the same content would split nothing
+            with pytest.raises(ValidationError) as rejected:
+                apply_change_set(corpus, ChangeSet(label="x", ops=(op,)))
+            assert rejected.value.code == "NO_CHANGE"
+            checked += 1
+            continue
         new_corpus, report = apply_change_set(corpus, ChangeSet(label="x", ops=(op,)))
         rec = report.per_op[0]
         assert rec.case_code in {"1a", "1b", "2a", "2b"}, rec.case_code

@@ -207,6 +207,8 @@ def test_change_sets_match_the_partition_oracle(data):
         else:
             expected = "1b" if op.target in general_after else "1a"
         assert record.case_code == expected
+        if expected == "2b":
+            assert op.target not in general_after
         if expected == "1b":
             rmap = after_op.requirement_map()
             group = {rid for rid in general_after if rmap[rid].concept_key == rmap[op.target].concept_key}

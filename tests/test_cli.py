@@ -379,6 +379,16 @@ def _modify_with(field, value):
                  "UNKNOWN_FIELD", id="source-modify-adoptedBy"),
     pytest.param({"op": "modify", "target": "req-de-retention", "payload": {"text": "x"}, "adoptedBy": ["de"]},
                  "UNKNOWN_FIELD", id="specific-modify-adoptedBy"),
+    pytest.param({"op": "modify", "target": "req-de-consent", "payload": {}, "adoptedBy": ["de"]},
+                 "MISSING_FIELD", id="modify-empty-payload"),
+    # a partial adoption of the same concept key and normalized text would split nothing
+    pytest.param({"op": "modify", "target": "req-de-consent", "adoptedBy": ["de"], "payload": {
+        "text": " THE SYSTEM SHALL RECORD EXPLICIT CONSENT BEFORE STORING PERSONAL DATA."}},
+                 "NO_CHANGE", id="split-modify-same-content"),
+    pytest.param({"op": "modify", "target": "req-de-consent", "adoptedBy": ["de"], "payload": {
+        "text": "The system shall record explicit consent before storing personal data.",
+        "conceptKey": "consent-capture"}},
+                 "NO_CHANGE", id="split-modify-same-text-and-concept"),
 ])
 def test_change_op_outside_its_schema_exit_1(capsys, corpus_arg, tmp_path, op, code):
     path = tmp_path / "cs.reqchange.json"

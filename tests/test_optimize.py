@@ -10,11 +10,7 @@ from reqlattice.model import (
     Requirement,
     RequirementKind,
 )
-from reqlattice.optimize import (
-    conflict_requirement_ids,
-    global_view,
-    optimize,
-)
+from reqlattice.optimize import global_view, optimize
 from reqlattice.relations import refinement_closure
 
 
@@ -114,8 +110,7 @@ class TestGlobalView:
         # the single cross-jurisdiction refinement removes exactly one id
         assert gv.global_all.removed == {"req-fr-audit": "req-de-audit"}
         assert "req-fr-audit" not in gv.global_all.strongest
-        assert [c.pair for c in gv.conflicts] == [("req-de-retention", "req-fr-retention")]
-        assert conflict_requirement_ids(gv.conflicts) == ["req-de-retention", "req-fr-retention"]
+        assert [(c.pair, c.origin) for c in gv.conflicts] == [(("req-de-retention", "req-fr-retention"), "explicit")]
 
     def test_single_jurisdiction_matches_global(self):
         corpus = poset_corpus({"a", "b", "c"}, {("a", "b")})

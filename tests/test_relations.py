@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fixpoint_contradictions, path_enumeration_closure, random_dag
-from reqlattice.errors import CycleError, UnknownIdError
+from reqlattice import corpus_io, model
+from reqlattice.errors import CycleError
 from reqlattice.model import (
     Corpus,
     Jurisdiction,
@@ -14,13 +15,16 @@ from reqlattice.model import (
     RelationSet,
     Requirement,
     RequirementKind,
+    SourceKind,
 )
-from reqlattice.partition import partition_requirements
+from reqlattice.optimize import global_view
+from reqlattice.partition import check_specific_contradiction_condition, partition_requirements, partition_sources
 from reqlattice.relations import (
     derive_contradictions,
     find_conflicts,
     refinement_closure,
 )
+from reqlattice.topsis import build_conflict_matrix
 
 
 def rel(refines=(), contradicts=()):
@@ -218,28 +222,33 @@ def _corpus_with(requirements, relations):
 
 
 class TestFindConflicts:
-    def test_explicit_pair_in_scope(self):
+    def test_explicit_pair(self):
         corpus = _corpus_with([_req("a", key="ka"), _req("b", key="kb")],
                               rel(contradicts=[("a", "b")]))
-        records = find_conflicts(corpus, {"a", "b"})
+        records = find_conflicts(corpus)
         assert [(r.pair, r.origin) for r in records] == [(("a", "b"), "explicit")]
-
-    def test_singleton_scope_is_empty(self):
-        corpus = _corpus_with([_req("a", key="ka"), _req("b", key="kb")],
-                              rel(contradicts=[("a", "b")]))
-        assert find_conflicts(corpus, {"a"}) == []
 
     def test_three_chain_explicit_plus_derived(self):
         reqs = [_req(i, key=f"k{i}") for i in ("x", "x1", "x2", "y")]
         corpus = _corpus_with(reqs, rel([("x2", "x1"), ("x1", "x")], [("x", "y")]))
-        records = find_conflicts(corpus, {"x", "x1", "x2", "y"})
+        records = find_conflicts(corpus)
         assert [(r.pair, r.origin) for r in records] == [
             (("x", "y"), "explicit"),
             (("x1", "y"), "derived"),
             (("x2", "y"), "derived"),
         ]
 
-    def test_unknown_id(self):
-        corpus = _corpus_with([_req("a")], rel())
-        with pytest.raises(UnknownIdError):
-            find_conflicts(corpus, {"nope"})
+    def test_a_contradiction_between_sources_is_no_conflict(self, worked_example, alts_path):
+        relations = worked_example.relations
+        corpus = replace(worked_example, relations=replace(
+            relations, contradicts=relations.contradicts | {("src-de-retention", "src-fr-retention")}))
+        model.validate_corpus(corpus)
+        retention = ("req-de-retention", "req-fr-retention")
+        assert [r.pair for r in find_conflicts(corpus)] == [retention]  # the conflicts command
+        assert [r.pair for r in global_view(corpus).conflicts] == [retention]  # optimize's conflicts
+        matrix = build_conflict_matrix(corpus, corpus_io.load_alternatives(alts_path))
+        assert tuple(c.id for c in matrix.criteria) == retention  # rank's criteria
+        # the partition still counts the pair: only the address sources contradict no counterpart
+        parts = [partition_sources(corpus, kind) for kind in SourceKind]
+        flagged = [f.item_id for f in check_specific_contradiction_condition(corpus, *parts)]
+        assert flagged == ["src-de-address", "src-fr-address"]
