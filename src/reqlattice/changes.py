@@ -92,6 +92,14 @@ def _components_implementing(work: Corpus | _Draft, rid: str) -> list[Component]
     return [c for c in work.components if rid in c.implements]  # id order
 
 
+def _impact(work: _Draft, changed: set[str], touched: set[str] = frozenset()) -> tuple[tuple[str, str], ...]:
+    """Each component implementing a requirement of ``changed`` or ``touched``, once, in id order:
+    ``mustChange`` when it implements a changed one, else ``unchanged``."""
+    touched = changed | touched
+    return tuple((c.id, "unchanged" if c.implements.isdisjoint(changed) else "mustChange")
+                 for c in work.components if not c.implements.isdisjoint(touched))
+
+
 class _Draft:
     """A change set's working copy of the input's id map and (jurisdiction,
     kind) groups, edited in place by each op. Ops keep the jurisdictions,
@@ -138,19 +146,22 @@ def _reject_adopted_by(op: ChangeOp) -> None:
             "UNKNOWN_FIELD", f"modify op on {op.target!r} takes adoptedBy only for a general-set requirement")
 
 
-def _apply_payload(item: SourceItem | Requirement, payload) -> SourceItem | Requirement:
-    text = payload.text if payload.text is not None else item.text
-    concept = payload.concept_key if payload.concept_key is not None else item.concept_key
-    return replace(item, text=text, concept_key=concept, content_hash=model.content_hash(text))
+def _apply_payload(item: SourceItem | Requirement, op: ChangeOp) -> SourceItem | Requirement:
+    """The new version of ``item``; a modify that keeps its concept key and content hash changes nothing,
+    and a general target's counterparts share both with it, so one check on each item serves every case."""
+    text = op.payload.text if op.payload.text is not None else item.text
+    concept = op.payload.concept_key if op.payload.concept_key is not None else item.concept_key
+    new = replace(item, text=text, concept_key=concept, content_hash=model.content_hash(text))
+    if (new.concept_key, new.content_hash) == (item.concept_key, item.content_hash):
+        raise ValidationError("NO_CHANGE", f"modify op on {op.target!r} keeps its concept key and content")
+    return new
 
 
 def _concept_view(work: _Draft, kind: RequirementKind, concept_key: str) -> ItemView:
     """Each jurisdiction's items of ``kind`` for one concept. Generality is
     decided per concept, so its partition agrees with the whole kind's."""
-    return {
-        j.id: [r for r in work.groups.get((j.id, kind), {}).values() if r.concept_key == concept_key]
-        for j in work.base.jurisdictions
-    }
+    return {j.id: [r for r in work.groups.get((j.id, kind), {}).values() if r.concept_key == concept_key]
+            for j in work.base.jurisdictions}
 
 
 def classify_change(work: _Draft, op: ChangeOp) -> OpRecord:
@@ -170,38 +181,27 @@ def classify_change(work: _Draft, op: ChangeOp) -> OpRecord:
 
         if op.adopted_by == all_jids:
             # 2a: the new version stays general, every counterpart is updated
-            work.write(*(_apply_payload(r, op.payload) for r in group))
-            impact = tuple(
-                (c.id, "mustChange")
-                for r in sorted(group, key=attrgetter("id")) for c in _components_implementing(work, r.id)
-            )
+            work.write(*(_apply_payload(r, op) for r in group))
             return OpRecord(
                 op="modify", target=op.target, case_code=CASE_GEN_STAYS_GEN,
-                migrations=(), affected=all_jids, component_impact=impact,
+                migrations=(), affected=all_jids, component_impact=_impact(work, {r.id for r in group}),
             )
 
         # 2b: the concept leaves the general set; adopters switch to the new
-        # content, keepers stay on the old version untouched; a new version
-        # equal to the old one would split nothing
-        new_target = _apply_payload(target, op.payload)
-        if (new_target.concept_key, new_target.content_hash) == (target.concept_key, target.content_hash):
-            raise ValidationError("NO_CHANGE", f"modify op on {op.target!r} keeps its concept key and content, "
-                                  "so a partial adoptedBy splits nothing")
-        adopts = {r.id: r.jurisdiction in op.adopted_by for r in group}
-        impact = tuple((c.id, "mustChange" if adopts[r.id] else "unchanged")
-                       for r in group for c in _components_implementing(work, r.id))
-        work.write(*(_apply_payload(r, op.payload) for r in group if adopts[r.id]))
+        # content, keepers stay on the old version untouched
+        adopters = {r.id for r in group if r.jurisdiction in op.adopted_by}
+        work.write(*(_apply_payload(r, op) for r in group if r.id in adopters))
         return OpRecord(
             op="modify", target=op.target, case_code=CASE_GEN_SPLITS,
             migrations=tuple(Migration(r.id, "general", f"specific:{r.jurisdiction}") for r in group),
-            affected=frozenset(op.adopted_by), component_impact=impact,
+            affected=frozenset(op.adopted_by), component_impact=_impact(work, adopters, {r.id for r in group}),
         )
 
     # target sits in a specific set
     _reject_adopted_by(op)
-    new_target = _apply_payload(target, op.payload)
+    new_target = _apply_payload(target, op)
     work.write(new_target)
-    own_impact = tuple((c.id, "mustChange") for c in _components_implementing(work, op.target))
+    own_impact = _impact(work, {op.target})
     after = _concept_view(work, target.kind, new_target.concept_key)
 
     if op.target not in partition_requirements(work.base, target.kind, after).general:
@@ -251,7 +251,7 @@ def _apply_remove(work: _Draft, op: ChangeOp) -> OpRecord:
     """
     rid = op.target
     item = work.by_id[rid]  # validate_change_set found it in the input; no other op targets it
-    impacted = tuple((c.id, "mustChange") for c in _components_implementing(work, rid))
+    impacted = _impact(work, {rid})
     work.relations = RelationSet(
         refines=frozenset(p for p in work.relations.refines if rid not in p),
         contradicts=frozenset(p for p in work.relations.contradicts if rid not in p),
@@ -269,9 +269,8 @@ def _apply_remove(work: _Draft, op: ChangeOp) -> OpRecord:
 def _apply_source_modify(work: _Draft, op: ChangeOp) -> OpRecord:
     _reject_adopted_by(op)
     old = work.by_id[op.target]
-    impact = tuple((c.id, "mustChange") for r in work.deriving_from(old)
-                   for c in _components_implementing(work, r.id))
-    work.write(_apply_payload(old, op.payload))
+    impact = _impact(work, {r.id for r in work.deriving_from(old)})
+    work.write(_apply_payload(old, op))
     return OpRecord(
         op="modify", target=op.target, case_code=CASE_SOURCE_CHANGE, migrations=(),
         affected=frozenset({old.jurisdiction}), component_impact=impact,

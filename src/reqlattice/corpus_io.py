@@ -16,6 +16,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -238,11 +239,15 @@ def parse_corpus(doc: Any) -> Corpus:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    return parse_corpus(_read_json(path))
-
-
-def canonical_json(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Read, parse and validate a corpus with the cyclic GC paused, process-wide: a load makes tens of thousands
+    of containers and no cycle, which collections would only rescan. Every exit restores the caller's GC state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse_corpus(_read_json(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _str = json.encoder.encode_basestring  # the C escaper of json.dumps(ensure_ascii=False)
@@ -257,6 +262,42 @@ def _block(parts: Iterable[str] | dict[str, str | None], depth: int) -> str:
         parts = [f'"{key}": {value}' for key, value in parts.items() if value is not None]
     inner = f",{pad}  ".join(parts)
     return f"{brackets[0]}{pad}  {inner}{pad}{brackets[1]}" if inner else brackets
+
+
+def _render(value: Any, pad: str, out: list[str]) -> None:
+    """Append the pieces of ``value`` as ``indent=2, sort_keys=True`` lays it out after ``pad``. Most strings
+    are ids: a list of them is one piece, and a dict writes its string values itself. Joined once, the one
+    flat list copies each byte once, where nested joins would copy it once per level."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key, v in sorted(value.items()):
+            if type(v) is str:
+                out.append(f"{sep}{_str(key)}: {_str(v)}")
+            else:
+                out.append(f"{sep}{_str(key)}: ")
+                _render(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)) and value and all(type(v) is str for v in value):  # ids, as one piece
+        out += ("[" + inner, f",{inner}".join(map(_str, value)), pad + "]")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _render(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:  # a scalar or an empty container, through the C encoder of json.dumps
+        out.append(_str(value) if isinstance(value, str) else json.dumps(value))
+
+
+def canonical_json(doc: Any) -> str:
+    """json.dumps(sort_keys=True, indent=2, ensure_ascii=False) + newline, without its pure-Python encoder."""
+    out: list[str] = []
+    _render(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def canonical_bytes(corpus: Corpus) -> bytes:

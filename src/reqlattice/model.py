@@ -215,7 +215,7 @@ def validate_corpus(corpus: Corpus) -> None:
                     item_id=j.id,
                 )
 
-    items = {item.id: item for item in (*corpus.sources, *corpus.requirements)}
+    items = corpus.by_id  # the map the loaded corpus keeps; its ids are unique, as checked above
     check_items(corpus, (*corpus.sources, *corpus.requirements), items)
 
     for rel_name, pairs in (("refines", corpus.relations.refines), ("contradicts", corpus.relations.contradicts)):

@@ -55,9 +55,7 @@ def global_view(corpus: Corpus) -> GlobalView:
     }
 
     per_kind = {kind: set().union(*(ids[j.id, kind] for j in corpus.jurisdictions)) for kind in RequirementKind}
-    global_per_kind = {
-        kind.value: optimize(per_kind[kind], corpus, f"{kind.value}@global") for kind in RequirementKind
-    }
+    global_per_kind = {kind.value: optimize(per_kind[kind], corpus, f"{kind.value}@global") for kind in RequirementKind}
 
     return GlobalView(
         per_jurisdiction=per_jur,

@@ -28,10 +28,7 @@ class Partition:
     corpus: Corpus = field(compare=False, repr=False)  # the corpus it was computed from
 
     def all_ids(self) -> frozenset[str]:
-        ids = set(self.general)
-        for bucket in self.specific.values():
-            ids |= bucket
-        return frozenset(ids)
+        return self.general.union(*self.specific.values())
 
     def owner_of(self, item_id: str) -> str | None:
         """Jurisdiction whose specific set holds the id, or None if general.
@@ -128,9 +125,7 @@ def partition_requirements(corpus: Corpus, kind: RequirementKind, view: ItemView
 def _check_same_corpus(corpus: Corpus, *parts: Partition) -> None:
     for part in parts:
         if part.corpus != corpus:
-            raise PartitionMismatchError(
-                f"partition of {part.role}/{part.kind} was computed from a different corpus"
-            )
+            raise PartitionMismatchError(f"partition of {part.role}/{part.kind} was computed from a different corpus")
 
 
 def check_elaboration(corpus: Corpus, parts: dict[str, Partition]) -> list[Finding]:
@@ -196,10 +191,7 @@ def check_specific_contradiction_condition(corpus: Corpus, *parts: Partition) ->
     findings: list[Finding] = []
     for part in parts:
         for jid in sorted(part.specific):
-            others: set[str] = set()
-            for other_jid, bucket in part.specific.items():
-                if other_jid != jid:
-                    others |= bucket
+            others = set().union(*(bucket for other_jid, bucket in part.specific.items() if other_jid != jid))
             for item_id in sorted(part.specific[jid]):
                 if not partners.get(item_id, set()) & others:
                     findings.append(Finding(

@@ -12,9 +12,7 @@ from reqlattice.model import Corpus, RelationSet, Requirement
 K = TypeVar("K")
 
 
-def check_acyclic(
-    relations: RelationSet, ids: set[str] | frozenset[str]
-) -> dict[str, set[str]]:
+def check_acyclic(relations: RelationSet, ids: set[str] | frozenset[str]) -> dict[str, set[str]]:
     """Adjacency of ``refines`` restricted to ``ids``, checked to be acyclic,
     keyed in topological order (the search's finishing order, reversed).
 
@@ -53,9 +51,7 @@ def check_acyclic(
     return {i: edges[i] for i in reversed(finished)}
 
 
-def min_refiner(
-    relations: RelationSet, ids: Collection[str], key: Callable[[str], K]
-) -> dict[str, K]:
+def min_refiner(relations: RelationSet, ids: Collection[str], key: Callable[[str], K]) -> dict[str, K]:
     """Least ``key(u)`` over each id's strict transitive refiners ``u``.
 
     Only ``refines`` pairs with both ends in ``ids`` count, and an id that
@@ -77,9 +73,7 @@ def min_refiner(
     return best
 
 
-def refinement_closure(
-    relations: RelationSet, ids: set[str] | frozenset[str]
-) -> frozenset[tuple[str, str]]:
+def refinement_closure(relations: RelationSet, ids: set[str] | frozenset[str]) -> frozenset[tuple[str, str]]:
     """Transitive closure of ``refines`` restricted to ``ids``.
 
     Raises CycleError (with one witness cycle) if any element would end up

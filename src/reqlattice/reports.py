@@ -96,29 +96,20 @@ def impact_body(report: ImpactReport, hints: list[ReuseHint]) -> dict:
                 "op": rec.op,
                 "target": rec.target,
                 "case": rec.case_code,
-                "migrations": [
-                    {"id": m.item_id, "from": m.from_set, "to": m.to_set}
-                    for m in rec.migrations
-                ],
+                "migrations": [{"id": m.item_id, "from": m.from_set, "to": m.to_set} for m in rec.migrations],
                 "affected": sorted(rec.affected),
                 "components": [{"id": cid, "status": status} for cid, status in rec.component_impact],
             }
             for rec in report.per_op
         ],
-        "reuseHints": [
-            {"component": h.component_id, "owner": h.owner_jurisdiction,
-             "for": h.for_jurisdiction, "via": h.via_requirement}
-            for h in hints
-        ],
+        "reuseHints": [{"component": h.component_id, "owner": h.owner_jurisdiction, "for": h.for_jurisdiction,
+                        "via": h.via_requirement} for h in hints],
     }
 
 
 def hierarchy_body(findings: list[HierarchyFinding], effective: dict[str, list[str]]) -> dict:
     return {
-        "findings": [
-            {"code": f.code, "jurisdiction": f.jurisdiction, "message": f.message}
-            for f in findings
-        ],
+        "findings": [{"code": f.code, "jurisdiction": f.jurisdiction, "message": f.message} for f in findings],
         "effectiveRequirements": {jid: ids for jid, ids in sorted(effective.items())},
     }
 

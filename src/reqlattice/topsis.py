@@ -41,11 +41,7 @@ class DecisionMatrix:
         object.__setattr__(self, "values", values)
 
 
-def make_matrix(
-    alternatives: list[str],
-    criteria: list[tuple[str, float, str]],
-    values,
-) -> DecisionMatrix:
+def make_matrix(alternatives: list[str], criteria: list[tuple[str, float, str]], values) -> DecisionMatrix:
     """Build a matrix, normalizing weights to sum to 1."""
     raw = [w for _, w, _ in criteria]
     if any(w < 0 for w in raw):
@@ -56,17 +52,11 @@ def make_matrix(
     total = sum(w / scale for w in raw)
     if total <= 0:
         raise DegenerateMatrixError("every criterion has weight 0; nothing to rank by")
-    crits = tuple(
-        Criterion(cid, w / scale / total, direction) for (cid, w, direction) in criteria
-    )
+    crits = tuple(Criterion(cid, w / scale / total, direction) for (cid, w, direction) in criteria)
     for c in crits:
         if c.direction not in ("benefit", "cost"):
             raise ValueError(f"criterion {c.id!r} direction must be benefit or cost")
-    return DecisionMatrix(
-        alternatives=tuple(alternatives),
-        criteria=crits,
-        values=np.asarray(values, dtype=float),
-    )
+    return DecisionMatrix(alternatives=tuple(alternatives), criteria=crits, values=np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -123,22 +113,15 @@ def build_conflict_matrix(corpus: Corpus, alts: AlternativesFile) -> DecisionMat
     """
     conflict_ids = sorted({i for record in find_conflicts(corpus) for i in record.pair})
     conflict_set = set(conflict_ids)
-    for alt in alts.alternatives:
-        for rid in alt.satisfies:
-            if rid not in conflict_set:
-                raise UnknownRequirementError(rid)
-    for rid in alts.weights:
+    for rid in (*(rid for alt in alts.alternatives for rid in alt.satisfies), *alts.weights):
         if rid not in conflict_set:
             raise UnknownRequirementError(rid)
 
     criteria = [(rid, alts.weights.get(rid, 1.0), "benefit") for rid in conflict_ids]
     if not criteria:
         # surfaced at rank time per the DegenerateMatrixError contract
-        return DecisionMatrix(
-            alternatives=tuple(a.id for a in alts.alternatives),
-            criteria=(),
-            values=np.zeros((len(alts.alternatives), 0)),
-        )
+        return DecisionMatrix(alternatives=tuple(a.id for a in alts.alternatives), criteria=(),
+                              values=np.zeros((len(alts.alternatives), 0)))
     # the explicit shape keeps a file without alternatives a 0 x n matrix, which
     # rank_alternatives rejects as degenerate
     values = np.array([

@@ -8,6 +8,7 @@ per-concept check.
 
 from __future__ import annotations
 
+import json
 import random
 import string
 from dataclasses import replace
@@ -98,9 +99,15 @@ def scratch_members(corpus: Corpus) -> dict:
     return {key: group for key, group in groups.items() if group}
 
 
+def dumps_layout(doc) -> str:
+    """The canonical layout as the stdlib lays it out, in pure Python: the
+    reference for ``corpus_io.canonical_json``."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
 def corpus_to_doc(corpus: Corpus) -> dict:
-    """The corpus as a JSON document; ``corpus_io.canonical_json`` of it is
-    the reference for ``corpus_io.canonical_bytes``."""
+    """The corpus as a JSON document; :func:`dumps_layout` of it is the
+    reference for ``corpus_io.canonical_bytes``."""
     def jur(j: Jurisdiction) -> dict:
         out = {"id": j.id, "name": j.name, "level": j.level.value}
         if j.parent is not None:
@@ -325,10 +332,13 @@ def _concept_items(corpus: Corpus, kind: RequirementKind, concept: str) -> dict[
             for j in corpus.jurisdictions}
 
 
-def _edit(item, payload):
-    text = payload.text if payload.text is not None else item.text
-    concept = payload.concept_key if payload.concept_key is not None else item.concept_key
-    return replace(item, text=text, concept_key=concept, content_hash=model.content_hash(text))
+def _edit(item, op: ChangeOp):
+    text = op.payload.text if op.payload.text is not None else item.text
+    concept = op.payload.concept_key if op.payload.concept_key is not None else item.concept_key
+    new = replace(item, text=text, concept_key=concept, content_hash=model.content_hash(text))
+    if (new.concept_key, new.content_hash) == (item.concept_key, item.content_hash):
+        raise ValidationError("NO_CHANGE", f"modify op on {op.target!r} keeps its concept key and content")
+    return new
 
 
 def _swap(corpus: Corpus, *updated) -> Corpus:
@@ -339,6 +349,19 @@ def _swap(corpus: Corpus, *updated) -> Corpus:
 
 def _implementing(corpus: Corpus, rid: str) -> list[str]:
     return [c.id for c in corpus.components if rid in c.implements]
+
+
+def _per_component(corpus: Corpus, changed: set[str], kept: set[str] = frozenset()) -> tuple[tuple[str, str], ...]:
+    """Change impact defined per component, in id order: ``mustChange`` when
+    it implements a changed requirement, ``unchanged`` when it implements
+    only kept ones, absent when it implements neither."""
+    impact = []
+    for c in corpus.components:
+        if c.implements & changed:
+            impact.append((c.id, "mustChange"))
+        elif c.implements & kept:
+            impact.append((c.id, "unchanged"))
+    return tuple(impact)
 
 
 def _no_adopted_by(op: ChangeOp) -> None:
@@ -358,20 +381,16 @@ def _scratch_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
             raise MissingAdoptedByError(op.target)
         group = [items[0] for items in view.values()]
         if op.adopted_by == all_jids:
-            impact = tuple((c, "mustChange") for r in sorted(group, key=lambda r: r.id) for c in _implementing(corpus, r.id))
-            out = _swap(corpus, *(_edit(r, op.payload) for r in group))
+            impact = _per_component(corpus, {r.id for r in group})
+            out = _swap(corpus, *(_edit(r, op) for r in group))
             return out, OpRecord("modify", op.target, "2a", (), all_jids, impact)
-        new_target = _edit(target, op.payload)
-        if (new_target.concept_key, new_target.content_hash) == (target.concept_key, target.content_hash):
-            raise ValidationError(
-                "NO_CHANGE", f"modify op on {op.target!r} keeps its concept key and content, so a partial adoptedBy splits nothing")
         adopts = {r.id: r.jurisdiction in op.adopted_by for r in group}
-        impact = tuple((c, "mustChange" if adopts[r.id] else "unchanged") for r in group for c in _implementing(corpus, r.id))
+        impact = _per_component(corpus, {i for i in adopts if adopts[i]}, {i for i in adopts if not adopts[i]})
         migrations = tuple(Migration(r.id, "general", f"specific:{r.jurisdiction}") for r in group)
-        out = _swap(corpus, *(_edit(r, op.payload) for r in group if adopts[r.id]))
+        out = _swap(corpus, *(_edit(r, op) for r in group if adopts[r.id]))
         return out, OpRecord("modify", op.target, "2b", migrations, frozenset(op.adopted_by), impact)
     _no_adopted_by(op)
-    new_target = _edit(target, op.payload)
+    new_target = _edit(target, op)
     out = _swap(corpus, new_target)
     own = tuple((c, "mustChange") for c in _implementing(corpus, op.target))
     after = _concept_items(out, target.kind, new_target.concept_key)
@@ -387,9 +406,8 @@ def _scratch_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
 def _scratch_source_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     _no_adopted_by(op)
     old = {s.id: s for s in corpus.sources}[op.target]
-    impact = tuple((c, "mustChange") for r in corpus.requirements if old.id in r.derived_from
-                   for c in _implementing(corpus, r.id))
-    return _swap(corpus, _edit(old, op.payload)), OpRecord(
+    impact = _per_component(corpus, {r.id for r in corpus.requirements if old.id in r.derived_from})
+    return _swap(corpus, _edit(old, op)), OpRecord(
         "modify", op.target, "SOURCE_CHANGE", (), frozenset({old.jurisdiction}), impact)
 
 

@@ -1,7 +1,8 @@
 """``corpus_io.canonical_bytes`` lays a corpus out record by record; its
-bytes must equal ``canonical_json`` of the corpus's document
-(``oracles.corpus_to_doc``) exactly, since the corpus fingerprint is their
-sha256.
+bytes must equal the ``json.dumps`` layout (``oracles.dumps_layout``) of the
+corpus's document (``oracles.corpus_to_doc``) exactly, since the corpus
+fingerprint is their sha256. ``corpus_io.canonical_json``, which renders
+every report envelope, must equal that layout on any JSON value.
 
 The corpora are drawn directly, not loaded, and need not be valid: any
 text in any field (quotes, backslashes, control characters, non-ASCII,
@@ -11,10 +12,11 @@ jurisdictions with and without a parent, and relation pairs given in either
 order or both.
 """
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import corpus_to_doc
+from oracles import corpus_to_doc, dumps_layout
 from reqlattice import corpus_io
 from reqlattice.model import (
     Component,
@@ -65,5 +67,25 @@ _CORPUS = st.builds(
 @given(_CORPUS)
 @example(Corpus(jurisdictions=(), sources=(), requirements=()))
 def test_canonical_bytes_equal_the_json_dumps_layout(corpus):
-    want = corpus_io.canonical_json(corpus_to_doc(corpus)).encode("utf-8")
+    want = dumps_layout(corpus_to_doc(corpus)).encode("utf-8")
     assert corpus_io.canonical_bytes(corpus) == want
+
+
+# numbers json.dumps writes in a form of its own: signed zero, the smallest
+# subnormal, exponent forms, closeness-like fractions and the non-finite ones
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, 2 / 3, 0.5857864376269049,
+                                         float("nan"), float("inf"), float("-inf")])
+_SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200) | _FLOATS
+           | _FLOATS.map(np.float64) | _TEXT)
+# lists, tuples and objects nest freely, so empty ones meet at every depth
+_JSON = st.recursive(_SCALAR, lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                     | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON)
+@example({"a": {}, "b": [], "c": [[], {}, ()], "d": {"e": {"f": []}}})
+@example([True, 1, False, 0, 1.0, None, "1"])
+@example({"\u2028": "\x00\x1f\"\\/\U0001f600", "": {"\U0010ffff": [float("nan"), float("-inf"), -0.0]}})
+def test_canonical_json_equals_the_json_dumps_layout(value):
+    assert corpus_io.canonical_json(value) == dumps_layout(value)

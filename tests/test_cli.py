@@ -398,6 +398,48 @@ def test_change_op_outside_its_schema_exit_1(capsys, corpus_arg, tmp_path, op, c
     assert err.startswith(f"reqlattice: {code}: ") and err.count("\n") == 1
 
 
+def _write_change_set(tmp_path, *ops):
+    path = tmp_path / "cs.reqchange.json"
+    path.write_text(json.dumps({"formatVersion": 1, "label": "l", "ops": list(ops)}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param({"target": "req-de-retention", "payload": {
+        "text": "The system shall keep financial records for ten years."}}, id="1a-same-text"),
+    pytest.param({"target": "req-de-consent", "adoptedBy": ["de", "fr"], "payload": {
+        "conceptKey": "consent-capture"}}, id="2a-same-concept"),
+    pytest.param({"target": "req-de-consent", "adoptedBy": ["de"], "payload": {
+        "text": "the system shall record explicit consent before storing  personal data."}}, id="2b-same-content"),
+    pytest.param({"target": "src-de-retention", "payload": {
+        "text": "FINANCIAL RECORDS MUST BE RETAINED FOR TEN YEARS."}}, id="source-same-content"),
+])
+def test_modify_that_keeps_concept_and_content_exit_1(capsys, corpus_arg, tmp_path, op):
+    # one rule for every modify: a new version equal to the old one in
+    # concept key and content hash changes nothing, whatever its case
+    out_path = tmp_path / "after.reqcorpus.json"
+    exit_code, out, err = invoke(capsys, "change", *corpus_arg, "--changes",
+                                 _write_change_set(tmp_path, {"op": "modify", **op}), "--out", str(out_path))
+    assert exit_code == EXIT_INVALID and out == "" and not out_path.exists()
+    assert err.startswith("reqlattice: NO_CHANGE: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("adopted_by,status,case", [
+    pytest.param(["de", "fr"], "mustChange", "2a", id="2a"),
+    pytest.param(["fr"], "mustChange", "2b", id="2b-one-adopter-one-keeper"),
+])
+def test_impact_lists_each_component_once(capsys, corpus_arg, tmp_path, adopted_by, status, case):
+    # comp-consent implements both consent requirements
+    op = {"op": "modify", "target": "req-de-consent", "adoptedBy": adopted_by,
+          "payload": {"text": "The system shall record dated explicit consent before storing personal data."}}
+    exit_code, out, _ = invoke(capsys, "change", *corpus_arg, "--changes", _write_change_set(tmp_path, op),
+                               "--format", "json")
+    assert exit_code == EXIT_OK
+    [record] = json.loads(out)["body"]["ops"]
+    assert record["case"] == case
+    assert record["components"] == [{"id": "comp-consent", "status": status}]
+
+
 def test_change_add_bad_kind_exit_1_from_the_entry_point(tmp_path, worked_example_path):
     path = tmp_path / "cs.reqchange.json"
     path.write_text(json.dumps({"formatVersion": 1, "label": "l", "ops": [

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -85,6 +86,55 @@ class TestLoadCorpus:
         from reqlattice.errors import CycleError
         with pytest.raises(CycleError):
             corpus_io.load_corpus(write(tmp_path, doc))
+
+
+class TestLoadPausesTheCollector:
+    """``load_corpus`` runs with the cyclic GC off and leaves it as it found it."""
+
+    FAILING = [
+        pytest.param("{\n  oops\n}", ParseError, id="parse-error"),
+        pytest.param(json.dumps(dict(MINIMAL, formatVersion=2)), ValidationError, id="validation-error"),
+        pytest.param(None, IOFailure, id="io-failure"),
+    ]
+
+    def test_paused_only_while_loading(self, tmp_path, monkeypatch):
+        seen, parse = [], corpus_io.parse_corpus
+
+        def spy(doc):
+            seen.append(gc.isenabled())
+            return parse(doc)
+
+        monkeypatch.setattr(corpus_io, "parse_corpus", spy)
+        collections = [g["collections"] for g in gc.get_stats()]
+        assert gc.isenabled()
+        corpus_io.load_corpus(write(tmp_path, MINIMAL))
+        assert seen == [False] and gc.isenabled()
+        assert [g["collections"] for g in gc.get_stats()] == collections
+
+    @pytest.mark.parametrize("text,error", FAILING)
+    def test_restored_after_a_failed_load(self, tmp_path, text, error):
+        path = tmp_path / "c.reqcorpus.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(error):
+            corpus_io.load_corpus(path)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("text,error", [pytest.param(json.dumps(MINIMAL), None, id="ok"), *FAILING])
+    def test_left_off_when_the_caller_turned_it_off(self, tmp_path, text, error):
+        path = tmp_path / "c.reqcorpus.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        gc.disable()
+        try:
+            if error is None:
+                corpus_io.load_corpus(path)
+            else:
+                with pytest.raises(error):
+                    corpus_io.load_corpus(path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestSaveCorpus:
