@@ -25,13 +25,13 @@ untouched (it is immutable) and raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 
 from reqlattice import model
 from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
 from reqlattice.errors import MissingAdoptedByError, UnknownTargetError, ValidationError
-from reqlattice.model import Component, Corpus, RelationSet, Requirement, RequirementKind, SourceItem
+from reqlattice.model import Corpus, RelationSet, Requirement, RequirementKind, SourceItem
 from reqlattice.partition import ItemView, partition_requirements
 
 CASE_SPEC_STAYS_SPEC = "1a"
@@ -52,35 +52,6 @@ class Migration:
 
 
 @dataclass(frozen=True)
-class OpRecord:
-    op: str
-    target: str
-    case_code: str
-    migrations: tuple[Migration, ...]
-    affected: frozenset[str]
-    component_impact: tuple[tuple[str, str], ...]  # (component id, mustChange|unchanged|reusable)
-    counterparts: tuple[str, ...] = ()  # other-jurisdiction ids merged by a 1b promotion
-
-
-@dataclass(frozen=True)
-class ImpactReport:
-    label: str
-    per_op: tuple[OpRecord, ...]
-    before: Corpus = field(repr=False)
-    after: Corpus = field(repr=False)
-
-    # read on demand: a caller that saves ``after`` first (corpus_io.save_corpus
-    # records the digest of what it writes) serialises the new corpus once
-    @property
-    def before_fingerprint(self) -> str:
-        return self.before.fingerprint
-
-    @property
-    def after_fingerprint(self) -> str:
-        return self.after.fingerprint
-
-
-@dataclass(frozen=True)
 class ReuseHint:
     component_id: str
     owner_jurisdiction: str
@@ -88,8 +59,21 @@ class ReuseHint:
     via_requirement: str
 
 
-def _components_implementing(work: Corpus | _Draft, rid: str) -> list[Component]:
-    return [c for c in work.components if rid in c.implements]  # id order
+@dataclass(frozen=True)
+class OpRecord:
+    op: str
+    target: str
+    case_code: str
+    migrations: tuple[Migration, ...]
+    affected: frozenset[str]
+    component_impact: tuple[tuple[str, str], ...]  # (component id, mustChange|unchanged|reusable)
+    reuse: tuple[ReuseHint, ...] = ()  # a 1b promotion's, one per (component, counterpart)
+
+
+@dataclass(frozen=True)
+class ImpactReport:
+    label: str
+    per_op: tuple[OpRecord, ...]
 
 
 def _impact(work: _Draft, changed: set[str], touched: set[str] = frozenset()) -> tuple[tuple[str, str], ...]:
@@ -201,14 +185,13 @@ def classify_change(work: _Draft, op: ChangeOp) -> OpRecord:
     _reject_adopted_by(op)
     new_target = _apply_payload(target, op)
     work.write(new_target)
-    own_impact = _impact(work, {op.target})
     after = _concept_view(work, target.kind, new_target.concept_key)
 
     if op.target not in partition_requirements(work.base, target.kind, after).general:
         # 1a: still specific to its jurisdiction; nobody else is touched
         return OpRecord(
             op="modify", target=op.target, case_code=CASE_SPEC_STAYS_SPEC,
-            migrations=(), affected=frozenset({target.jurisdiction}), component_impact=own_impact,
+            migrations=(), affected=frozenset({target.jurisdiction}), component_impact=_impact(work, {op.target}),
         )
 
     # 1b: now identical everywhere; the concept joins the general set and the
@@ -221,14 +204,13 @@ def classify_change(work: _Draft, op: ChangeOp) -> OpRecord:
         Migration(r.id, f"specific:{r.jurisdiction}", "general")
         for r in sorted([new_target, *counterparts], key=attrgetter("id"))
     ]
-    reuse = tuple(
-        (c.id, "reusable")
-        for r in counterparts for c in _components_implementing(work, r.id)
-    )
+    impact = _impact(work, {op.target}, {r.id for r in counterparts})
     return OpRecord(
         op="modify", target=op.target, case_code=CASE_SPEC_TO_GENERAL,
         migrations=tuple(migrations), affected=all_jids,
-        component_impact=own_impact + reuse, counterparts=tuple(r.id for r in counterparts),
+        component_impact=tuple((cid, "reusable" if status == "unchanged" else status) for cid, status in impact),
+        reuse=tuple(ReuseHint(c.id, r.jurisdiction, target.jurisdiction, r.id)
+                    for r in counterparts for c in work.components if r.id in c.implements),
     )
 
 
@@ -292,30 +274,10 @@ def apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, ImpactRepor
     items = work.by_id.values()
     after = Corpus(corpus.jurisdictions, tuple(x for x in items if x.role == "source"),
                    tuple(x for x in items if x.role == "requirement"), work.relations, work.components)
-    return after, ImpactReport(label=cs.label, per_op=tuple(records), before=corpus, after=after)
+    return after, ImpactReport(label=cs.label, per_op=tuple(records))
 
 
 def reuse_hints(report: ImpactReport) -> list[ReuseHint]:
-    """Component reuse candidates surfaced by 1b promotions.
-
-    The pre-change corpus (``report.before``) supplies component ownership
-    for the merged counterparts; a 1b target is a modify target, so it is
-    in that corpus.
-    """
-    corpus = report.before
-    items = corpus.by_id
-    hints: list[ReuseHint] = []
-    for record in report.per_op:
-        if record.case_code != CASE_SPEC_TO_GENERAL:
-            continue
-        promoter = items[record.target].jurisdiction
-        for rid in record.counterparts:
-            for comp in _components_implementing(corpus, rid):
-                hints.append(ReuseHint(
-                    component_id=comp.id,
-                    owner_jurisdiction=items[rid].jurisdiction,
-                    for_jurisdiction=promoter,
-                    via_requirement=rid,
-                ))
-    hints.sort(key=lambda h: (h.component_id, h.via_requirement))
-    return hints
+    """Every 1b promotion's component reuse candidates, by component and counterpart."""
+    return sorted((h for record in report.per_op for h in record.reuse),
+                  key=attrgetter("component_id", "via_requirement"))

@@ -12,9 +12,9 @@ import sys
 from collections.abc import Callable
 
 from reqlattice import corpus_io, hierarchy, optimize, partition, relations, reports, topsis
-from reqlattice.changes import apply_change_set, reuse_hints
+from reqlattice.changes import apply_change_set
 from reqlattice.errors import EmptyAspectError, IOFailure, ReqLatticeError
-from reqlattice.model import Corpus, Level, RequirementKind, SourceKind
+from reqlattice.model import Corpus, Level, RequirementKind, SourceKind, corpus_fingerprint
 from reqlattice.partition import Finding, Partition
 
 EXIT_OK = 0
@@ -165,10 +165,9 @@ def _cmd_conflicts(args, corpus: Corpus) -> int:
 def _cmd_change(args, corpus: Corpus) -> int:
     cs = corpus_io.load_change_set(args.changes)  # apply_change_set validates it against the corpus
     new_corpus, report = apply_change_set(corpus, cs)
-    hints = reuse_hints(report)
-    if args.out:
-        corpus_io.save_corpus(new_corpus, args.out)
-    _emit(args, "impact", reports.impact_body(report, hints), reports.impact_text)
+    # each corpus is serialised once: the new one as it is written, given --out
+    after = corpus_io.save_corpus(new_corpus, args.out) if args.out else corpus_fingerprint(new_corpus)
+    _emit(args, "impact", reports.impact_body(report, corpus_fingerprint(corpus), after), reports.impact_text)
     return EXIT_OK
 
 

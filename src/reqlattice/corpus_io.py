@@ -327,16 +327,14 @@ def canonical_bytes(corpus: Corpus) -> bytes:
     }, 0) + "\n").encode("utf-8")
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the canonical bytes and fill the cached ``Corpus.fingerprint`` slot
-    with their digest, so reading the fingerprint after saving serialises nothing."""
+def save_corpus(corpus: Corpus, path: str | Path) -> str:
+    """Write the canonical bytes; return their sha256, the corpus's fingerprint."""
     data = canonical_bytes(corpus)
     try:
         Path(path).write_bytes(data)
     except OSError as exc:
         raise IOFailure(str(path), exc) from exc
-    if "fingerprint" not in vars(corpus):
-        vars(corpus)["fingerprint"] = hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------

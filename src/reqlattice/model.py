@@ -131,17 +131,6 @@ class Corpus:
         for name in ("jurisdictions", "sources", "requirements", "components"):
             object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=attrgetter("id"))))
 
-    @cached_property
-    def fingerprint(self) -> str:
-        """sha256 of the canonical serialization, computed on first use.
-
-        The corpus is immutable, so the cached value cannot go stale; it
-        lives in the instance ``__dict__`` and takes no part in ``==``.
-        """
-        from reqlattice import corpus_io
-
-        return hashlib.sha256(corpus_io.canonical_bytes(self)).hexdigest()
-
     def jurisdiction_map(self) -> dict[str, Jurisdiction]:
         return {j.id: j for j in self.jurisdictions}
 
@@ -300,5 +289,7 @@ def check_items(corpus: Corpus, items: Iterable[SourceItem | Requirement],
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:
-    """Stable digest of the corpus value, reported before and after a change set."""
-    return corpus.fingerprint
+    """sha256 of the corpus's canonical serialization, reported before and after a change set."""
+    from reqlattice import corpus_io  # it imports this module
+
+    return hashlib.sha256(corpus_io.canonical_bytes(corpus)).hexdigest()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from reqlattice.changes import ImpactReport, ReuseHint
+from reqlattice.changes import ImpactReport, reuse_hints
 from reqlattice.corpus_io import canonical_json, report_envelope
 from reqlattice.hierarchy import HierarchyFinding
 from reqlattice.optimize import GlobalView, OptimizedView
@@ -86,11 +86,11 @@ def conflicts_body(records: list[ConflictRecord]) -> list[dict]:
     return [{"pair": list(r.pair), "origin": r.origin} for r in records]
 
 
-def impact_body(report: ImpactReport, hints: list[ReuseHint]) -> dict:
+def impact_body(report: ImpactReport, before: str, after: str) -> dict:
     return {
         "label": report.label,
-        "before": report.before_fingerprint,
-        "after": report.after_fingerprint,
+        "before": before,
+        "after": after,
         "ops": [
             {
                 "op": rec.op,
@@ -103,7 +103,7 @@ def impact_body(report: ImpactReport, hints: list[ReuseHint]) -> dict:
             for rec in report.per_op
         ],
         "reuseHints": [{"component": h.component_id, "owner": h.owner_jurisdiction, "for": h.for_jurisdiction,
-                        "via": h.via_requirement} for h in hints],
+                        "via": h.via_requirement} for h in reuse_hints(report)],
     }
 
 

@@ -8,13 +8,14 @@ per-concept check.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import string
 from dataclasses import replace
 
 from reqlattice import corpus_io, model
-from reqlattice.changes import ImpactReport, Migration, OpRecord
+from reqlattice.changes import ImpactReport, Migration, OpRecord, ReuseHint
 from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
 from reqlattice.errors import MissingAdoptedByError, UnknownTargetError, ValidationError
 from reqlattice.model import (
@@ -399,8 +400,13 @@ def _scratch_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
     counterparts = [r for items in after.values() for r in items if r.id != op.target]
     migrations = tuple(Migration(r.id, f"specific:{r.jurisdiction}", "general")
                        for r in sorted([new_target, *counterparts], key=lambda r: r.id))
-    reuse = tuple((c, "reusable") for r in counterparts for c in _implementing(corpus, r.id))
-    return out, OpRecord("modify", op.target, "1b", migrations, all_jids, own + reuse, tuple(r.id for r in counterparts))
+    # each component once: it must change when it implements the target, else it is reusable
+    merged = {op.target, *(r.id for r in counterparts)}
+    impact = tuple((c.id, "mustChange" if op.target in c.implements else "reusable")
+                   for c in corpus.components if c.implements & merged)
+    hints = tuple(ReuseHint(c, r.jurisdiction, target.jurisdiction, r.id)
+                  for r in counterparts for c in _implementing(corpus, r.id))
+    return out, OpRecord("modify", op.target, "1b", migrations, all_jids, impact, hints)
 
 
 def _scratch_source_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
@@ -452,4 +458,25 @@ def scratch_apply_change_set(corpus: Corpus, cs: ChangeSet) -> tuple[Corpus, Imp
             current, record = (_scratch_source_modify if op.target in source_ids else _scratch_modify)(current, op)
         model.validate_corpus(current)
         records.append(record)
-    return current, ImpactReport(label=cs.label, per_op=tuple(records), before=corpus, after=current)
+    return current, ImpactReport(label=cs.label, per_op=tuple(records))
+
+
+def scratch_impact_body(corpus: Corpus, cs: ChangeSet) -> dict:
+    """The ``change`` command's JSON body from :func:`scratch_apply_change_set`.
+    ``before`` and ``after`` hash each corpus as :func:`dumps_layout` lays it
+    out, so neither digest goes through ``corpus_io.canonical_bytes``."""
+    after, report = scratch_apply_change_set(corpus, cs)
+
+    def digest(c: Corpus) -> str:
+        return hashlib.sha256(dumps_layout(corpus_to_doc(c)).encode("utf-8")).hexdigest()
+
+    hints = sorted((h for record in report.per_op for h in record.reuse), key=lambda h: (h.component_id, h.via_requirement))
+    return {
+        "label": cs.label, "before": digest(corpus), "after": digest(after),
+        "ops": [{"op": r.op, "target": r.target, "case": r.case_code,
+                 "migrations": [{"id": m.item_id, "from": m.from_set, "to": m.to_set} for m in r.migrations],
+                 "affected": sorted(r.affected), "components": [{"id": c, "status": s} for c, s in r.component_impact]}
+                for r in report.per_op],
+        "reuseHints": [{"component": h.component_id, "owner": h.owner_jurisdiction, "for": h.for_jurisdiction,
+                        "via": h.via_requirement} for h in hints],
+    }

@@ -17,7 +17,8 @@ same value, and its fingerprint is the digest of the saved bytes. The case
 of each requirement modify is recomputed by ``oracles.per_concept_partition``
 on the corpora before and after the op, each built from the ops before it.
 ``oracles.scratch_apply_change_set`` gives the same outcome, record for
-record, or the same error.
+record, or the same error. On change sets drawn to apply, the whole JSON
+body of ``change`` equals ``oracles.scratch_impact_body``.
 """
 
 import contextlib
@@ -31,7 +32,15 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_concept_partition, random_corpus, scratch_apply_change_set, scratch_members
+from oracles import (
+    corpus_to_doc,
+    dumps_layout,
+    per_concept_partition,
+    random_corpus,
+    scratch_apply_change_set,
+    scratch_impact_body,
+    scratch_members,
+)
 from reqlattice import cli, corpus_io, model
 from reqlattice.changes import apply_change_set
 from reqlattice.corpus_io import ChangeSet
@@ -183,10 +192,10 @@ def test_change_sets_match_the_partition_oracle(data):
     assert not doomed, ops
 
     model.validate_corpus(after)
-    fingerprint = report.after_fingerprint  # read before a save fills it in
+    fingerprint = model.corpus_fingerprint(after)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "after.json"
-        corpus_io.save_corpus(after, path)
+        assert corpus_io.save_corpus(after, path) == fingerprint
         saved = path.read_bytes()
         assert corpus_io.load_corpus(path) == after
     assert fingerprint == hashlib.sha256(saved).hexdigest()
@@ -212,7 +221,7 @@ def test_change_sets_match_the_partition_oracle(data):
         if expected == "1b":
             rmap = after_op.requirement_map()
             group = {rid for rid in general_after if rmap[rid].concept_key == rmap[op.target].concept_key}
-            assert sorted(record.counterparts) == sorted(group - {op.target})
+            assert sorted(m.item_id for m in record.migrations) == sorted(group)
 
 
 def _outcome(apply, corpus, cs):
@@ -246,5 +255,61 @@ def test_incremental_path_matches_the_from_scratch_path(data):
     assert (after.members, after.by_id, after.ancestor_chains) == (
         want_after.members, want_after.by_id, want_after.ancestor_chains)
     assert corpus_io.canonical_bytes(after) == corpus_io.canonical_bytes(want_after)
-    assert (report.before_fingerprint, report.after_fingerprint) == (
-        want_report.before_fingerprint, want_report.after_fingerprint)
+
+
+def _draw_applicable_change_set(data) -> tuple[Corpus, dict]:
+    """A random corpus with components, and a change set that applies: each
+    op takes its own (role, kind, concept), so no op changes another's case.
+    A specific target takes another item's text where the concept has one,
+    which promotes it (1b) when every other jurisdiction holds that text."""
+    corpus = random_corpus(random.Random(data.draw(st.integers(0, 2**32 - 1))), max_jurisdictions=3,
+                           max_concepts=8, hash_alphabet=2, with_relations=True, with_components=True,
+                           with_derivations=True)
+    general = set().union(*(_general(corpus, kind) for kind in RequirementKind))
+    jids = [j.id for j in corpus.jurisdictions]
+    groups: dict = {}
+    for item in (*corpus.sources, *corpus.requirements):
+        groups.setdefault((item.role, item.kind.value, item.concept_key), []).append(item)
+    ops = []
+    for i in range(data.draw(st.integers(1, 5))):
+        op = data.draw(st.sampled_from(["modify", "modify", "modify", "modify", "remove", "source", "add"]))
+        free = sorted(key for key in groups if key[0] == "source") if op == "source" else []
+        free = free or sorted(key for key in groups if key[0] == "requirement")
+        if op == "add" or not free:
+            ops.append({"op": "add", "target": f"new-{i}", "payload": {
+                "role": "requirement", "kind": "functional", "jurisdiction": data.draw(st.sampled_from(jids)),
+                "conceptKey": f"c-new-{i}", "text": f"new {i}"}})
+            continue
+        group = groups.pop(data.draw(st.sampled_from(free)))
+        target = data.draw(st.sampled_from(group))
+        if op == "remove":
+            ops.append({"op": "remove", "target": target.id})
+            continue
+        held = sorted({r.text for r in group if r.content_hash != target.content_hash})
+        text = data.draw(st.sampled_from(held)) if held and target.id not in general else f"{target.concept_key} new"
+        ops.append({"op": "modify", "target": target.id, "payload": {"text": text}})
+        if target.id in general:
+            ops[-1]["adoptedBy"] = sorted(data.draw(st.sets(st.sampled_from(jids), min_size=1)))
+    return corpus, {"formatVersion": 1, "label": "oracle", "ops": ops}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_change_command_body_matches_the_oracle_body(data):
+    """The whole JSON body of ``change``, with and without ``--out``, equals
+    ``oracles.scratch_impact_body``. The input file is the reference layout
+    of the corpus, and ``after`` is the digest of the file ``--out`` writes."""
+    corpus, doc = _draw_applicable_change_set(data)
+    want = scratch_impact_body(corpus, corpus_io.parse_change_set(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_path, changes_path, out_path = (Path(tmp) / name for name in ("c.json", "cs.json", "after.json"))
+        corpus_path.write_text(dumps_layout(corpus_to_doc(corpus)), encoding="utf-8")
+        changes_path.write_text(json.dumps(doc), encoding="utf-8")
+        for out_args in ([], ["--out", str(out_path)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(["change", "--corpus", str(corpus_path), "--changes", str(changes_path),
+                                "--format", "json", *out_args])
+            assert (code, err.getvalue()) == (0, "")
+            assert json.loads(out.getvalue())["body"] == want
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want["after"]

@@ -77,7 +77,7 @@ class TestClassifyChange:
         new, report = apply_change_set(corpus, change_set(modify("r1-pay", "pay net fourteen")))
         rec = report.per_op[0]
         assert rec.case_code == CASE_SPEC_TO_GENERAL
-        assert set(rec.counterparts) == {"r2-pay", "r3-pay"}
+        assert {h.via_requirement for h in rec.reuse} == {"r2-pay", "r3-pay"}
         moved = {m.item_id: (m.from_set, m.to_set) for m in rec.migrations}
         assert moved["r1-pay"] == ("specific:s1", "general")
         assert ("c2-pay", "reusable") in rec.component_impact
@@ -150,7 +150,7 @@ class TestApplyChangeSet:
         corpus = three_country_corpus()
         new, report = apply_change_set(corpus, change_set())
         assert new == corpus and report.per_op == ()
-        assert report.before_fingerprint == report.after_fingerprint
+        assert model.corpus_fingerprint(new) == model.corpus_fingerprint(corpus)
 
     def test_modify_conserves_requirement_count(self):
         corpus = three_country_corpus()

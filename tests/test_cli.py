@@ -141,10 +141,14 @@ def test_change_out_serialises_the_new_corpus_once(capsys, corpus_arg, change_se
     code, out, _ = invoke(capsys, "change", *corpus_arg, "--changes", str(change_set_path),
                           "--out", str(out_path), "--format", "json")
     assert code == EXIT_OK
-    assert len(calls) == 2  # the input's fingerprint, then the bytes written to --out
+    assert len(calls) == 2  # the bytes written to --out, then the input's fingerprint
     body = json.loads(out)["body"]
     assert body["after"] == hashlib.sha256(out_path.read_bytes()).hexdigest()
-    assert body["after"] == corpus_io.load_corpus(out_path).fingerprint
+    # without --out, the new corpus is serialised once, only to hash it
+    calls.clear()
+    code, out, _ = invoke(capsys, "change", *corpus_arg, "--changes", str(change_set_path), "--format", "json")
+    assert code == EXIT_OK and len(calls) == 2
+    assert json.loads(out)["body"] == body
 
 
 def test_change_reports_the_digest_of_the_input_file(capsys, corpus_arg, change_set_path, tmp_path, worked_example_path):
@@ -538,3 +542,31 @@ def test_change_validates_the_whole_corpus_only_on_load(capsys, corpus_arg, chan
     code, _, err = invoke(capsys, "change", *corpus_arg, "--changes", str(change_set_path), "--out", str(out_path))
     assert (code, err, len(calls)) == (EXIT_OK, "", 1)
     assert out_path.exists()
+
+
+def test_1b_lists_each_component_once(capsys, tmp_path):
+    # c-all implements the target and both counterparts, c2-pay one counterpart
+    texts = {"s1": "pay net thirty", "s2": "pay net fourteen", "s3": "pay net fourteen"}
+    doc = {
+        "formatVersion": 1,
+        "jurisdictions": [{"id": j, "name": j, "level": "national"} for j in texts],
+        "sources": [],
+        "requirements": [{"id": f"r-{j}-pay", "kind": "functional", "jurisdiction": j, "conceptKey": "pay",
+                          "text": text} for j, text in texts.items()],
+        "relations": {"refines": [], "contradicts": []},
+        "components": [{"id": "c-all", "implements": ["r-s1-pay", "r-s2-pay", "r-s3-pay"], "scope": "general"},
+                       {"id": "c2-pay", "implements": ["r-s2-pay"], "scope": "specific", "jurisdiction": "s2"}],
+    }
+    corpus = tmp_path / "pay.reqcorpus.json"
+    corpus.write_text(json.dumps(doc), encoding="utf-8")
+    op = {"op": "modify", "target": "r-s1-pay", "payload": {"text": "pay net fourteen"}}
+    exit_code, out, err = invoke(capsys, "change", "--corpus", str(corpus),
+                                 "--changes", _write_change_set(tmp_path, op), "--format", "json")
+    assert (exit_code, err) == (EXIT_OK, "")
+    body = json.loads(out)["body"]
+    [record] = body["ops"]
+    assert record["case"] == "1b"
+    assert record["components"] == [{"id": "c-all", "status": "mustChange"}, {"id": "c2-pay", "status": "reusable"}]
+    # a reuse hint stays one per (component, counterpart)
+    assert [(h["component"], h["owner"], h["for"], h["via"]) for h in body["reuseHints"]] == [
+        ("c-all", "s2", "s1", "r-s2-pay"), ("c-all", "s3", "s1", "r-s3-pay"), ("c2-pay", "s2", "s1", "r-s2-pay")]
