@@ -16,10 +16,8 @@ from reqlattice.topsis import Ranking
 def use_color(stream) -> bool:
     """Whether text written to ``stream`` gets coloured headings."""
     env = os.environ.get("REQLATTICE_COLOR")
-    if env == "0":
-        return False
-    if env == "1":
-        return True
+    if env in ("0", "1"):
+        return env == "1"
     return hasattr(stream, "isatty") and stream.isatty()
 
 
@@ -54,10 +52,8 @@ def partition_body(parts: dict[str, Partition],
 
 
 def scenario_body(classes: dict[str, ScenarioClass | None]) -> dict:
-    out = {}
-    for aspect, cls in sorted(classes.items()):
-        out[aspect] = None if cls is None else {"option": cls.option.value, "note": cls.note}
-    return out
+    return {aspect: None if cls is None else {"option": cls.option.value, "note": cls.note}
+            for aspect, cls in sorted(classes.items())}
 
 
 def _view_body(view: OptimizedView, emit: str) -> dict:

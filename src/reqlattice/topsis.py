@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from reqlattice.corpus_io import AlternativesFile
 from reqlattice.errors import DegenerateMatrixError, UnknownRequirementError
 from reqlattice.model import Corpus
 from reqlattice.relations import find_conflicts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,7 @@ class DecisionMatrix:
     values: np.ndarray  # rows = alternatives, columns = criteria
 
     def __post_init__(self):
+        import numpy as np  # imported where an array is touched, so only `rank` loads numpy
         values = np.asarray(self.values, dtype=float)
         if values.shape != (len(self.alternatives), len(self.criteria)):
             raise ValueError("matrix shape does not match alternative/criterion counts")
@@ -56,7 +59,7 @@ def make_matrix(alternatives: list[str], criteria: list[tuple[str, float, str]],
     for c in crits:
         if c.direction not in ("benefit", "cost"):
             raise ValueError(f"criterion {c.id!r} direction must be benefit or cost")
-    return DecisionMatrix(alternatives=tuple(alternatives), criteria=crits, values=np.asarray(values, dtype=float))
+    return DecisionMatrix(alternatives=tuple(alternatives), criteria=crits, values=values)
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,7 @@ class Ranking:
 
 
 def rank_alternatives(m: DecisionMatrix) -> Ranking:
+    import numpy as np
     if len(m.alternatives) == 0 or len(m.criteria) == 0:
         raise DegenerateMatrixError("matrix has no alternatives or no criteria")
     if len(m.alternatives) == 1:
@@ -111,6 +115,7 @@ def build_conflict_matrix(corpus: Corpus, alts: AlternativesFile) -> DecisionMat
     direction; equal weights unless the alternatives file overrides them);
     values are each alternative's satisfaction scores, defaulting to 0.
     """
+    import numpy as np
     conflict_ids = sorted({i for record in find_conflicts(corpus) for i in record.pair})
     conflict_set = set(conflict_ids)
     for rid in (*(rid for alt in alts.alternatives for rid in alt.satisfies), *alts.weights):
@@ -118,14 +123,13 @@ def build_conflict_matrix(corpus: Corpus, alts: AlternativesFile) -> DecisionMat
             raise UnknownRequirementError(rid)
 
     criteria = [(rid, alts.weights.get(rid, 1.0), "benefit") for rid in conflict_ids]
-    if not criteria:
-        # surfaced at rank time per the DegenerateMatrixError contract
-        return DecisionMatrix(alternatives=tuple(a.id for a in alts.alternatives), criteria=(),
-                              values=np.zeros((len(alts.alternatives), 0)))
-    # the explicit shape keeps a file without alternatives a 0 x n matrix, which
-    # rank_alternatives rejects as degenerate
+    # the explicit shape keeps a file without alternatives a 0 x n matrix and a
+    # conflict-free corpus an n x 0 one; rank_alternatives rejects both as degenerate
     values = np.array([
         [alt.satisfies.get(rid, 0.0) for rid in conflict_ids]
         for alt in alts.alternatives
     ]).reshape(len(alts.alternatives), len(conflict_ids))
+    if not criteria:
+        # make_matrix would reject it here; the DegenerateMatrixError contract surfaces it at rank time
+        return DecisionMatrix(alternatives=tuple(a.id for a in alts.alternatives), criteria=(), values=values)
     return make_matrix([a.id for a in alts.alternatives], criteria, values)

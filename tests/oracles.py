@@ -166,6 +166,7 @@ def random_corpus(
     with_relations: bool = False,
     with_components: bool = False,
     with_derivations: bool = False,
+    min_jurisdictions: int = 1,
 ) -> Corpus:
     """Corpus with randomized concept presence and content collisions.
 
@@ -174,9 +175,11 @@ def random_corpus(
     ``with_components`` adds up to four general or specific components, each
     implementing a random subset of the requirements. ``with_derivations``
     has each legal- or cultural-based requirement derive from up to two
-    sources its kind and jurisdiction allow.
+    sources its kind and jurisdiction allow. With one jurisdiction every
+    concept is general, so a caller that needs specific concepts to promote
+    raises ``min_jurisdictions``.
     """
-    n_jur = rng.randint(1, max_jurisdictions)
+    n_jur = rng.randint(min_jurisdictions, max_jurisdictions)
     jurisdictions = tuple(
         Jurisdiction(id=f"j{i}", name=f"Jurisdiction {i}", level=Level.NATIONAL)
         for i in range(n_jur)

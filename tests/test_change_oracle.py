@@ -261,10 +261,11 @@ def _draw_applicable_change_set(data) -> tuple[Corpus, dict]:
     """A random corpus with components, and a change set that applies: each
     op takes its own (role, kind, concept), so no op changes another's case.
     A specific target takes another item's text where the concept has one,
-    which promotes it (1b) when every other jurisdiction holds that text."""
+    which promotes it (1b) when every other jurisdiction holds that text;
+    with one jurisdiction no concept is specific, so there are at least two."""
     corpus = random_corpus(random.Random(data.draw(st.integers(0, 2**32 - 1))), max_jurisdictions=3,
                            max_concepts=8, hash_alphabet=2, with_relations=True, with_components=True,
-                           with_derivations=True)
+                           with_derivations=True, min_jurisdictions=2)
     general = set().union(*(_general(corpus, kind) for kind in RequirementKind))
     jids = [j.id for j in corpus.jurisdictions]
     groups: dict = {}

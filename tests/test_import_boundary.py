@@ -1,0 +1,62 @@
+"""Only ``rank`` loads numpy.
+
+Every other command is set and graph work, so a run of it must not pay for
+numpy's import. ``reqlattice.topsis`` itself stays imported with the CLI: the
+benchmark tracer wraps its functions through ``sys.modules``. The check runs
+in a fresh interpreter, since this test session has imported numpy already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPORA = ROOT / "corpora"
+EXPECTED = Path(__file__).resolve().parent / "expected_text"
+
+# run in the child: report which modules are loaded after importing the CLI,
+# after each command but rank, and after rank, with rank's stdout
+PROGRAM = """
+import contextlib, io, json, sys
+from reqlattice import cli
+
+corpus, changes, alts, out = sys.argv[1:]
+loaded = lambda: {name: name in sys.modules for name in ("numpy", "reqlattice.topsis")}
+facts = {"import": loaded(), "commands": []}
+argvs = [[command, *level] for command in ("validate", "partition", "scenario")
+         for level in ([], *(["--level", flag] for flag in ("national", "state", "org")))]
+argvs += [["optimize"], ["conflicts"], ["hierarchy"], ["change", "--changes", changes, "--out", out]]
+for argv in argvs:
+    for fmt in ("text", "json"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run([*argv, "--corpus", corpus, "--format", fmt])
+        facts["commands"].append([argv, fmt, code, loaded()["numpy"]])
+stdout = io.StringIO()
+with contextlib.redirect_stdout(stdout):
+    facts["rank_code"] = cli.run(["rank", "--corpus", corpus, "--alts", alts])
+facts["rank_stdout"], facts["rank"] = stdout.getvalue(), loaded()
+print(json.dumps(facts))
+"""
+
+
+def test_only_rank_imports_numpy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROGRAM, str(CORPORA / "worked-example.reqcorpus.json"),
+         str(CORPORA / "worked-example.reqchange.json"), str(CORPORA / "worked-example.reqalts.json"),
+         str(tmp_path / "after.reqcorpus.json")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "REQLATTICE_COLOR": "0"})
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout)
+
+    assert facts["import"] == {"numpy": False, "reqlattice.topsis": True}
+    assert len(facts["commands"]) == 2 * (3 * 4 + 4)
+    for argv, fmt, code, numpy_loaded in facts["commands"]:
+        assert (code, numpy_loaded) == (0, False), (argv, fmt)
+    assert (tmp_path / "after.reqcorpus.json").is_file()
+
+    assert facts["rank_code"] == 0
+    assert facts["rank_stdout"] == (EXPECTED / "rank.txt").read_text(encoding="utf-8")
+    assert facts["rank"] == {"numpy": True, "reqlattice.topsis": True}
