@@ -102,10 +102,9 @@ def _level_partitions(corpus: Corpus, level_flag: str | None,
 
 def _component_scope_warnings(corpus: Corpus, parts: dict[str, Partition]) -> list[Finding]:
     warnings: list[Finding] = []
-    rmap = corpus.requirement_map()
     for comp in corpus.components:
         for rid in sorted(comp.implements):
-            part = parts[rmap[rid].kind.value]
+            part = parts[corpus.by_id[rid].kind.value]
             if rid not in part.general and part.owner_of(rid) is None:
                 continue  # no bucket of the level view holds it
             if comp.jurisdiction is None:

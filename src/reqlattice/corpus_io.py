@@ -11,7 +11,8 @@ Formats (all JSON syntax, strict schema, ``formatVersion: 1``):
 
 Serialization is canonical: keys sorted, arrays sorted by id, two-space
 indent, trailing newline. ``load(save(c)) == c`` and a second save is
-byte-identical.
+byte-identical. Corpus bytes and every report envelope share one layout
+routine, ``canonical_json``.
 """
 
 from __future__ import annotations
@@ -251,23 +252,25 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 _str = json.encoder.encode_basestring  # the C escaper of json.dumps(ensure_ascii=False)
-_FIELD = ",\n      "  # between two fields of a source or requirement: nearly all the bytes, so one f-string each
+_PAD = "\n      "  # before each field of a source or requirement
+_FIELD = "," + _PAD  # between two fields: nearly all the bytes, so one f-string each
 
 
-def _block(parts: Iterable[str] | dict[str, str | None], depth: int) -> str:
-    """A JSON array of rendered parts, or an object of rendered values keyed in the order given (None
-    leaves a key out), as ``indent=2`` lays it out at ``depth``."""
-    pad, brackets = "\n" + "  " * depth, "{}" if isinstance(parts, dict) else "[]"
-    if isinstance(parts, dict):
-        parts = [f'"{key}": {value}' for key, value in parts.items() if value is not None]
-    inner = f",{pad}  ".join(parts)
-    return f"{brackets[0]}{pad}  {inner}{pad}{brackets[1]}" if inner else brackets
+class _Laid(list):
+    """Records laid out in advance at their place in the corpus: ``_render`` joins them as they are."""
+
+
+def _array(pieces: Iterable[str], pad: str) -> str:
+    """Rendered ``pieces`` as one JSON array, as ``indent=2`` lays it out after ``pad``."""
+    inner = f",{pad}  ".join(pieces)
+    return f"[{pad}  {inner}{pad}]" if inner else "[]"
 
 
 def _render(value: Any, pad: str, out: list[str]) -> None:
     """Append the pieces of ``value`` as ``indent=2, sort_keys=True`` lays it out after ``pad``. Most strings
-    are ids: a list of them is one piece, and a dict writes its string values itself. Joined once, the one
-    flat list copies each byte once, where nested joins would copy it once per level."""
+    are ids: a list of them is one piece, as is a list of records laid out in advance, and a dict writes its
+    string values itself. Joined once, the one flat list copies each byte once, where nested joins would copy
+    it once per level."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
         sep = "{" + inner
@@ -279,8 +282,10 @@ def _render(value: Any, pad: str, out: list[str]) -> None:
                 _render(v, inner, out)
             sep = "," + inner
         out.append(pad + "}")
+    elif type(value) is _Laid:  # records, as one piece
+        out.append(_array(value, pad))
     elif isinstance(value, (list, tuple)) and value and all(type(v) is str for v in value):  # ids, as one piece
-        out += ("[" + inner, f",{inner}".join(map(_str, value)), pad + "]")
+        out.append(_array(map(_str, value), pad))
     elif isinstance(value, (list, tuple)) and value:
         sep = "[" + inner
         for v in value:
@@ -301,30 +306,28 @@ def canonical_json(doc: Any) -> str:
 
 
 def canonical_bytes(corpus: Corpus) -> bytes:
-    """canonical_json of the corpus's document (tests/oracles.py), laid out record by record, keys sorted."""
-    return (_block({
-        "components": _block([_block({
-            "id": _str(c.id), "implements": _block(map(_str, sorted(c.implements)), 3),
-            "jurisdiction": None if c.jurisdiction is None else _str(c.jurisdiction),
-            "scope": '"general"' if c.jurisdiction is None else '"specific"'}, 2) for c in corpus.components], 1),
-        "formatVersion": str(FORMAT_VERSION),
-        "jurisdictions": _block([_block({"id": _str(j.id), "level": _str(j.level.value), "name": _str(j.name),
-                                         "parent": None if j.parent is None else _str(j.parent)}, 2)
-                                 for j in corpus.jurisdictions], 1),
-        "relations": _block({
-            "contradicts": _block([_block(map(_str, p), 3) for p in sorted(sorted(p) for p in corpus.relations.contradicts)], 2),
-            "refines": _block([_block(map(_str, p), 3) for p in sorted(corpus.relations.refines)], 2)}, 1),
-        "requirements": _block([
+    """canonical_json of the corpus's document (tests/oracles.py), each source and requirement in one f-string."""
+    return canonical_json({
+        "components": [{"id": c.id, "implements": sorted(c.implements), "scope": "general"} if c.jurisdiction is None
+                       else {"id": c.id, "implements": sorted(c.implements), "jurisdiction": c.jurisdiction,
+                             "scope": "specific"} for c in corpus.components],
+        "formatVersion": FORMAT_VERSION,
+        "jurisdictions": [{"id": j.id, "level": j.level.value, "name": j.name} if j.parent is None
+                          else {"id": j.id, "level": j.level.value, "name": j.name, "parent": j.parent}
+                          for j in corpus.jurisdictions],
+        "relations": {"contradicts": sorted(sorted(p) for p in corpus.relations.contradicts),
+                      "refines": sorted(corpus.relations.refines)},
+        "requirements": _Laid(
             f'{{\n      "conceptKey": {_str(r.concept_key)}{_FIELD}"contentHash": {_str(r.content_hash)}{_FIELD}'
-            f'"derivedFrom": {_block(map(_str, sorted(r.derived_from)), 3)}{_FIELD}"id": {_str(r.id)}{_FIELD}'
+            f'"derivedFrom": {_array(map(_str, sorted(r.derived_from)), _PAD)}{_FIELD}"id": {_str(r.id)}{_FIELD}'
             f'"jurisdiction": {_str(r.jurisdiction)}{_FIELD}"kind": {_str(r.kind.value)}{_FIELD}"text": {_str(r.text)}\n    }}'
-            for r in corpus.requirements], 1),
-        "sources": _block([
+            for r in corpus.requirements),
+        "sources": _Laid(
             f'{{\n      "conceptKey": {_str(s.concept_key)}{_FIELD}"contentHash": {_str(s.content_hash)}{_FIELD}'
             f'"id": {_str(s.id)}{_FIELD}"isStatic": {"true" if s.is_static else "false"}{_FIELD}'
             f'"jurisdiction": {_str(s.jurisdiction)}{_FIELD}"kind": {_str(s.kind.value)}{_FIELD}"text": {_str(s.text)}\n    }}'
-            for s in corpus.sources], 1),
-    }, 0) + "\n").encode("utf-8")
+            for s in corpus.sources),
+    }).encode("utf-8")
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> str:
@@ -487,13 +490,3 @@ def parse_alternatives(doc: Any) -> AlternativesFile:
 
 def load_alternatives(path: str | Path) -> AlternativesFile:
     return parse_alternatives(_read_json(path))
-
-
-# ---------------------------------------------------------------------------
-# report envelope
-
-TOOL_NAME = "reqlattice"
-
-
-def report_envelope(report_type: str, body: Any) -> dict:
-    return {"tool": TOOL_NAME, "formatVersion": FORMAT_VERSION, "reportType": report_type, "body": body}

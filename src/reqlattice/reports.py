@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 from reqlattice.changes import ImpactReport, reuse_hints
-from reqlattice.corpus_io import canonical_json, report_envelope
+from reqlattice.corpus_io import FORMAT_VERSION, canonical_json
 from reqlattice.hierarchy import HierarchyFinding
 from reqlattice.optimize import GlobalView, OptimizedView
 from reqlattice.partition import Finding, Partition, ScenarioClass
@@ -118,7 +118,8 @@ def ranking_body(ranking: Ranking) -> dict:
 
 
 def envelope_json(report_type: str, body) -> str:
-    return canonical_json(report_envelope(report_type, body))
+    return canonical_json({"tool": "reqlattice", "formatVersion": FORMAT_VERSION, "reportType": report_type,
+                           "body": body})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""``corpus_io.canonical_bytes`` lays a corpus out record by record; its
-bytes must equal the ``json.dumps`` layout (``oracles.dumps_layout``) of the
-corpus's document (``oracles.corpus_to_doc``) exactly, since the corpus
-fingerprint is their sha256. ``corpus_io.canonical_json``, which renders
-every report envelope, must equal that layout on any JSON value.
+"""``corpus_io.canonical_json`` renders every report envelope and, through
+``corpus_io.canonical_bytes``, every corpus file. It must equal the
+``json.dumps`` layout (``oracles.dumps_layout``) on any JSON value. The
+corpus bytes, where each source and requirement is laid out in advance by
+one f-string, must equal that layout of the corpus's document
+(``oracles.corpus_to_doc``) exactly, since the corpus fingerprint is their
+sha256.
 
 The corpora are drawn directly, not loaded, and need not be valid: any
 text in any field (quotes, backslashes, control characters, non-ASCII,

@@ -18,7 +18,9 @@ of each requirement modify is recomputed by ``oracles.per_concept_partition``
 on the corpora before and after the op, each built from the ops before it.
 ``oracles.scratch_apply_change_set`` gives the same outcome, record for
 record, or the same error. On change sets drawn to apply, the whole JSON
-body of ``change`` equals ``oracles.scratch_impact_body``.
+body of ``change`` equals ``oracles.scratch_impact_body``. A last draw
+builds promotions (1b) whose counterparts have components, so that every
+example reports reuse hints and checks them against the oracle.
 """
 
 import contextlib
@@ -27,6 +29,7 @@ import io
 import json
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -45,7 +48,7 @@ from reqlattice import cli, corpus_io, model
 from reqlattice.changes import apply_change_set
 from reqlattice.corpus_io import ChangeSet
 from reqlattice.errors import ReqLatticeError
-from reqlattice.model import SOURCE_KIND_FOR_REQUIREMENT, Corpus, RequirementKind, SourceKind
+from reqlattice.model import SOURCE_KIND_FOR_REQUIREMENT, Component, Corpus, Requirement, RequirementKind, SourceKind
 
 
 def _general(corpus, kind):
@@ -294,13 +297,51 @@ def _draw_applicable_change_set(data) -> tuple[Corpus, dict]:
     return corpus, {"formatVersion": 1, "label": "oracle", "ops": ops}
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_change_command_body_matches_the_oracle_body(data):
-    """The whole JSON body of ``change``, with and without ``--out``, equals
-    ``oracles.scratch_impact_body``. The input file is the reference layout
-    of the corpus, and ``after`` is the digest of the file ``--out`` writes."""
-    corpus, doc = _draw_applicable_change_set(data)
+def _draw_promotion(data) -> tuple[Corpus, dict]:
+    """A random corpus with two or more jurisdictions, and a modify that
+    promotes its target (1b) with reuse hints. One requirement concept,
+    drawn from the corpus or new, is rewritten so that its versions differ
+    only in the target's jurisdiction: every jurisdiction holds it, and all
+    but the target's with one text. New components implement one or more of
+    those counterparts, and the modify gives the target their text."""
+    corpus = random_corpus(random.Random(data.draw(st.integers(0, 2**32 - 1))), max_jurisdictions=3,
+                           max_concepts=8, hash_alphabet=2, with_relations=True, with_components=True,
+                           with_derivations=True, min_jurisdictions=2)
+    jids = [j.id for j in corpus.jurisdictions]
+    concepts = sorted({(r.kind, r.concept_key) for r in corpus.requirements})
+    if concepts and data.draw(st.booleans()):
+        kind, concept = data.draw(st.sampled_from(concepts))
+    else:
+        kind, concept = data.draw(st.sampled_from(list(RequirementKind))), "c-promoted"
+    held = {r.jurisdiction: r for r in corpus.requirements if (r.kind, r.concept_key) == (kind, concept)}
+    target_jid = data.draw(st.sampled_from(jids))
+    shared = f"{concept} shared"
+    versions = {}
+    for jid in jids:
+        text = f"{concept} own" if jid == target_jid else shared
+        version = held.get(jid) or Requirement(id=f"req-{jid}-{concept}", kind=kind, jurisdiction=jid,
+                                               concept_key=concept, text="", content_hash="")
+        versions[jid] = replace(version, text=text, content_hash=model.content_hash(text))
+    counterparts = sorted(r.id for jid, r in versions.items() if jid != target_jid)
+    requirements = {**{r.id: r for r in corpus.requirements}, **{r.id: r for r in versions.values()}}
+    components = []
+    for i in range(data.draw(st.integers(1, 3))):
+        implements = (data.draw(st.sets(st.sampled_from(counterparts), min_size=1))
+                      | data.draw(st.sets(st.sampled_from(sorted(requirements)), max_size=2)))
+        components.append(Component(id=f"comp-reuse-{i}", implements=frozenset(implements),
+                                    jurisdiction=data.draw(st.none() | st.sampled_from(jids))))
+    corpus = Corpus(corpus.jurisdictions, corpus.sources, tuple(requirements.values()), corpus.relations,
+                    (*corpus.components, *components))
+    model.validate_corpus(corpus)
+    op = {"op": "modify", "target": versions[target_jid].id, "payload": {"text": shared}}
+    return corpus, {"formatVersion": 1, "label": "promotion", "ops": [op]}
+
+
+def _change_body(corpus, doc) -> dict:
+    """The JSON body of ``change``, the same with and without ``--out``,
+    after checking that it equals ``oracles.scratch_impact_body``. The input
+    file is the reference layout of the corpus, and ``after`` is the digest
+    of the file ``--out`` writes."""
     want = scratch_impact_body(corpus, corpus_io.parse_change_set(doc))
     with tempfile.TemporaryDirectory() as tmp:
         corpus_path, changes_path, out_path = (Path(tmp) / name for name in ("c.json", "cs.json", "after.json"))
@@ -314,3 +355,21 @@ def test_change_command_body_matches_the_oracle_body(data):
             assert (code, err.getvalue()) == (0, "")
             assert json.loads(out.getvalue())["body"] == want
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want["after"]
+    return want
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_change_command_body_matches_the_oracle_body(data):
+    """The whole JSON body of ``change`` equals ``oracles.scratch_impact_body``."""
+    _change_body(*_draw_applicable_change_set(data))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_promotion_lists_the_counterparts_components_as_reuse_hints(data):
+    """A 1b modify whose counterparts have components reports reuse hints,
+    and the whole body equals the oracle's."""
+    body = _change_body(*_draw_promotion(data))
+    assert [op["case"] for op in body["ops"]] == ["1b"]
+    assert body["reuseHints"]

@@ -1,8 +1,11 @@
-"""Every top-level import of a ``src/reqlattice`` module is used by it.
+"""Every top-level import of a ``src/reqlattice`` module is used by it, and
+every module-level private name of the package is read somewhere in it.
 
-No linter is a test dependency, so an ``ast`` scan stands in for one: a name
+No linter is a test dependency, so ``ast`` scans stand in for one: a name
 that a module-level ``import`` binds must be read somewhere in the module.
 ``__init__.py`` imports to re-export, and ``from __future__`` binds nothing.
+A module-level private function, class or constant (``_name``) must be read
+by some module of the package; reads from the tests do not count.
 """
 
 import ast
@@ -35,3 +38,37 @@ def test_module_uses_its_imports(path):
 def test_the_scan_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nimport re as regex\nfrom a import b, c\nc(regex)\n"
     assert unused_imports(source) == ["os", "b"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level private function, class or
+    constant of ``sources`` (module name to source) that no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return unread
+
+
+def test_package_reads_its_private_names():
+    assert unread_private_names({p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def test_the_scan_finds_an_unread_private_name():
+    sources = {
+        "a": "_LIMIT = 3\n_seen, _gone = 1, 2\ndef _used():\n    return _LIMIT\nclass _Dead:\n    pass\n"
+             "__all__ = []\ndef public():\n    pass\n",
+        "b": "from a import _used\n_used(_seen)\nx.attr._Dead\n",
+    }
+    assert unread_private_names(sources) == ["a._gone", "a._Dead"]
