@@ -2,9 +2,13 @@
 
 A node's effective requirements are its own plus everything inherited from
 ancestor jurisdictions, with refinement shadowing: when a nearer requirement
-refines an ancestor's, the weaker ancestor version is dropped. Selecting a
-level turns each frontier node (plus its inherited items) into one analysis
-unit, so the flat partition engine works unchanged at any level.
+refines an ancestor's, the weaker ancestor version is dropped. One
+parent-first walk gives every node's set as ``own(child) ∪ (effective(parent)
+− reach(own(child)))``, where ``reach`` follows ``refines`` from the child's
+own items through items of the child and its ancestors only: an inherited
+item is shadowed through an own item, or was already shadowed at the parent.
+Selecting a level turns each frontier node (plus its inherited items) into
+one analysis unit, so the flat partition engine works unchanged at any level.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from operator import attrgetter
 from reqlattice.errors import UnknownIdError
 from reqlattice.model import Corpus, Level, RequirementKind, SourceKind
 from reqlattice.partition import ItemView
-from reqlattice.relations import min_refiner
 
 
 def select_level(corpus: Corpus, level: Level) -> tuple[str, ...]:
@@ -25,17 +28,32 @@ def select_level(corpus: Corpus, level: Level) -> tuple[str, ...]:
 
 def effective_requirements(corpus: Corpus, node: str) -> frozenset[str]:
     """Requirement ids visible at ``node``: own plus non-shadowed ancestors'."""
-    ancestors = corpus.ancestor_chains.get(node)
-    if ancestors is None:
+    if node not in corpus.ancestor_chains:
         raise UnknownIdError(node)
-    own_depth = {  # pool id -> depth of its jurisdiction, nearest first
-        r.id: depth
-        for depth, jid in enumerate((node, *ancestors))
-        for kind in RequirementKind for r in corpus.members.get((jid, kind), ())
-    }
-    # only a strictly nearer refiner, reached inside the pool, shadows an ancestor's version
-    nearest = min_refiner(corpus.relations, own_depth, own_depth.__getitem__)
-    return frozenset(i for i, d in own_depth.items() if nearest.get(i, d) >= d)
+    return corpus.effective_sets[node]
+
+
+def build_effective_sets(corpus: Corpus) -> dict[str, frozenset[str]]:
+    """Every jurisdiction's effective requirement ids, by the walk above. It
+    reads each parent from the ancestor chains, so it assumes a valid forest,
+    which the loader guarantees."""
+    chains = corpus.ancestor_chains
+    order = corpus.relations.refinement_order
+    effective: dict[str, frozenset[str]] = {}
+    for node in sorted(chains, key=lambda jid: len(chains[jid])):  # parents first
+        pool = {node, *chains[node]}
+        own = {r.id for kind in RequirementKind for r in corpus.members.get((node, kind), ())}
+        reach: set[str] = set()
+        pending = list(own)
+        while pending:
+            for weak in order.get(pending.pop(), ()):
+                if weak not in reach and corpus.by_id[weak].jurisdiction in pool:
+                    reach.add(weak)
+                    pending.append(weak)
+        inherited = effective[chains[node][0]] if chains[node] else frozenset()
+        # from a list: a frozenset copied from a set gets a table twice as large
+        effective[node] = frozenset([*own, *(inherited - reach)])
+    return effective
 
 
 def _pool(corpus: Corpus, node: str, kind: SourceKind | RequirementKind) -> list:
@@ -45,11 +63,9 @@ def _pool(corpus: Corpus, node: str, kind: SourceKind | RequirementKind) -> list
 
 
 def level_requirement_view(corpus: Corpus, frontier: tuple[str, ...]) -> dict[RequirementKind, ItemView]:
-    """Per-kind, per-frontier-node requirement sets, for partition analysis.
-
-    Each frontier node's effective set is computed once and split by kind.
-    """
-    effective = {node: effective_requirements(corpus, node) for node in frontier}
+    """Per-kind, per-frontier-node requirement sets, for partition analysis:
+    each frontier node's effective set, split by kind."""
+    effective = corpus.effective_sets
     return {
         kind: {node: [r for r in _pool(corpus, node, kind) if r.id in effective[node]] for node in frontier}
         for kind in RequirementKind

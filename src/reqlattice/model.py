@@ -171,6 +171,14 @@ class Corpus:
             groups[item.jurisdiction, item.kind].append(item)
         return {key: tuple(items) for key, items in groups.items()}
 
+    @cached_property
+    def effective_sets(self) -> dict[str, frozenset[str]]:
+        """Each jurisdiction's effective requirement ids, built once by
+        hierarchy.build_effective_sets. Shared, so never mutate it."""
+        from reqlattice.hierarchy import build_effective_sets
+
+        return build_effective_sets(self)
+
     def ancestors(self, jurisdiction_id: str) -> list[str]:
         """Ancestor jurisdiction ids, nearest first. Assumes a valid forest."""
         return list(self.ancestor_chains.get(jurisdiction_id, ()))

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TypeVar
 
 from reqlattice.errors import CycleError
 from reqlattice.model import Corpus, RelationSet, Requirement
-
-K = TypeVar("K")
 
 
 def check_acyclic(relations: RelationSet, ids: set[str] | frozenset[str]) -> dict[str, set[str]]:
@@ -51,24 +48,24 @@ def check_acyclic(relations: RelationSet, ids: set[str] | frozenset[str]) -> dic
     return {i: edges[i] for i in reversed(finished)}
 
 
-def min_refiner(relations: RelationSet, ids: Collection[str], key: Callable[[str], K]) -> dict[str, K]:
-    """Least ``key(u)`` over each id's strict transitive refiners ``u``.
+def min_refiner(relations: RelationSet, scope: Mapping[str, str]) -> dict[str, str]:
+    """Least strict transitive refiner of each id, by id, inside its scope.
 
-    Only ``refines`` pairs with both ends in ``ids`` count, and an id that
-    nothing in ``ids`` refines has no entry. One pass over the cached
-    refinement order carries ``min(key(a), best[a])`` along every edge
-    ``a -> b`` inside ``ids``, so no closure is built. A cyclic relation
-    raises CycleError, whatever ``ids`` holds.
+    ``scope`` maps each id to its scope: only ``refines`` pairs whose ends
+    are both keys of the same scope count, and an id that nothing of its
+    scope refines has no entry. One pass over the cached refinement order
+    carries ``min(a, best[a])`` along every counted edge ``a -> b``, so no
+    closure is built and one call serves every scope of the mapping. A
+    cyclic relation raises CycleError, whatever ``scope`` holds.
     """
-    best: dict[str, K] = {}
+    best: dict[str, str] = {}
     for a, weaker in relations.refinement_order.items():
-        if a not in ids:
+        if a not in scope:
             continue
-        carried = key(a)
-        if a in best and best[a] < carried:
-            carried = best[a]
+        home = scope[a]
+        carried = min(a, best.get(a, a))
         for b in weaker:
-            if b in ids and (b not in best or carried < best[b]):
+            if b in scope and scope[b] == home and (b not in best or carried < best[b]):
                 best[b] = carried
     return best
 

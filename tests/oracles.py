@@ -144,6 +144,32 @@ def corpus_to_doc(corpus: Corpus) -> dict:
     }
 
 
+def closure_effective(corpus: Corpus, node: str) -> frozenset[str]:
+    """A node's effective requirements by definition: its own and its
+    ancestors' requirements (its pool), less every one that a strictly
+    nearer pool member refines along a path inside the pool."""
+    parent = {j.id: j.parent for j in corpus.jurisdictions}
+    chain = [node]
+    while parent[chain[-1]] is not None:
+        chain.append(parent[chain[-1]])
+    depth = {jid: i for i, jid in enumerate(chain)}
+    jur_of = {r.id: r.jurisdiction for r in corpus.requirements if r.jurisdiction in depth}
+    closure = path_enumeration_closure(set(corpus.relations.refines), set(jur_of))
+    shadowed = {weak for strong, weak in closure if depth[jur_of[strong]] < depth[jur_of[weak]]}
+    return frozenset(set(jur_of) - shadowed)
+
+
+def closure_optimize(ids: set[str], corpus: Corpus) -> tuple[frozenset, frozenset, dict]:
+    """``(strongest, baseline, removed)`` of the order restricted to ``ids``,
+    from its closure: a removed id's witness is its smallest refiner."""
+    closure = path_enumeration_closure(set(corpus.relations.refines), ids)
+    removed: dict[str, str] = {}
+    for strong, weak in closure:
+        removed[weak] = min(strong, removed.get(weak, strong))
+    baseline = frozenset(ids - {strong for strong, _ in closure})
+    return frozenset(ids - set(removed)), baseline, removed
+
+
 # ---------------------------------------------------------------------------
 # random generators
 
@@ -253,6 +279,37 @@ def random_corpus(
     )
     model.validate_corpus(corpus)
     return corpus
+
+
+def random_tree_corpus(rng: random.Random) -> Corpus:
+    """A random corpus hung as a national/state/org forest, with its
+    ``refines`` pairs redrawn between same-kind requirements of any
+    jurisdictions. Each pair points forward in a random order of its kind,
+    so the order stays acyclic, and a nearer requirement refines a farther
+    one about as often as the reverse."""
+    corpus = random_corpus(rng, max_jurisdictions=7, max_concepts=10, with_relations=True)
+    nodes = [corpus.jurisdictions[0]]
+    for j in corpus.jurisdictions[1:]:
+        roll = rng.random()
+        parents = [n for n in nodes if n.level is not Level.ORGANISATIONAL]
+        if roll < 0.2:
+            nodes.append(j)  # another national root
+        elif roll < 0.6:
+            nodes.append(replace(j, level=Level.STATE, parent=rng.choice(
+                [n for n in parents if n.level is Level.NATIONAL]).id))
+        else:
+            nodes.append(replace(j, level=Level.ORGANISATIONAL, parent=rng.choice(parents).id))
+    by_kind: dict[RequirementKind, list[str]] = {}
+    for r in corpus.requirements:
+        by_kind.setdefault(r.kind, []).append(r.id)
+    refines = set()
+    for group in by_kind.values():
+        rng.shuffle(group)
+        refines |= {(a, b) for i, a in enumerate(group) for b in group[i + 1:] if rng.random() < 0.2}
+    tree = replace(corpus, jurisdictions=tuple(nodes),
+                   relations=replace(corpus.relations, refines=frozenset(refines)))
+    model.validate_corpus(tree)
+    return tree
 
 
 def random_label(rng: random.Random, length: int = 6) -> str:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reqlattice import model
+from reqlattice import hierarchy, model
 from reqlattice.errors import UnknownIdError, ValidationError
 from reqlattice.hierarchy import (
     effective_requirements,
@@ -111,6 +111,57 @@ class TestEffectiveRequirements:
         parent_effective = effective_requirements(corpus, "st")
         child_effective = effective_requirements(corpus, "org")
         assert parent_effective <= child_effective
+
+
+class TestRecurrence:
+    """Each node's set is built from its parent's: own items, plus the
+    parent's effective set less what the own items reach."""
+
+    def test_org_without_requirements_inherits_its_state_set_exactly(self):
+        corpus = Corpus(
+            jurisdictions=(jur("nat"), jur("st", Level.STATE, "nat"), jur("org", Level.ORGANISATIONAL, "st")),
+            sources=(), requirements=(req("r-nat", "nat"), req("r-st", "st"), req("r-st2", "st")),
+            relations=RelationSet(refines=frozenset({("r-st", "r-nat")})),
+        )
+        model.validate_corpus(corpus)
+        assert effective_requirements(corpus, "org") == effective_requirements(corpus, "st") == {"r-st", "r-st2"}
+
+    def test_shadowed_at_the_state_stays_shadowed_at_its_org(self):
+        # nothing of the org reaches r-nat: the state's shadowing carries down
+        corpus = tree_corpus(refines=[("r-st", "r-nat")])
+        assert effective_requirements(corpus, "st") == {"r-st"}
+        assert effective_requirements(corpus, "org") == {"r-st", "r-org"}
+
+    def test_org_item_refining_a_national_one_through_a_state_one_shadows_both(self):
+        corpus = tree_corpus(refines=[("r-org", "r-st"), ("r-st", "r-nat")])
+        assert effective_requirements(corpus, "nat") == {"r-nat"}
+        assert effective_requirements(corpus, "st") == {"r-st"}
+        assert effective_requirements(corpus, "org") == {"r-org"}
+
+    def test_org_item_refining_a_state_one_through_a_national_one_shadows_both(self):
+        # the path climbs to the national item and comes back down: reach follows every step
+        corpus = tree_corpus(refines=[("r-org", "r-nat"), ("r-nat", "r-st")])
+        assert effective_requirements(corpus, "st") == {"r-nat", "r-st"}
+        assert effective_requirements(corpus, "org") == {"r-org"}
+
+    def test_sets_are_built_once_per_corpus(self, monkeypatch):
+        built = []
+        build = hierarchy.build_effective_sets
+        monkeypatch.setattr(hierarchy, "build_effective_sets", lambda corpus: built.append(1) or build(corpus))
+        corpora = [tree_corpus(refines=[("r-org", "r-nat")]) for _ in range(2)]
+        for corpus in corpora:
+            for _ in range(3):
+                for node in ("nat", "st", "org"):
+                    effective_requirements(corpus, node)
+                level_requirement_view(corpus, select_level(corpus, Level.ORGANISATIONAL))
+            assert corpus.effective_sets is corpus.effective_sets
+        assert len(built) == 2
+
+    def test_unknown_node_after_the_sets_are_built(self):
+        corpus = tree_corpus()
+        assert set(corpus.effective_sets) == {"nat", "st", "org"}
+        with pytest.raises(UnknownIdError):
+            effective_requirements(corpus, "nowhere")
 
 
 class TestAncestorChains:

@@ -1,13 +1,15 @@
 """Memoised corpus facts stay fresh across change application.
 
 Every fact cached on a ``Corpus`` or ``Partition`` (item grouping, id map,
-ancestor chains, owner map) and the fingerprint must equal their
-from-scratch values on each corpus a change set produces, and the analyses
-that read those caches must still match the brute-force oracles.
+ancestor chains, effective sets, owner map) and the fingerprint must equal
+their from-scratch values on each corpus a change set produces, and the
+analyses that read those caches must still match the brute-force oracles.
+Cached facts live on their corpus and die with it.
 """
 
 import hashlib
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -22,9 +24,11 @@ from oracles import (
     fixpoint_contradictions,
     path_enumeration_closure,
     random_corpus,
+    random_tree_corpus,
     scratch_members,
 )
-from reqlattice import model
+from reqlattice import corpus_io, model
+from reqlattice.cli import EXIT_OK, run
 from reqlattice.changes import apply_change_set
 from reqlattice.corpus_io import Alternative, AlternativesFile, ChangeOp, ChangePayload, ChangeSet
 from reqlattice.errors import PartitionMismatchError, ValidationError
@@ -137,7 +141,8 @@ def test_memoised_facts_match_scratch_after_each_change(seed):
         assert corpus.members is before_members and before_members == scratch_members(corpus)
         assert after.members == scratch_members(after)
         fresh = Corpus(after.jurisdictions, after.sources, after.requirements, after.relations, after.components)
-        assert (after.ancestor_chains, after.by_id) == (fresh.ancestor_chains, fresh.by_id)
+        assert (after.ancestor_chains, after.by_id, after.effective_sets) == (
+            fresh.ancestor_chains, fresh.by_id, fresh.effective_sets)
         if after != corpus:
             assert model.corpus_fingerprint(after) != before_fp
             with pytest.raises(PartitionMismatchError):
@@ -164,3 +169,20 @@ def test_oracle_level_view_counts_only_paths_inside_the_pool():
     model.validate_corpus(corpus)
     assert oracle_level_view(corpus, Level.STATE) == {"n": {"i", "u"}, "s": {"w"}}
     check_against_oracles(corpus)
+
+
+def test_cached_facts_die_with_their_corpus(tmp_path, monkeypatch, capsys):
+    # no module-level cache may keep a corpus alive into the next command's load
+    corpus = random_tree_corpus(random.Random(11))
+    assert any(j.level is Level.ORGANISATIONAL for j in corpus.jurisdictions) and corpus.relations.refines
+    path = tmp_path / "tree.reqcorpus.json"
+    corpus_io.save_corpus(corpus, path)
+    loaded = [corpus_io.load_corpus(path)]
+    alive = weakref.ref(loaded[0])
+    monkeypatch.setattr(corpus_io, "load_corpus", lambda _path: loaded[0])
+    for argv in (["hierarchy"], ["optimize"], ["partition", "--level", "org"]):
+        assert run([*argv, "--corpus", str(path), "--format", "json"]) == EXIT_OK
+    capsys.readouterr()
+    assert {"effective_sets", "ancestor_chains", "members"} <= vars(alive()).keys()
+    loaded.clear()
+    assert alive() is None

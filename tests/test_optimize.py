@@ -1,6 +1,9 @@
 import random
 
-from oracles import brute_force_maximal, brute_force_minimal, random_dag
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_force_maximal, brute_force_minimal, closure_optimize, random_dag, random_tree_corpus
 from reqlattice import model
 from reqlattice.model import (
     Corpus,
@@ -118,3 +121,22 @@ class TestGlobalView:
         local = gv.per_jurisdiction["j0"][RequirementKind.CULTURAL_BASED.value]
         assert local.strongest == gv.global_per_kind[RequirementKind.CULTURAL_BASED.value].strongest
         assert local.baseline == gv.global_per_kind[RequirementKind.CULTURAL_BASED.value].baseline
+
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_every_global_view_scope_matches_its_closure(seed):
+    # every view comes from one of two scoped passes, none from optimize()
+    corpus = random_tree_corpus(random.Random(seed))
+    gv = global_view(corpus)
+
+    def ids(jid=None, kind=None):
+        return {r.id for r in corpus.requirements if jid in (None, r.jurisdiction) and kind in (None, r.kind.value)}
+
+    scopes = [(ids(jid, kind), view) for jid, kinds in gv.per_jurisdiction.items() for kind, view in kinds.items()]
+    scopes += [(ids(kind=kind), view) for kind, view in gv.global_per_kind.items()]
+    scopes.append((ids(), gv.global_all))
+    assert len(scopes) == 3 * len(corpus.jurisdictions) + 4
+    for scope_ids, view in scopes:
+        assert (view.strongest, view.baseline, view.removed) == closure_optimize(scope_ids, corpus)

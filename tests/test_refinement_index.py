@@ -79,7 +79,7 @@ def test_a_cycle_outside_the_scope_raises_everywhere():
     assert expect == ["c", "d"]
     for call in (lambda: optimize({"a", "b"}, corpus, "s"),
                  lambda: effective_requirements(corpus, "st"),
-                 lambda: min_refiner(corpus.relations, {"a", "b"}, str),
+                 lambda: min_refiner(corpus.relations, {"a": "s", "b": "s"}),
                  lambda: corpus.relations.refinement_order):  # nothing was cached
         with pytest.raises(CycleError) as exc:
             call()

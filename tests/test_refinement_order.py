@@ -2,20 +2,20 @@
 
 ``effective_requirements``, ``optimize`` and ``derive_contradictions`` read
 the refinement order without building its transitive closure. Each is
-checked here against a from-scratch version over ``refinement_closure``,
-on random trees with cross-jurisdiction ``refines``, plus pinned cases: a
-path through a sibling jurisdiction, cycles, and a 3000-deep chain.
+checked here against a from-scratch version (``tests/oracles.py``, and
+``refinement_closure`` for contradictions) on random trees with
+cross-jurisdiction ``refines``, plus pinned cases: a path through a sibling
+jurisdiction, cycles, and a 3000-deep chain.
 """
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_corpus, random_dag
+from oracles import closure_effective, closure_optimize, random_dag, random_tree_corpus
 from reqlattice import corpus_io, model
 from reqlattice.cli import EXIT_OK, run
 from reqlattice.errors import CycleError
@@ -27,23 +27,6 @@ from reqlattice.relations import check_acyclic, derive_contradictions, min_refin
 
 # ---------------------------------------------------------------------------
 # the closure-based versions
-
-def closure_effective(corpus: Corpus, node: str) -> frozenset[str]:
-    depth = {jid: i for i, jid in enumerate([node, *corpus.ancestors(node)])}
-    jur_of = {r.id: r.jurisdiction for r in corpus.requirements if r.jurisdiction in depth}
-    closure = refinement_closure(corpus.relations, set(jur_of))
-    shadowed = {weak for strong, weak in closure if depth[jur_of[strong]] < depth[jur_of[weak]]}
-    return frozenset(set(jur_of) - shadowed)
-
-
-def closure_optimize(ids: set[str], corpus: Corpus) -> tuple[frozenset, frozenset, dict]:
-    closure = refinement_closure(corpus.relations, ids)
-    removed: dict[str, str] = {}
-    for strong, weak in closure:
-        removed[weak] = min(strong, removed.get(weak, strong))
-    baseline = frozenset(ids - {strong for strong, _ in closure})
-    return frozenset(ids - set(removed)), baseline, removed
-
 
 def closure_contradictions(relations: RelationSet) -> frozenset[frozenset[str]]:
     ids = {i for pair in relations.refines | relations.contradicts for i in pair}
@@ -57,38 +40,6 @@ def closure_contradictions(relations: RelationSet) -> frozenset[frozenset[str]]:
         for b in {y} | refiners.get(y, set())
         if a != b
     )
-
-
-# ---------------------------------------------------------------------------
-# random trees with cross-jurisdiction refines
-
-def random_tree_corpus(rng: random.Random) -> Corpus:
-    """A random corpus hung as a national/state/org forest, with extra
-    same-kind ``refines`` pairs between any jurisdictions (lower id refines
-    higher, so the order stays acyclic)."""
-    corpus = random_corpus(rng, max_jurisdictions=7, max_concepts=10, with_relations=True)
-    nodes = [corpus.jurisdictions[0]]
-    for j in corpus.jurisdictions[1:]:
-        roll = rng.random()
-        parents = [n for n in nodes if n.level is not Level.ORGANISATIONAL]
-        if roll < 0.2:
-            nodes.append(j)  # another national root
-        elif roll < 0.6:
-            nodes.append(replace(j, level=Level.STATE, parent=rng.choice(
-                [n for n in parents if n.level is Level.NATIONAL]).id))
-        else:
-            nodes.append(replace(j, level=Level.ORGANISATIONAL, parent=rng.choice(parents).id))
-    by_kind: dict[RequirementKind, list[str]] = {}
-    for r in corpus.requirements:
-        by_kind.setdefault(r.kind, []).append(r.id)
-    refines = set(corpus.relations.refines)
-    for group in by_kind.values():
-        group.sort()
-        refines |= {(a, b) for i, a in enumerate(group) for b in group[i + 1:] if rng.random() < 0.15}
-    tree = replace(corpus, jurisdictions=tuple(nodes),
-                   relations=replace(corpus.relations, refines=frozenset(refines)))
-    model.validate_corpus(tree)
-    return tree
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -147,14 +98,14 @@ def test_cycle_witness_equals_check_acyclic():
         except CycleError as exc:
             expect = exc.cycle
         else:
-            assert min_refiner(relations, ids, str) == {
+            assert min_refiner(relations, dict.fromkeys(ids, "s")) == {
                 weak: min(s for s, w in refinement_closure(relations, ids) if w == weak)
                 for _, weak in refinement_closure(relations, ids)
             }
             continue
         raised += 1
         with pytest.raises(CycleError) as exc:
-            min_refiner(relations, ids, str)
+            min_refiner(relations, dict.fromkeys(ids, "s"))
         assert exc.value.cycle == expect
         with pytest.raises(CycleError) as exc:
             derive_contradictions(relations)
