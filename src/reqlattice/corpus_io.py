@@ -171,12 +171,8 @@ def _source(raw: Any) -> SourceItem:
     """One source record, from a corpus or an add op's payload."""
     s = _take(raw, "source", _SOURCE)
     kind = _member(_SOURCE_KINDS, s, "kind", "source")
-    return SourceItem(
-        id=s["id"], kind=kind, jurisdiction=s["jurisdiction"],
-        concept_key=s["conceptKey"], text=s["text"],
-        content_hash=s.get("contentHash") or model.content_hash(s["text"]),
-        is_static=s.get("isStatic", _DEFAULT_STATIC[kind]),
-    )
+    return model.new_source(s["id"], kind, s["jurisdiction"], s["conceptKey"], s["text"],
+                            s.get("contentHash") or model.content_hash(s["text"]), s.get("isStatic", _DEFAULT_STATIC[kind]))
 
 
 def _requirement(raw: Any) -> Requirement:
@@ -186,12 +182,9 @@ def _requirement(raw: Any) -> Requirement:
     for sid in derived:
         if not isinstance(sid, str):
             raise ValidationError("BAD_TYPE", f"requirement {r['id']!r} derivedFrom must hold ids")
-    return Requirement(
-        id=r["id"], kind=_member(_REQUIREMENT_KINDS, r, "kind", "requirement"),
-        jurisdiction=r["jurisdiction"], concept_key=r["conceptKey"], text=r["text"],
-        content_hash=r.get("contentHash") or model.content_hash(r["text"]),
-        derived_from=frozenset(derived),
-    )
+    return model.new_requirement(r["id"], _member(_REQUIREMENT_KINDS, r, "kind", "requirement"), r["jurisdiction"],
+                                 r["conceptKey"], r["text"], r.get("contentHash") or model.content_hash(r["text"]),
+                                 frozenset(derived))
 
 
 #: the record parser for each ``role`` an add op's payload may name
@@ -226,9 +219,8 @@ def parse_corpus(doc: Any) -> Corpus:
             raise ValidationError("MISSING_FIELD", f"specific component {c['id']!r} needs a jurisdiction")
         if c["scope"] == "general" and "jurisdiction" in c:
             raise ValidationError("UNKNOWN_FIELD", f"general component {c['id']!r} must not name a jurisdiction")
-        for rid in c["implements"]:
-            if not isinstance(rid, str):
-                raise ValidationError("BAD_TYPE", f"component {c['id']!r} implements must hold ids")
+        if not all(isinstance(rid, str) for rid in c["implements"]):
+            raise ValidationError("BAD_TYPE", f"component {c['id']!r} implements must hold ids")
         components.append(Component(id=c["id"], implements=frozenset(c["implements"]),
                                     jurisdiction=c.get("jurisdiction")))
 

@@ -13,11 +13,7 @@ class ParseError(ReqLatticeError):
     def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
         self.path = path
         self.line = line
-        prefix = ""
-        if path is not None:
-            prefix += str(path)
-        if line is not None:
-            prefix += f":{line}"
+        prefix = ("" if path is None else str(path)) + ("" if line is None else f":{line}")
         super().__init__(f"{prefix}: {message}" if prefix else message)
 
 

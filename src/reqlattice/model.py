@@ -2,6 +2,10 @@
 
 Dataclasses here do not self-validate; :func:`validate_corpus` checks every
 structural invariant and raises :class:`~reqlattice.errors.ValidationError`.
+Sources and requirements are slotted, with no ``__dict__``; the loader builds
+them by :func:`new_source` and :func:`new_requirement`, which store each field
+straight into its slot instead of the generated ``__init__``'s one
+``object.__setattr__`` call per field.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ import hashlib
 import re
 from collections import defaultdict
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -62,7 +66,7 @@ class Jurisdiction:
     parent: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceItem:
     id: str
     kind: SourceKind
@@ -75,7 +79,7 @@ class SourceItem:
     role = "source"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Requirement:
     id: str
     kind: RequirementKind
@@ -86,6 +90,39 @@ class Requirement:
     derived_from: frozenset[str] = frozenset()
 
     role = "requirement"
+
+
+#: each record field's slot ``__set__``, in field order: it stores past the frozen ``__setattr__``
+_SOURCE_SLOTS = tuple(getattr(SourceItem, f.name).__set__ for f in fields(SourceItem))
+_REQUIREMENT_SLOTS = tuple(getattr(Requirement, f.name).__set__ for f in fields(Requirement))
+
+
+def new_source(id, kind, jurisdiction, concept_key, text, content_hash, is_static) -> SourceItem:
+    """``SourceItem(...)`` with its fields in field order, each stored straight into its slot."""
+    set_id, set_kind, set_jurisdiction, set_concept_key, set_text, set_content_hash, set_is_static = _SOURCE_SLOTS
+    item = object.__new__(SourceItem)
+    set_id(item, id)
+    set_kind(item, kind)
+    set_jurisdiction(item, jurisdiction)
+    set_concept_key(item, concept_key)
+    set_text(item, text)
+    set_content_hash(item, content_hash)
+    set_is_static(item, is_static)
+    return item
+
+
+def new_requirement(id, kind, jurisdiction, concept_key, text, content_hash, derived_from) -> Requirement:
+    """``Requirement(...)`` with its fields in field order, each stored straight into its slot."""
+    set_id, set_kind, set_jurisdiction, set_concept_key, set_text, set_content_hash, set_derived_from = _REQUIREMENT_SLOTS
+    item = object.__new__(Requirement)
+    set_id(item, id)
+    set_kind(item, kind)
+    set_jurisdiction(item, jurisdiction)
+    set_concept_key(item, concept_key)
+    set_text(item, text)
+    set_content_hash(item, content_hash)
+    set_derived_from(item, derived_from)
+    return item
 
 
 @dataclass(frozen=True)

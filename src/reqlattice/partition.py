@@ -181,19 +181,22 @@ def check_specific_contradiction_condition(corpus: Corpus, *parts: Partition) ->
     escalate them. Contradictions are derived once for all ``parts``; the
     findings follow the order of the parts.
     """
-    contradictions = derive_contradictions(corpus.relations)
     partners: dict[str, set[str]] = {}
-    for pair in contradictions:
-        a, b = sorted(pair)
+    for a, b in derive_contradictions(corpus.relations):
         partners.setdefault(a, set()).add(b)
         partners.setdefault(b, set()).add(a)
 
     findings: list[Finding] = []
     for part in parts:
+        holders: dict[str, set[str]] = {}  # id -> the buckets that hold it
+        for jid, bucket in part.specific.items():
+            for item_id in bucket:
+                holders.setdefault(item_id, set()).add(jid)
         for jid in sorted(part.specific):
-            others = set().union(*(bucket for other_jid, bucket in part.specific.items() if other_jid != jid))
+            own = {jid}
             for item_id in sorted(part.specific[jid]):
-                if not partners.get(item_id, set()) & others:
+                # it passes when some partner is held by a bucket other than its own
+                if all(holders.get(p, own) <= own for p in partners.get(item_id, ())):
                     findings.append(Finding(
                         "NO_CROSS_CONTRADICTION", "warning", item_id,
                         f"specific item {item_id!r} of {jid!r} contradicts nothing in any other jurisdiction",

@@ -22,9 +22,7 @@ def use_color(stream) -> bool:
 
 
 def heading(text: str, color: bool) -> str:
-    if color:
-        return f"\x1b[1m{text}\x1b[0m"
-    return text
+    return f"\x1b[1m{text}\x1b[0m" if color else text
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +137,10 @@ def partition_text(body: dict, color: bool = False) -> str:
         lines.append(heading(f"{part['role']} / {kind}", color))
         if part["general"]:
             lines.append("  general concepts:")
-            for key, ids in part["general"].items():
-                lines.append(f"    {key}: {', '.join(ids)}")
+            lines += [f"    {key}: {', '.join(ids)}" for key, ids in part["general"].items()]
         else:
             lines.append("  general concepts: (none)")
-        for jid, ids in part["specific"].items():
-            lines.append(f"  specific to {jid}: {', '.join(ids) or '(none)'}")
+        lines += [f"  specific to {jid}: {', '.join(ids) or '(none)'}" for jid, ids in part["specific"].items()]
     if body["elaborationFindings"]:
         lines.append(heading("elaboration findings", color))
         lines += _finding_lines(body["elaborationFindings"])
@@ -155,21 +151,15 @@ def partition_text(body: dict, color: bool = False) -> str:
 
 
 def scenario_text(body: dict, color: bool = False) -> str:
-    lines = []
-    for aspect, cls in body.items():
-        if cls is None:
-            lines.append(f"{aspect}: no items")
-        else:
-            lines.append(f"{aspect}: {cls['option']} ({cls['note']})")
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{aspect}: no items" if cls is None else f"{aspect}: {cls['option']} ({cls['note']})"
+                     for aspect, cls in body.items()) + "\n"
 
 
 def _view_lines(label: str, view: dict) -> list[str]:
     lines = [f"  {label}:"]
     if "strongest" in view:
         lines.append(f"    strongest: {', '.join(view['strongest']) or '(empty)'}")
-        for removed, witness in view["removed"].items():
-            lines.append(f"    removed {removed} (refined by {witness})")
+        lines += [f"    removed {removed} (refined by {witness})" for removed, witness in view["removed"].items()]
     if "baseline" in view:
         lines.append(f"    baseline:  {', '.join(view['baseline']) or '(empty)'}")
     return lines
@@ -198,14 +188,11 @@ def impact_text(body: dict, color: bool = False) -> str:
     for rec in body["ops"]:
         lines.append(f"  {rec['op']} {rec['target']}: case {rec['case']}, "
                      f"affected {', '.join(rec['affected']) or '(none)'}")
-        for m in rec["migrations"]:
-            lines.append(f"    {m['id']}: {m['from']} -> {m['to']}")
-        for c in rec["components"]:
-            lines.append(f"    component {c['id']}: {c['status']}")
+        lines += [f"    {m['id']}: {m['from']} -> {m['to']}" for m in rec["migrations"]]
+        lines += [f"    component {c['id']}: {c['status']}" for c in rec["components"]]
     if body["reuseHints"]:
         lines.append(heading("reuse hints", color))
-        for h in body["reuseHints"]:
-            lines.append(f"  {h['component']} (of {h['owner']}) reusable for {h['for']} via {h['via']}")
+        lines += [f"  {h['component']} (of {h['owner']}) reusable for {h['for']} via {h['via']}" for h in body["reuseHints"]]
     return "\n".join(lines) + "\n"
 
 
@@ -213,20 +200,17 @@ def hierarchy_text(body: dict, color: bool = False) -> str:
     lines = []
     if body["findings"]:
         lines.append(heading("hierarchy findings", color))
-        for f in body["findings"]:
-            lines.append(f"  {f['code']} {f['jurisdiction']}: {f['message']}")
+        lines += [f"  {f['code']} {f['jurisdiction']}: {f['message']}" for f in body["findings"]]
     else:
         lines.append("hierarchy well-formed")
     lines.append(heading("effective requirements", color))
-    for jid, ids in body["effectiveRequirements"].items():
-        lines.append(f"  {jid}: {', '.join(ids) or '(none)'}")
+    lines += [f"  {jid}: {', '.join(ids) or '(none)'}" for jid, ids in body["effectiveRequirements"].items()]
     return "\n".join(lines) + "\n"
 
 
 def ranking_text(body: dict, color: bool = False) -> str:
     lines = [heading("ranking (closeness to ideal)", color)]
-    for pos, entry in enumerate(body["ranking"], start=1):
-        lines.append(f"  {pos}. {entry['alternative']}  {entry['closeness']:.6f}")
+    lines += [f"  {pos}. {e['alternative']}  {e['closeness']:.6f}" for pos, e in enumerate(body["ranking"], start=1)]
     if body["droppedCriteria"]:
         lines.append(f"  dropped zero-variance criteria: {', '.join(body['droppedCriteria'])}")
     return "\n".join(lines) + "\n"

@@ -30,6 +30,7 @@ from reqlattice.model import (
     SourceItem,
     SourceKind,
 )
+from reqlattice.partition import Finding, Partition
 
 
 def path_enumeration_closure(edges: set[tuple[str, str]], ids: set[str]) -> set[tuple[str, str]]:
@@ -168,6 +169,24 @@ def closure_optimize(ids: set[str], corpus: Corpus) -> tuple[frozenset, frozense
         removed[weak] = min(strong, removed.get(weak, strong))
     baseline = frozenset(ids - {strong for strong, _ in closure})
     return frozenset(ids - set(removed)), baseline, removed
+
+
+def specific_contradiction_condition(corpus: Corpus, *parts: Partition) -> list[Finding]:
+    """``partition.check_specific_contradiction_condition`` by definition: a
+    specific item of a bucket is flagged unless some contradiction, derived by
+    :func:`fixpoint_contradictions`, joins it to an item of the union of every
+    other bucket; parts, buckets and items in order."""
+    pairs = fixpoint_contradictions(set(corpus.relations.refines), set(corpus.relations.contradicts))
+    findings = []
+    for part in parts:
+        for jid in sorted(part.specific):
+            others = set().union(*(bucket for other, bucket in part.specific.items() if other != jid))
+            for item_id in sorted(part.specific[jid]):
+                if not any(frozenset((item_id, o)) in pairs for o in others):
+                    findings.append(Finding(
+                        "NO_CROSS_CONTRADICTION", "warning", item_id,
+                        f"specific item {item_id!r} of {jid!r} contradicts nothing in any other jurisdiction"))
+    return findings
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ Cached facts live on their corpus and die with it.
 import hashlib
 import random
 import weakref
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,6 @@ from oracles import (
     dumps_layout,
     fixpoint_contradictions,
     path_enumeration_closure,
-    random_corpus,
     random_tree_corpus,
     scratch_members,
 )
@@ -43,16 +41,11 @@ def scratch_fingerprint(corpus: Corpus) -> str:
     return hashlib.sha256(dumps_layout(corpus_to_doc(corpus)).encode("utf-8")).hexdigest()
 
 
-def as_tree(rng: random.Random, corpus: Corpus) -> Corpus:
-    """Hang every jurisdiction but the first under an earlier one."""
-    nodes = [corpus.jurisdictions[0]]
-    for j in corpus.jurisdictions[1:]:
-        parent = rng.choice([n for n in nodes if n.level is not Level.ORGANISATIONAL])
-        level = Level.STATE if parent.level is Level.NATIONAL and rng.random() < 0.5 else Level.ORGANISATIONAL
-        nodes.append(replace(j, level=level, parent=parent.id))
-    tree = replace(corpus, jurisdictions=tuple(nodes))
-    model.validate_corpus(tree)
-    return tree
+def shadowed_nodes(corpus: Corpus) -> list[str]:
+    """The jurisdictions whose effective set is smaller than their pool of own and ancestor requirements."""
+    pools = {j.id: {j.id, *corpus.ancestor_chains[j.id]} for j in corpus.jurisdictions}
+    return [jid for jid, pool in pools.items()
+            if len(corpus.effective_sets[jid]) < sum(r.jurisdiction in pool for r in corpus.requirements)]
 
 
 def random_op(rng: random.Random, corpus: Corpus, n: int) -> ChangeOp:
@@ -121,8 +114,7 @@ def check_against_oracles(corpus: Corpus) -> None:
 @settings(max_examples=40, deadline=None)
 def test_memoised_facts_match_scratch_after_each_change(seed):
     rng = random.Random(seed)
-    corpus = as_tree(rng, random_corpus(rng, max_jurisdictions=4, max_concepts=8,
-                                        hash_alphabet=2, with_relations=True))
+    corpus = random_tree_corpus(rng)
     for n in range(rng.randint(1, 4)):
         before_fp = model.corpus_fingerprint(corpus)
         before_members = corpus.members
@@ -150,6 +142,13 @@ def test_memoised_facts_match_scratch_after_each_change(seed):
         _check_same_corpus(corpus, *before_parts.values())
         check_against_oracles(after)
         corpus = after
+
+
+def test_the_drawn_trees_shadow():
+    # the level views above are compared on these draws: without shadowed
+    # nodes the comparison would pass for any shadowing rule
+    shadowed = [node for seed in range(40) for node in shadowed_nodes(random_tree_corpus(random.Random(seed)))]
+    assert len(shadowed) >= 10
 
 
 def test_oracle_level_view_counts_only_paths_inside_the_pool():

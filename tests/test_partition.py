@@ -2,8 +2,10 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import per_concept_partition, random_corpus
+from oracles import per_concept_partition, random_corpus, random_tree_corpus, specific_contradiction_condition
 from reqlattice import cli, corpus_io, hierarchy, model, partition
 from reqlattice.errors import EmptyAspectError, PartitionMismatchError
 from reqlattice.model import (
@@ -343,6 +345,39 @@ class TestSpecificContradictionCondition:
         assert both == (check_specific_contradiction_condition(corpus, legal)
                         + check_specific_contradiction_condition(corpus, cultural))
         assert [f.item_id for f in both] == ["z", "c", "d"]
+
+    def test_inherited_partner_held_elsewhere_counts(self):
+        # at --level org, x of nat-a sits in two of three org buckets; y of org-2
+        # contradicts it, so y passes (org-1 holds x) and x passes only in org-1's bucket
+        corpus = make(
+            [jur("nat-a"), jur("nat-b"), Jurisdiction("org-1", "org-1", Level.ORGANISATIONAL, "nat-a"),
+             Jurisdiction("org-2", "org-2", Level.ORGANISATIONAL, "nat-a"),
+             Jurisdiction("org-3", "org-3", Level.ORGANISATIONAL, "nat-b")],
+            sources=[src("x", "nat-a", "k1", "v1"), src("y", "org-2", "k2", "v2")],
+            relations=RelationSet(contradicts=frozenset({("x", "y")})),
+        )
+        parts = cli._level_partitions(corpus, "org", (SourceKind,))
+        findings = check_specific_contradiction_condition(corpus, parts[SourceKind.LEGAL.value])
+        assert [f.message for f in findings] == ["specific item 'x' of 'org-2' contradicts nothing in any other jurisdiction"]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_contradiction_condition_matches_the_oracle_at_every_level(seed):
+    rng = random.Random(seed)
+    tree = random_tree_corpus(rng)
+    # contradictions between sources too, and more of them between requirements
+    by_kind: dict = {}
+    for item in (*tree.sources, *tree.requirements):
+        by_kind.setdefault(item.kind, []).append(item.id)
+    drawn = {(a, b) for ids in by_kind.values() for a in ids for b in ids if a < b and rng.random() < 0.1}
+    corpus = replace(tree, relations=replace(tree.relations, contradicts=tree.relations.contradicts | drawn))
+    model.validate_corpus(corpus)
+    for level in (None, "national", "state", "org"):
+        parts = cli._level_partitions(corpus, level, (SourceKind, RequirementKind)).values()
+        assert (check_specific_contradiction_condition(corpus, *parts)
+                == specific_contradiction_condition(corpus, *parts))
+
 
 class TestClassifyScenario:
     def test_identical_general(self):
