@@ -135,7 +135,8 @@ def _apply_payload(item: SourceItem | Requirement, op: ChangeOp) -> SourceItem |
     and a general target's counterparts share both with it, so one check on each item serves every case."""
     text = op.payload.text if op.payload.text is not None else item.text
     concept = op.payload.concept_key if op.payload.concept_key is not None else item.concept_key
-    new = replace(item, text=text, concept_key=concept, content_hash=model.content_hash(text))
+    digest = item.content_hash if op.payload.text is None else model.content_hash(text)  # a rename keeps its hash
+    new = replace(item, text=text, concept_key=concept, content_hash=digest)
     if (new.concept_key, new.content_hash) == (item.concept_key, item.content_hash):
         raise ValidationError("NO_CHANGE", f"modify op on {op.target!r} keeps its concept key and content")
     return new

@@ -94,9 +94,7 @@ def _member(members: dict[str, Any], record: dict, field: str, role: str):
     return member
 
 
-def _id_pairs(value: Any, what: str) -> list[tuple[str, str]]:
-    if not isinstance(value, list):
-        raise ValidationError("BAD_TYPE", f"{what} must be an array of id pairs")
+def _id_pairs(value: list, what: str) -> list[tuple[str, str]]:
     for entry in value:
         if not (isinstance(entry, list) and len(entry) == 2
                 and isinstance(entry[0], str) and isinstance(entry[1], str)):
@@ -171,8 +169,8 @@ def _source(raw: Any) -> SourceItem:
     """One source record, from a corpus or an add op's payload."""
     s = _take(raw, "source", _SOURCE)
     kind = _member(_SOURCE_KINDS, s, "kind", "source")
-    return model.new_source(s["id"], kind, s["jurisdiction"], s["conceptKey"], s["text"],
-                            s.get("contentHash") or model.content_hash(s["text"]), s.get("isStatic", _DEFAULT_STATIC[kind]))
+    return SourceItem(s["id"], kind, s["jurisdiction"], s["conceptKey"], s["text"],
+                      s.get("contentHash") or model.content_hash(s["text"]), s.get("isStatic", _DEFAULT_STATIC[kind]))
 
 
 def _requirement(raw: Any) -> Requirement:
@@ -182,9 +180,9 @@ def _requirement(raw: Any) -> Requirement:
     for sid in derived:
         if not isinstance(sid, str):
             raise ValidationError("BAD_TYPE", f"requirement {r['id']!r} derivedFrom must hold ids")
-    return model.new_requirement(r["id"], _member(_REQUIREMENT_KINDS, r, "kind", "requirement"), r["jurisdiction"],
-                                 r["conceptKey"], r["text"], r.get("contentHash") or model.content_hash(r["text"]),
-                                 frozenset(derived))
+    return Requirement(r["id"], _member(_REQUIREMENT_KINDS, r, "kind", "requirement"), r["jurisdiction"],
+                       r["conceptKey"], r["text"], r.get("contentHash") or model.content_hash(r["text"]),
+                       frozenset(derived))
 
 
 #: the record parser for each ``role`` an add op's payload may name

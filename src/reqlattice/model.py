@@ -2,8 +2,8 @@
 
 Dataclasses here do not self-validate; :func:`validate_corpus` checks every
 structural invariant and raises :class:`~reqlattice.errors.ValidationError`.
-Sources and requirements are slotted, with no ``__dict__``; the loader builds
-them by :func:`new_source` and :func:`new_requirement`, which store each field
+Sources and requirements are slotted, with no ``__dict__``. Each has one
+handwritten ``__init__`` with the generated signature, which stores each field
 straight into its slot instead of the generated ``__init__``'s one
 ``object.__setattr__`` call per field.
 """
@@ -66,7 +66,7 @@ class Jurisdiction:
     parent: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SourceItem:
     id: str
     kind: SourceKind
@@ -78,8 +78,18 @@ class SourceItem:
 
     role = "source"
 
+    def __init__(self, id, kind, jurisdiction, concept_key, text, content_hash, is_static):
+        set_id, set_kind, set_jurisdiction, set_concept_key, set_text, set_content_hash, set_is_static = _SOURCE_SLOTS
+        set_id(self, id)
+        set_kind(self, kind)
+        set_jurisdiction(self, jurisdiction)
+        set_concept_key(self, concept_key)
+        set_text(self, text)
+        set_content_hash(self, content_hash)
+        set_is_static(self, is_static)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Requirement:
     id: str
     kind: RequirementKind
@@ -91,38 +101,20 @@ class Requirement:
 
     role = "requirement"
 
+    def __init__(self, id, kind, jurisdiction, concept_key, text, content_hash, derived_from=frozenset()):
+        set_id, set_kind, set_jurisdiction, set_concept_key, set_text, set_content_hash, set_derived_from = _REQUIREMENT_SLOTS
+        set_id(self, id)
+        set_kind(self, kind)
+        set_jurisdiction(self, jurisdiction)
+        set_concept_key(self, concept_key)
+        set_text(self, text)
+        set_content_hash(self, content_hash)
+        set_derived_from(self, derived_from)
+
 
 #: each record field's slot ``__set__``, in field order: it stores past the frozen ``__setattr__``
 _SOURCE_SLOTS = tuple(getattr(SourceItem, f.name).__set__ for f in fields(SourceItem))
 _REQUIREMENT_SLOTS = tuple(getattr(Requirement, f.name).__set__ for f in fields(Requirement))
-
-
-def new_source(id, kind, jurisdiction, concept_key, text, content_hash, is_static) -> SourceItem:
-    """``SourceItem(...)`` with its fields in field order, each stored straight into its slot."""
-    set_id, set_kind, set_jurisdiction, set_concept_key, set_text, set_content_hash, set_is_static = _SOURCE_SLOTS
-    item = object.__new__(SourceItem)
-    set_id(item, id)
-    set_kind(item, kind)
-    set_jurisdiction(item, jurisdiction)
-    set_concept_key(item, concept_key)
-    set_text(item, text)
-    set_content_hash(item, content_hash)
-    set_is_static(item, is_static)
-    return item
-
-
-def new_requirement(id, kind, jurisdiction, concept_key, text, content_hash, derived_from) -> Requirement:
-    """``Requirement(...)`` with its fields in field order, each stored straight into its slot."""
-    set_id, set_kind, set_jurisdiction, set_concept_key, set_text, set_content_hash, set_derived_from = _REQUIREMENT_SLOTS
-    item = object.__new__(Requirement)
-    set_id(item, id)
-    set_kind(item, kind)
-    set_jurisdiction(item, jurisdiction)
-    set_concept_key(item, concept_key)
-    set_text(item, text)
-    set_content_hash(item, content_hash)
-    set_derived_from(item, derived_from)
-    return item
 
 
 @dataclass(frozen=True)

@@ -36,15 +36,21 @@ class Partition:
         In a level view an inherited item sits in several frontier buckets;
         the first bucket in ``specific`` order owns it.
         """
-        return self._owners.get(item_id)
+        return self.holders.get(item_id, (None,))[0]
 
     @cached_property
-    def _owners(self) -> dict[str, str]:
-        owners: dict[str, str] = {}
+    def holders(self) -> dict[str, list[str]]:
+        """Each specific id's buckets, in ``specific`` order, built once. Shared, so never mutate it."""
+        holders: dict[str, list[str]] = {}
         for jid, bucket in self.specific.items():
+            alone = [jid]  # shared by the ids no earlier bucket holds, so a flat view makes no list per id
             for item_id in bucket:
-                owners.setdefault(item_id, jid)
-        return owners
+                held = holders.setdefault(item_id, alone)
+                if held is not alone:
+                    if len(held) == 1:  # an earlier bucket's shared list: the id gets its own
+                        held = holders[item_id] = [*held]
+                    held.append(jid)
+        return holders
 
 
 class ScenarioOption(str, Enum):
@@ -188,15 +194,12 @@ def check_specific_contradiction_condition(corpus: Corpus, *parts: Partition) ->
 
     findings: list[Finding] = []
     for part in parts:
-        holders: dict[str, set[str]] = {}  # id -> the buckets that hold it
-        for jid, bucket in part.specific.items():
-            for item_id in bucket:
-                holders.setdefault(item_id, set()).add(jid)
+        holders = part.holders
         for jid in sorted(part.specific):
-            own = {jid}
+            own = [jid]
             for item_id in sorted(part.specific[jid]):
                 # it passes when some partner is held by a bucket other than its own
-                if all(holders.get(p, own) <= own for p in partners.get(item_id, ())):
+                if all(holders.get(p, own) == own for p in partners.get(item_id, ())):
                     findings.append(Finding(
                         "NO_CROSS_CONTRADICTION", "warning", item_id,
                         f"specific item {item_id!r} of {jid!r} contradicts nothing in any other jurisdiction",

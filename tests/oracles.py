@@ -8,6 +8,7 @@ per-concept check.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -187,6 +188,15 @@ def specific_contradiction_condition(corpus: Corpus, *parts: Partition) -> list[
                         "NO_CROSS_CONTRADICTION", "warning", item_id,
                         f"specific item {item_id!r} of {jid!r} contradicts nothing in any other jurisdiction"))
     return findings
+
+
+def generated_init_record(cls: type) -> type:
+    """A frozen slotted dataclass with ``cls``'s name, fields, defaults and
+    ``role``, whose ``__init__`` the dataclass machinery generates: the
+    reference for a record's handwritten ``__init__``."""
+    specs = [(f.name, f.type) if f.default is dataclasses.MISSING
+             else (f.name, f.type, dataclasses.field(default=f.default)) for f in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True, slots=True, namespace={"role": cls.role})
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +425,8 @@ def _concept_items(corpus: Corpus, kind: RequirementKind, concept: str) -> dict[
 def _edit(item, op: ChangeOp):
     text = op.payload.text if op.payload.text is not None else item.text
     concept = op.payload.concept_key if op.payload.concept_key is not None else item.concept_key
-    new = replace(item, text=text, concept_key=concept, content_hash=model.content_hash(text))
+    digest = item.content_hash if op.payload.text is None else model.content_hash(text)  # a rename keeps its hash
+    new = replace(item, text=text, concept_key=concept, content_hash=digest)
     if (new.concept_key, new.content_hash) == (item.concept_key, item.content_hash):
         raise ValidationError("NO_CHANGE", f"modify op on {op.target!r} keeps its concept key and content")
     return new

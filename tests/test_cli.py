@@ -570,3 +570,50 @@ def test_1b_lists_each_component_once(capsys, tmp_path):
     # a reuse hint stays one per (component, counterpart)
     assert [(h["component"], h["owner"], h["for"], h["via"]) for h in body["reuseHints"]] == [
         ("c-all", "s2", "s1", "r-s2-pay"), ("c-all", "s3", "s1", "r-s3-pay"), ("c2-pay", "s2", "s1", "r-s2-pay")]
+
+
+def _translated_erasure_corpus(tmp_path, fr_concept):
+    # r-de and r-fr are translations: different texts that share one explicit content hash
+    doc = {
+        "formatVersion": 1,
+        "jurisdictions": [{"id": j, "name": j, "level": "national"} for j in ("de", "fr")],
+        "requirements": [
+            {"id": "r-de", "kind": "functional", "jurisdiction": "de", "conceptKey": "erase",
+             "text": "Das System muss Daten auf Anfrage löschen.", "contentHash": "h1"},
+            {"id": "r-fr", "kind": "functional", "jurisdiction": "fr", "conceptKey": fr_concept,
+             "text": "Le système doit effacer les données sur demande.", "contentHash": "h1"},
+        ],
+    }
+    corpus = tmp_path / "erasure.reqcorpus.json"
+    corpus.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    return corpus
+
+
+def test_rename_of_a_general_concept_keeps_the_shared_hash(capsys, tmp_path):
+    # renaming the concept of every counterpart changes no content, so both stay general
+    corpus, out_path = _translated_erasure_corpus(tmp_path, "erase"), tmp_path / "after.reqcorpus.json"
+    op = {"op": "modify", "target": "r-de", "adoptedBy": ["de", "fr"], "payload": {"conceptKey": "erasure"}}
+    exit_code, out, err = invoke(capsys, "change", "--corpus", str(corpus), "--changes",
+                                 _write_change_set(tmp_path, op), "--format", "json", "--out", str(out_path))
+    assert (exit_code, err) == (EXIT_OK, "")
+    assert [record["case"] for record in json.loads(out)["body"]["ops"]] == ["2a"]
+    after = json.loads(out_path.read_text(encoding="utf-8"))["requirements"]
+    assert [(r["conceptKey"], r["contentHash"]) for r in after] == [("erasure", "h1")] * 2
+    exit_code, out, _ = invoke(capsys, "partition", "--corpus", str(out_path), "--format", "json")
+    assert exit_code == EXIT_OK
+    functional = json.loads(out)["body"]["perKind"]["functional"]
+    assert functional["general"] == {"erasure": ["r-de", "r-fr"]}
+    assert functional["specific"] == {"de": [], "fr": []}
+
+
+def test_rename_onto_a_translated_counterpart_promotes_it(capsys, tmp_path):
+    # after the rename r-de and r-fr share concept and content hash: 1b, not 1a
+    corpus = _translated_erasure_corpus(tmp_path, "erasure")
+    op = {"op": "modify", "target": "r-de", "payload": {"conceptKey": "erasure"}}
+    exit_code, out, err = invoke(capsys, "change", "--corpus", str(corpus), "--changes",
+                                 _write_change_set(tmp_path, op), "--format", "json")
+    assert (exit_code, err) == (EXIT_OK, "")
+    [record] = json.loads(out)["body"]["ops"]
+    assert record["case"] == "1b"
+    assert record["migrations"] == [{"id": "r-de", "from": "specific:de", "to": "general"},
+                                    {"id": "r-fr", "from": "specific:fr", "to": "general"}]
