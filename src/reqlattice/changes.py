@@ -130,12 +130,12 @@ def _reject_adopted_by(op: ChangeOp) -> None:
             "UNKNOWN_FIELD", f"modify op on {op.target!r} takes adoptedBy only for a general-set requirement")
 
 
-def _apply_payload(item: SourceItem | Requirement, op: ChangeOp) -> SourceItem | Requirement:
-    """The new version of ``item``; a modify that keeps its concept key and content hash changes nothing,
-    and a general target's counterparts share both with it, so one check on each item serves every case."""
+def _apply_payload(item: SourceItem | Requirement, op: ChangeOp, target: SourceItem | Requirement) -> SourceItem | Requirement:
+    """The new version of ``item``: the op's ``target``, or a general target's counterpart, which shares its concept
+    key and content hash. The target decides the new hash (no text, or its own, keeps it); keeping both is NO_CHANGE."""
     text = op.payload.text if op.payload.text is not None else item.text
     concept = op.payload.concept_key if op.payload.concept_key is not None else item.concept_key
-    digest = item.content_hash if op.payload.text is None else model.content_hash(text)  # a rename keeps its hash
+    digest = item.content_hash if op.payload.text in (None, target.text) else model.content_hash(text)
     new = replace(item, text=text, concept_key=concept, content_hash=digest)
     if (new.concept_key, new.content_hash) == (item.concept_key, item.content_hash):
         raise ValidationError("NO_CHANGE", f"modify op on {op.target!r} keeps its concept key and content")
@@ -166,7 +166,7 @@ def classify_change(work: _Draft, op: ChangeOp) -> OpRecord:
 
         if op.adopted_by == all_jids:
             # 2a: the new version stays general, every counterpart is updated
-            work.write(*(_apply_payload(r, op) for r in group))
+            work.write(*(_apply_payload(r, op, target) for r in group))
             return OpRecord(
                 op="modify", target=op.target, case_code=CASE_GEN_STAYS_GEN,
                 migrations=(), affected=all_jids, component_impact=_impact(work, {r.id for r in group}),
@@ -175,7 +175,7 @@ def classify_change(work: _Draft, op: ChangeOp) -> OpRecord:
         # 2b: the concept leaves the general set; adopters switch to the new
         # content, keepers stay on the old version untouched
         adopters = {r.id for r in group if r.jurisdiction in op.adopted_by}
-        work.write(*(_apply_payload(r, op) for r in group if r.id in adopters))
+        work.write(*(_apply_payload(r, op, target) for r in group if r.id in adopters))
         return OpRecord(
             op="modify", target=op.target, case_code=CASE_GEN_SPLITS,
             migrations=tuple(Migration(r.id, "general", f"specific:{r.jurisdiction}") for r in group),
@@ -184,7 +184,7 @@ def classify_change(work: _Draft, op: ChangeOp) -> OpRecord:
 
     # target sits in a specific set
     _reject_adopted_by(op)
-    new_target = _apply_payload(target, op)
+    new_target = _apply_payload(target, op, target)
     work.write(new_target)
     after = _concept_view(work, target.kind, new_target.concept_key)
 
@@ -253,7 +253,7 @@ def _apply_source_modify(work: _Draft, op: ChangeOp) -> OpRecord:
     _reject_adopted_by(op)
     old = work.by_id[op.target]
     impact = _impact(work, {r.id for r in work.deriving_from(old)})
-    work.write(_apply_payload(old, op))
+    work.write(_apply_payload(old, op, old))
     return OpRecord(
         op="modify", target=op.target, case_code=CASE_SOURCE_CHANGE, migrations=(),
         affected=frozenset({old.jurisdiction}), component_impact=impact,

@@ -164,9 +164,10 @@ def _cmd_conflicts(args, corpus: Corpus) -> int:
 def _cmd_change(args, corpus: Corpus) -> int:
     cs = corpus_io.load_change_set(args.changes)  # apply_change_set validates it against the corpus
     new_corpus, report = apply_change_set(corpus, cs)
-    # each corpus is serialised once: the new one as it is written, given --out
-    after = corpus_io.save_corpus(new_corpus, args.out) if args.out else corpus_fingerprint(new_corpus)
-    _emit(args, "impact", reports.impact_body(report, corpus_fingerprint(corpus), after), reports.impact_text)
+    # each corpus is serialised once (the new one as written, given --out), each record object they share laid out once
+    layouts: dict[int, str] = {}
+    after = corpus_io.save_corpus(new_corpus, args.out, layouts) if args.out else corpus_fingerprint(new_corpus, layouts)
+    _emit(args, "impact", reports.impact_body(report, corpus_fingerprint(corpus, layouts), after), reports.impact_text)
     return EXIT_OK
 
 

@@ -295,8 +295,11 @@ def canonical_json(doc: Any) -> str:
     return "".join(out)
 
 
-def canonical_bytes(corpus: Corpus) -> bytes:
-    """canonical_json of the corpus's document (tests/oracles.py), each source and requirement in one f-string."""
+def canonical_bytes(corpus: Corpus, layouts: dict[int, str] | None = None) -> bytes:
+    """canonical_json of the corpus's document (tests/oracles.py), each source and requirement in one f-string kept
+    in ``layouts`` under the record's ``id()``, so corpora that share records lay each out once. A record is immutable,
+    but its ``id`` is its own only while it lives: a memo may serve only corpora that all stay alive as long as it."""
+    layouts = {} if layouts is None else layouts
     return canonical_json({
         "components": [{"id": c.id, "implements": sorted(c.implements), "scope": "general"} if c.jurisdiction is None
                        else {"id": c.id, "implements": sorted(c.implements), "jurisdiction": c.jurisdiction,
@@ -307,22 +310,22 @@ def canonical_bytes(corpus: Corpus) -> bytes:
                           for j in corpus.jurisdictions],
         "relations": {"contradicts": sorted(sorted(p) for p in corpus.relations.contradicts),
                       "refines": sorted(corpus.relations.refines)},
-        "requirements": _Laid(
+        "requirements": _Laid(layouts.get(id(r)) or layouts.setdefault(id(r),
             f'{{\n      "conceptKey": {_str(r.concept_key)}{_FIELD}"contentHash": {_str(r.content_hash)}{_FIELD}'
-            f'"derivedFrom": {_array(map(_str, sorted(r.derived_from)), _PAD)}{_FIELD}"id": {_str(r.id)}{_FIELD}'
-            f'"jurisdiction": {_str(r.jurisdiction)}{_FIELD}"kind": {_str(r.kind.value)}{_FIELD}"text": {_str(r.text)}\n    }}'
-            for r in corpus.requirements),
-        "sources": _Laid(
+            f'"derivedFrom": {_array(map(_str, sorted(r.derived_from)), _PAD)}{_FIELD}'
+            f'"id": {_str(r.id)}{_FIELD}"jurisdiction": {_str(r.jurisdiction)}{_FIELD}"kind": {_str(r.kind)}{_FIELD}'
+            f'"text": {_str(r.text)}\n    }}') for r in corpus.requirements),
+        "sources": _Laid(layouts.get(id(s)) or layouts.setdefault(id(s),
             f'{{\n      "conceptKey": {_str(s.concept_key)}{_FIELD}"contentHash": {_str(s.content_hash)}{_FIELD}'
             f'"id": {_str(s.id)}{_FIELD}"isStatic": {"true" if s.is_static else "false"}{_FIELD}'
-            f'"jurisdiction": {_str(s.jurisdiction)}{_FIELD}"kind": {_str(s.kind.value)}{_FIELD}"text": {_str(s.text)}\n    }}'
+            f'"jurisdiction": {_str(s.jurisdiction)}{_FIELD}"kind": {_str(s.kind)}{_FIELD}"text": {_str(s.text)}\n    }}')
             for s in corpus.sources),
     }).encode("utf-8")
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> str:
-    """Write the canonical bytes; return their sha256, the corpus's fingerprint."""
-    data = canonical_bytes(corpus)
+def save_corpus(corpus: Corpus, path: str | Path, layouts: dict[int, str] | None = None) -> str:
+    """Write the canonical bytes, laid out through ``layouts`` as canonical_bytes says; return their sha256."""
+    data = canonical_bytes(corpus, layouts)
     try:
         Path(path).write_bytes(data)
     except OSError as exc:

@@ -325,8 +325,9 @@ def check_items(corpus: Corpus, items: Iterable[SourceItem | Requirement],
                 )
 
 
-def corpus_fingerprint(corpus: Corpus) -> str:
-    """sha256 of the corpus's canonical serialization, reported before and after a change set."""
+def corpus_fingerprint(corpus: Corpus, layouts: dict[int, str] | None = None) -> str:
+    """sha256 of the corpus's canonical serialization, reported before and after a change set. ``layouts`` is
+    canonical_bytes's memo of record layouts by ``id()``, shared only while every corpus laid out through it lives."""
     from reqlattice import corpus_io  # it imports this module
 
-    return hashlib.sha256(corpus_io.canonical_bytes(corpus)).hexdigest()
+    return hashlib.sha256(corpus_io.canonical_bytes(corpus, layouts)).hexdigest()

@@ -422,10 +422,11 @@ def _concept_items(corpus: Corpus, kind: RequirementKind, concept: str) -> dict[
             for j in corpus.jurisdictions}
 
 
-def _edit(item, op: ChangeOp):
+def _edit(item, op: ChangeOp, target):
     text = op.payload.text if op.payload.text is not None else item.text
     concept = op.payload.concept_key if op.payload.concept_key is not None else item.concept_key
-    digest = item.content_hash if op.payload.text is None else model.content_hash(text)  # a rename keeps its hash
+    # the target's text, or none, keeps the hash, so every item the op writes gets the same one
+    digest = item.content_hash if op.payload.text in (None, target.text) else model.content_hash(text)
     new = replace(item, text=text, concept_key=concept, content_hash=digest)
     if (new.concept_key, new.content_hash) == (item.concept_key, item.content_hash):
         raise ValidationError("NO_CHANGE", f"modify op on {op.target!r} keeps its concept key and content")
@@ -473,15 +474,15 @@ def _scratch_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
         group = [items[0] for items in view.values()]
         if op.adopted_by == all_jids:
             impact = _per_component(corpus, {r.id for r in group})
-            out = _swap(corpus, *(_edit(r, op) for r in group))
+            out = _swap(corpus, *(_edit(r, op, target) for r in group))
             return out, OpRecord("modify", op.target, "2a", (), all_jids, impact)
         adopts = {r.id: r.jurisdiction in op.adopted_by for r in group}
         impact = _per_component(corpus, {i for i in adopts if adopts[i]}, {i for i in adopts if not adopts[i]})
         migrations = tuple(Migration(r.id, "general", f"specific:{r.jurisdiction}") for r in group)
-        out = _swap(corpus, *(_edit(r, op) for r in group if adopts[r.id]))
+        out = _swap(corpus, *(_edit(r, op, target) for r in group if adopts[r.id]))
         return out, OpRecord("modify", op.target, "2b", migrations, frozenset(op.adopted_by), impact)
     _no_adopted_by(op)
-    new_target = _edit(target, op)
+    new_target = _edit(target, op, target)
     out = _swap(corpus, new_target)
     own = tuple((c, "mustChange") for c in _implementing(corpus, op.target))
     after = _concept_items(out, target.kind, new_target.concept_key)
@@ -503,7 +504,7 @@ def _scratch_source_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpReco
     _no_adopted_by(op)
     old = {s.id: s for s in corpus.sources}[op.target]
     impact = _per_component(corpus, {r.id for r in corpus.requirements if old.id in r.derived_from})
-    return _swap(corpus, _edit(old, op)), OpRecord(
+    return _swap(corpus, _edit(old, op, old)), OpRecord(
         "modify", op.target, "SOURCE_CHANGE", (), frozenset({old.jurisdiction}), impact)
 
 

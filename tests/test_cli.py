@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from reqlattice.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_STRICT, run
+from reqlattice.model import content_hash
 
 
 def invoke(capsys, *argv):
@@ -134,9 +135,10 @@ def test_change_out_serialises_the_new_corpus_once(capsys, corpus_arg, change_se
 
     from reqlattice import corpus_io
 
-    calls = []
+    calls = []  # (corpus, layouts) per serialisation
     serialise = corpus_io.canonical_bytes
-    monkeypatch.setattr(corpus_io, "canonical_bytes", lambda corpus: calls.append(1) or serialise(corpus))
+    monkeypatch.setattr(corpus_io, "canonical_bytes",
+                        lambda corpus, layouts=None: calls.append((corpus, layouts)) or serialise(corpus, layouts))
     out_path = tmp_path / "after.reqcorpus.json"
     code, out, _ = invoke(capsys, "change", *corpus_arg, "--changes", str(change_set_path),
                           "--out", str(out_path), "--format", "json")
@@ -144,6 +146,11 @@ def test_change_out_serialises_the_new_corpus_once(capsys, corpus_arg, change_se
     assert len(calls) == 2  # the bytes written to --out, then the input's fingerprint
     body = json.loads(out)["body"]
     assert body["after"] == hashlib.sha256(out_path.read_bytes()).hexdigest()
+    # both share one memo, which ends holding one layout per record object of the two corpora
+    (new, memo), (old, shared) = calls
+    assert memo is shared and memo is not None
+    records = [*new.sources, *new.requirements, *old.sources, *old.requirements]
+    assert memo.keys() == {id(record) for record in records} and len(memo) < len(records)
     # without --out, the new corpus is serialised once, only to hash it
     calls.clear()
     code, out, _ = invoke(capsys, "change", *corpus_arg, "--changes", str(change_set_path), "--format", "json")
@@ -572,6 +579,9 @@ def test_1b_lists_each_component_once(capsys, tmp_path):
         ("c-all", "s2", "s1", "r-s2-pay"), ("c-all", "s3", "s1", "r-s3-pay"), ("c2-pay", "s2", "s1", "r-s2-pay")]
 
 
+_DE_TEXT = "Das System muss Daten auf Anfrage löschen."
+
+
 def _translated_erasure_corpus(tmp_path, fr_concept):
     # r-de and r-fr are translations: different texts that share one explicit content hash
     doc = {
@@ -579,7 +589,7 @@ def _translated_erasure_corpus(tmp_path, fr_concept):
         "jurisdictions": [{"id": j, "name": j, "level": "national"} for j in ("de", "fr")],
         "requirements": [
             {"id": "r-de", "kind": "functional", "jurisdiction": "de", "conceptKey": "erase",
-             "text": "Das System muss Daten auf Anfrage löschen.", "contentHash": "h1"},
+             "text": _DE_TEXT, "contentHash": "h1"},
             {"id": "r-fr", "kind": "functional", "jurisdiction": "fr", "conceptKey": fr_concept,
              "text": "Le système doit effacer les données sur demande.", "contentHash": "h1"},
         ],
@@ -604,6 +614,39 @@ def test_rename_of_a_general_concept_keeps_the_shared_hash(capsys, tmp_path):
     functional = json.loads(out)["body"]["perKind"]["functional"]
     assert functional["general"] == {"erasure": ["r-de", "r-fr"]}
     assert functional["specific"] == {"de": [], "fr": []}
+
+
+@pytest.mark.parametrize("target, payload, shared", [
+    # the target's own text keeps the group's hash for every counterpart, renamed or not
+    ("r-de", {"text": _DE_TEXT, "conceptKey": "erasure"}, ("erasure", "h1")),
+    # a counterpart's text is a new text for the target: every counterpart gets its hash
+    ("r-fr", {"text": _DE_TEXT}, ("erase", content_hash(_DE_TEXT))),
+])
+def test_a_general_modify_gives_every_counterpart_one_hash(capsys, tmp_path, target, payload, shared):
+    concept, digest = shared
+    corpus, out_path = _translated_erasure_corpus(tmp_path, "erase"), tmp_path / "after.reqcorpus.json"
+    op = {"op": "modify", "target": target, "adoptedBy": ["de", "fr"], "payload": payload}
+    exit_code, out, err = invoke(capsys, "change", "--corpus", str(corpus), "--changes",
+                                 _write_change_set(tmp_path, op), "--format", "json", "--out", str(out_path))
+    assert (exit_code, err) == (EXIT_OK, "")
+    assert [record["case"] for record in json.loads(out)["body"]["ops"]] == ["2a"]
+    after = json.loads(out_path.read_text(encoding="utf-8"))["requirements"]
+    assert [(r["conceptKey"], r["contentHash"], r["text"]) for r in after] == [(concept, digest, _DE_TEXT)] * 2
+    exit_code, out, _ = invoke(capsys, "partition", "--corpus", str(out_path), "--format", "json")
+    assert exit_code == EXIT_OK
+    functional = json.loads(out)["body"]["perKind"]["functional"]
+    assert functional["general"] == {concept: ["r-de", "r-fr"]}
+    assert functional["specific"] == {"de": [], "fr": []}
+
+
+def test_resending_its_own_text_keeps_an_explicit_hash(capsys, tmp_path):
+    # r-de's text is unchanged, so its explicit hash stays and the modify changes nothing
+    corpus = _translated_erasure_corpus(tmp_path, "erase")
+    op = {"op": "modify", "target": "r-de", "adoptedBy": ["de"], "payload": {"text": _DE_TEXT}}
+    exit_code, out, err = invoke(capsys, "change", "--corpus", str(corpus), "--changes",
+                                 _write_change_set(tmp_path, op), "--format", "json")
+    assert (exit_code, out) == (EXIT_INVALID, "")
+    assert err.startswith("reqlattice: NO_CHANGE: ") and err.count("\n") == 1
 
 
 def test_rename_onto_a_translated_counterpart_promotes_it(capsys, tmp_path):
