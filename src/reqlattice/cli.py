@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from collections.abc import Callable
 
@@ -204,6 +205,8 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    enabled = gc.isenabled()
+    gc.disable()  # a command's containers form no cycle, so collections would only rescan them
     try:
         corpus = corpus_io.load_corpus(args.corpus)
         return _COMMANDS[args.command](args, corpus)
@@ -216,6 +219,9 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"reqlattice: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:  # every exit, an escaping exception too, leaves the caller's state
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -17,7 +17,6 @@ routine, ``canonical_json``.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import math
@@ -230,15 +229,7 @@ def parse_corpus(doc: Any) -> Corpus:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Read, parse and validate a corpus with the cyclic GC paused, process-wide: a load makes tens of thousands
-    of containers and no cycle, which collections would only rescan. Every exit restores the caller's GC state."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return parse_corpus(_read_json(path))
-    finally:
-        if enabled:
-            gc.enable()
+    return parse_corpus(_read_json(path))
 
 
 _str = json.encoder.encode_basestring  # the C escaper of json.dumps(ensure_ascii=False)
@@ -420,7 +411,7 @@ def parse_change_set(doc: Any) -> ChangeSet:
 def validate_change_set(cs: ChangeSet, corpus: Corpus) -> None:
     """Cross-check a parsed change set against a concrete corpus."""
     known = corpus.by_id
-    jids = set(corpus.jurisdiction_map())
+    jids = corpus.ancestor_chains.keys()  # every jurisdiction id
     for op in cs.ops:
         if op.op in ("modify", "remove") and op.target not in known:
             raise ValidationError("UNKNOWN_TARGET", f"{op.op} targets unknown id {op.target!r}", item_id=op.target)

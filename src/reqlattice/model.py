@@ -285,7 +285,7 @@ def check_items(corpus: Corpus, items: Iterable[SourceItem | Requirement],
     # one item per (jurisdiction, concept, kind): partitions and change ops
     # find a jurisdiction's version of a concept by that triple
     concept_holder: dict[tuple[str, str, SourceKind | RequirementKind], str] = {}
-    jids = {j.id for j in corpus.jurisdictions}
+    jids = corpus.ancestor_chains  # keyed by every jurisdiction id
     for item in items:
         if item.jurisdiction not in jids:
             raise ValidationError(

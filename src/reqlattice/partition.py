@@ -43,13 +43,8 @@ class Partition:
         """Each specific id's buckets, in ``specific`` order, built once. Shared, so never mutate it."""
         holders: dict[str, list[str]] = {}
         for jid, bucket in self.specific.items():
-            alone = [jid]  # shared by the ids no earlier bucket holds, so a flat view makes no list per id
             for item_id in bucket:
-                held = holders.setdefault(item_id, alone)
-                if held is not alone:
-                    if len(held) == 1:  # an earlier bucket's shared list: the id gets its own
-                        held = holders[item_id] = [*held]
-                    held.append(jid)
+                holders.setdefault(item_id, []).append(jid)
         return holders
 
 

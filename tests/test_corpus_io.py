@@ -1,11 +1,13 @@
+import contextlib
 import gc
+import io
 import json
 import random
 
 import pytest
 
 from oracles import random_corpus
-from reqlattice import corpus_io, model
+from reqlattice import cli, corpus_io, model
 from reqlattice.errors import IOFailure, ParseError, ValidationError
 from reqlattice.model import Component, Corpus, Jurisdiction, Level
 
@@ -89,15 +91,18 @@ class TestLoadCorpus:
 
 
 class TestLoadPausesTheCollector:
-    """``load_corpus`` runs with the cyclic GC off and leaves it as it found it."""
+    """A command's load runs with the cyclic GC off: ``cli.run`` pauses it
+    around the load and the command and leaves it as it found it on every
+    exit, while ``load_corpus`` itself never touches it."""
 
     FAILING = [
-        pytest.param("{\n  oops\n}", ParseError, id="parse-error"),
-        pytest.param(json.dumps(dict(MINIMAL, formatVersion=2)), ValidationError, id="validation-error"),
-        pytest.param(None, IOFailure, id="io-failure"),
+        pytest.param("{\n  oops\n}", cli.EXIT_INVALID, id="parse-error"),
+        pytest.param(json.dumps(dict(MINIMAL, formatVersion=2)), cli.EXIT_INVALID, id="validation-error"),
+        pytest.param(None, cli.EXIT_IO, id="io-failure"),
     ]
 
-    def test_paused_only_while_loading(self, tmp_path, monkeypatch):
+    @staticmethod
+    def spy_on_parse(monkeypatch) -> list[bool]:
         seen, parse = [], corpus_io.parse_corpus
 
         def spy(doc):
@@ -105,36 +110,111 @@ class TestLoadPausesTheCollector:
             return parse(doc)
 
         monkeypatch.setattr(corpus_io, "parse_corpus", spy)
-        collections = [g["collections"] for g in gc.get_stats()]
-        assert gc.isenabled()
-        corpus_io.load_corpus(write(tmp_path, MINIMAL))
-        assert seen == [False] and gc.isenabled()
-        assert [g["collections"] for g in gc.get_stats()] == collections
+        return seen
 
-    @pytest.mark.parametrize("text,error", FAILING)
-    def test_restored_after_a_failed_load(self, tmp_path, text, error):
+    @staticmethod
+    def run_quietly(*argv) -> int:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.run(list(argv))
+
+    def test_paused_only_while_loading(self, tmp_path, monkeypatch):
+        seen = self.spy_on_parse(monkeypatch)
+        assert gc.isenabled()
+        assert self.run_quietly("validate", "--corpus", str(write(tmp_path, MINIMAL))) == cli.EXIT_OK
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("text,code", FAILING)
+    def test_restored_after_a_failed_load(self, tmp_path, text, code):
         path = tmp_path / "c.reqcorpus.json"
         if text is not None:
             path.write_text(text, encoding="utf-8")
-        with pytest.raises(error):
-            corpus_io.load_corpus(path)
+        assert self.run_quietly("validate", "--corpus", str(path)) == code
         assert gc.isenabled()
 
-    @pytest.mark.parametrize("text,error", [pytest.param(json.dumps(MINIMAL), None, id="ok"), *FAILING])
-    def test_left_off_when_the_caller_turned_it_off(self, tmp_path, text, error):
+    @pytest.mark.parametrize("text,code", [pytest.param(json.dumps(MINIMAL), cli.EXIT_OK, id="ok"), *FAILING])
+    def test_left_off_when_the_caller_turned_it_off(self, tmp_path, text, code):
         path = tmp_path / "c.reqcorpus.json"
         if text is not None:
             path.write_text(text, encoding="utf-8")
         gc.disable()
         try:
-            if error is None:
-                corpus_io.load_corpus(path)
-            else:
-                with pytest.raises(error):
-                    corpus_io.load_corpus(path)
+            assert self.run_quietly("validate", "--corpus", str(path)) == code
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+    def test_paused_while_the_command_runs(self, worked_example_path, monkeypatch):
+        seen, command = [], cli._COMMANDS["partition"]
+
+        def spy(args, corpus):
+            seen.append(gc.isenabled())
+            return command(args, corpus)
+
+        monkeypatch.setitem(cli._COMMANDS, "partition", spy)
+        assert self.run_quietly("partition", "--corpus", str(worked_example_path)) == cli.EXIT_OK
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("argv,code", [  # exits 0 and 1 are the cases above
+        pytest.param(["conflicts", "--strict"], cli.EXIT_STRICT, id="exit-2"),
+        pytest.param(["change", "--changes", "absent.reqchange.json"], cli.EXIT_IO, id="exit-3"),
+    ])
+    def test_restored_after_a_command_exit(self, worked_example_path, argv, code):
+        assert self.run_quietly(*argv, "--corpus", str(worked_example_path)) == code
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_restored_after_a_command_raises(self, worked_example_path, monkeypatch, enabled):
+        def boom(args, corpus):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "validate", boom)
+        if not enabled:
+            gc.disable()
+        try:
+            with pytest.raises(RuntimeError, match="boom"):
+                cli.run(["validate", "--corpus", str(worked_example_path)])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_load_corpus_leaves_the_collector_alone(self, tmp_path, monkeypatch, enabled):
+        seen = self.spy_on_parse(monkeypatch)
+        if not enabled:
+            gc.disable()
+        try:
+            corpus_io.load_corpus(write(tmp_path, MINIMAL))
+            assert seen == [enabled] and gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_no_collection_during_a_command(self, tmp_path):
+        # 4 jurisdictions x 60 concepts, a source and a requirement each: the
+        # load leaves well over a gen-0 threshold of live containers behind
+        jurisdictions = [{"id": f"j{i}", "name": f"J{i}", "level": "national"} for i in range(4)]
+        sources, requirements = [], []
+        for i in range(4):
+            for k in range(60):
+                text = f"rule {k}" if k % 2 else f"rule {k} in j{i}"
+                sources.append({"id": f"s{i}-{k}", "kind": "legal", "jurisdiction": f"j{i}", "conceptKey": f"c{k}",
+                                "text": text, "isStatic": False})
+                requirements.append({"id": f"r{i}-{k}", "kind": "legalBased", "jurisdiction": f"j{i}",
+                                     "conceptKey": f"c{k}", "text": text, "derivedFrom": [f"s{i}-{k}"]})
+        path = write(tmp_path, dict(MINIMAL, jurisdictions=jurisdictions, sources=sources,
+                                    requirements=requirements))
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert self.run_quietly("partition", "--corpus", str(path), "--format", "json") == cli.EXIT_OK
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == []
 
 
 class TestSaveCorpus:

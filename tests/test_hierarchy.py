@@ -184,7 +184,7 @@ class TestAncestorChains:
                 effective_requirements(corpus, node)
             level_source_view(corpus, select_level(corpus, Level.ORGANISATIONAL))
         assert corpus.ancestors("nowhere") == []
-        assert len(built) == 1
+        assert built == []  # validate_corpus's jurisdiction check built the chains; no read rebuilds them
         corpus.ancestors("o1").append("x")  # callers get a copy
         assert corpus.ancestors("o1") == ["s1", "n1"]
 

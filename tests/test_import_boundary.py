@@ -1,11 +1,15 @@
-"""Only ``rank`` loads numpy.
+"""Only ``rank`` loads numpy, and only ``cli`` imports ``gc``.
 
 Every other command is set and graph work, so a run of it must not pay for
 numpy's import. ``reqlattice.topsis`` itself stays imported with the CLI: the
 benchmark tracer wraps its functions through ``sys.modules``. The check runs
 in a fresh interpreter, since this test session has imported numpy already.
+
+The collector is process-wide state, so its policy stays at the command
+boundary: an ``ast`` scan finds every import of ``gc``, top-level or not.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +17,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "reqlattice"
 CORPORA = ROOT / "corpora"
 EXPECTED = Path(__file__).resolve().parent / "expected_text"
 
@@ -60,3 +65,17 @@ def test_only_rank_imports_numpy(tmp_path):
     assert facts["rank_code"] == 0
     assert facts["rank_stdout"] == (EXPECTED / "rank.txt").read_text(encoding="utf-8")
     assert facts["rank"] == {"numpy": True, "reqlattice.topsis": True}
+
+
+def imports_gc(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            return True
+    return False
+
+
+def test_only_cli_imports_gc():
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if imports_gc(p.read_text(encoding="utf-8"))] == ["cli.py"]
+
