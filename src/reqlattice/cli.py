@@ -174,7 +174,7 @@ def _cmd_change(args, corpus: Corpus) -> int:
 
 def _cmd_hierarchy(args, corpus: Corpus) -> int:
     findings = hierarchy.validate_hierarchy(corpus)
-    effective = {jid: sorted(ids) for jid, ids in corpus.effective_sets.items()}
+    effective = {j.id: sorted(hierarchy.effective_requirements(corpus, j.id)) for j in corpus.jurisdictions}
     _emit(args, "hierarchy", reports.hierarchy_body(findings, effective), reports.hierarchy_text)
     return EXIT_STRICT if args.strict and findings else EXIT_OK
 

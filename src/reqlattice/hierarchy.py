@@ -2,11 +2,12 @@
 
 A node's effective requirements are its own plus everything inherited from
 ancestor jurisdictions, with refinement shadowing: when a nearer requirement
-refines an ancestor's, the weaker ancestor version is dropped. One
-parent-first walk gives every node's set as ``own(child) ∪ (effective(parent)
-− reach(own(child)))``, where ``reach`` follows ``refines`` from the child's
-own items through items of the child and its ancestors only: an inherited
-item is shadowed through an own item, or was already shadowed at the parent.
+refines an ancestor's, the weaker ancestor version is dropped. Each node's
+set is built on first read, from its parent's, and kept on the corpus, as
+``own(child) ∪ (effective(parent) − reach(own(child)))``, where ``reach``
+follows ``refines`` from the child's own items through items of the child
+and its ancestors only: an inherited item is shadowed through an own item,
+or was already shadowed at the parent.
 Selecting a level turns each frontier node (plus its inherited items) into
 one analysis unit, so the flat partition engine works unchanged at any level.
 """
@@ -27,33 +28,29 @@ def select_level(corpus: Corpus, level: Level) -> tuple[str, ...]:
 
 
 def effective_requirements(corpus: Corpus, node: str) -> frozenset[str]:
-    """Requirement ids visible at ``node``: own plus non-shadowed ancestors'."""
-    if node not in corpus.ancestor_chains:
+    """Requirement ids visible at ``node``: own plus non-shadowed ancestors',
+    built on first read from the parent's set and kept in ``corpus.effective_sets``.
+    The parent comes from the ancestor chains: a valid forest, as loaded."""
+    memo = corpus.effective_sets
+    if node in memo:
+        return memo[node]
+    chain = corpus.ancestor_chains.get(node)
+    if chain is None:
         raise UnknownIdError(node)
-    return corpus.effective_sets[node]
-
-
-def build_effective_sets(corpus: Corpus) -> dict[str, frozenset[str]]:
-    """Every jurisdiction's effective requirement ids, by the walk above. It
-    reads each parent from the ancestor chains, so it assumes a valid forest,
-    which the loader guarantees."""
-    chains = corpus.ancestor_chains
+    pool = {node, *chain}
+    own = {r.id for kind in RequirementKind for r in corpus.members.get((node, kind), ())}
+    reach: set[str] = set()
+    pending = list(own)
     order = corpus.relations.refinement_order
-    effective: dict[str, frozenset[str]] = {}
-    for node in sorted(chains, key=lambda jid: len(chains[jid])):  # parents first
-        pool = {node, *chains[node]}
-        own = {r.id for kind in RequirementKind for r in corpus.members.get((node, kind), ())}
-        reach: set[str] = set()
-        pending = list(own)
-        while pending:
-            for weak in order.get(pending.pop(), ()):
-                if weak not in reach and corpus.by_id[weak].jurisdiction in pool:
-                    reach.add(weak)
-                    pending.append(weak)
-        inherited = effective[chains[node][0]] if chains[node] else frozenset()
-        # from a list: a frozenset copied from a set gets a table twice as large
-        effective[node] = frozenset([*own, *(inherited - reach)])
-    return effective
+    while pending:
+        for weak in order.get(pending.pop(), ()):
+            if weak not in reach and corpus.by_id[weak].jurisdiction in pool:
+                reach.add(weak)
+                pending.append(weak)
+    inherited = effective_requirements(corpus, chain[0]) if chain else frozenset()
+    # from a list: a frozenset copied from a set gets a table twice as large;
+    # setdefault, so concurrent first readers share one set
+    return memo.setdefault(node, frozenset([*own, *(inherited - reach)]))
 
 
 def _pool(corpus: Corpus, node: str, kind: SourceKind | RequirementKind) -> list:
@@ -65,7 +62,7 @@ def _pool(corpus: Corpus, node: str, kind: SourceKind | RequirementKind) -> list
 def level_requirement_view(corpus: Corpus, frontier: tuple[str, ...]) -> dict[RequirementKind, ItemView]:
     """Per-kind, per-frontier-node requirement sets, for partition analysis:
     each frontier node's effective set, split by kind."""
-    effective = corpus.effective_sets
+    effective = {node: effective_requirements(corpus, node) for node in frontier}
     return {
         kind: {node: [r for r in _pool(corpus, node, kind) if r.id in effective[node]] for node in frontier}
         for kind in RequirementKind

@@ -202,11 +202,9 @@ class Corpus:
 
     @cached_property
     def effective_sets(self) -> dict[str, frozenset[str]]:
-        """Each jurisdiction's effective requirement ids, built once by
-        hierarchy.build_effective_sets. Shared, so never mutate it."""
-        from reqlattice.hierarchy import build_effective_sets
-
-        return build_effective_sets(self)
+        """The effective requirement ids of each jurisdiction read so far; only
+        hierarchy.effective_requirements fills it. Shared, so never mutate it."""
+        return {}
 
     def ancestors(self, jurisdiction_id: str) -> list[str]:
         """Ancestor jurisdiction ids, nearest first. Assumes a valid forest."""

@@ -27,9 +27,6 @@ class Partition:
     general_concepts: dict[str, frozenset[str]]  # concept key -> the grouped ids
     corpus: Corpus = field(compare=False, repr=False)  # the corpus it was computed from
 
-    def all_ids(self) -> frozenset[str]:
-        return self.general.union(*self.specific.values())
-
     def owner_of(self, item_id: str) -> str | None:
         """Jurisdiction whose specific set holds the id, or None if general.
 
@@ -213,10 +210,9 @@ _SCENARIO_NOTES = {
 
 
 def classify_scenario(source_part: Partition) -> ScenarioClass:
-    total = len(source_part.all_ids())
-    if total == 0:
-        raise EmptyAspectError(f"no {source_part.kind} items in the corpus")
     any_specific = any(source_part.specific.values())
+    if not (source_part.general or any_specific):
+        raise EmptyAspectError(f"no {source_part.kind} items in the corpus")
     if not source_part.general:
         option = ScenarioOption.DISJOINT
     elif not any_specific:

@@ -244,6 +244,22 @@ def test_report_out_file(capsys, corpus_arg, tmp_path):
     assert doc["body"]["cultural"]["option"] == "Disjoint"
 
 
+def test_scenario_of_an_aspect_without_items(capsys, tmp_path, worked_example_path):
+    # an aspect with no items is classified as none: null in JSON, "no items" in text
+    doc = json.loads(worked_example_path.read_text())
+    doc["sources"] = [s for s in doc["sources"] if s["kind"] == "legal"]
+    kept = {s["id"] for s in doc["sources"]}
+    doc["requirements"] = [dict(r, derivedFrom=[i for i in r.get("derivedFrom", []) if i in kept])
+                           for r in doc["requirements"]]
+    path = tmp_path / "legal-only.reqcorpus.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = invoke(capsys, "scenario", "--corpus", str(path), "--format", "json")
+    body = json.loads(out)["body"]
+    assert (code, err, body["cultural"], body["legal"]["option"]) == (EXIT_OK, "", None, "PartialOverlap")
+    code, out, _ = invoke(capsys, "scenario", "--corpus", str(path))
+    assert code == EXIT_OK and out.splitlines()[0] == "cultural: no items"
+
+
 def test_emit_flag_filters_optimize_report(capsys, corpus_arg):
     _, out_min, _ = invoke(capsys, "optimize", *corpus_arg, "--format", "json", "--emit", "min")
     body = json.loads(out_min)["body"]

@@ -1,8 +1,10 @@
 import random
+import sys
+import threading
 
 import pytest
 
-from reqlattice import hierarchy, model
+from reqlattice import cli, corpus_io, model
 from reqlattice.errors import UnknownIdError, ValidationError
 from reqlattice.hierarchy import (
     effective_requirements,
@@ -144,24 +146,85 @@ class TestRecurrence:
         assert effective_requirements(corpus, "st") == {"r-nat", "r-st"}
         assert effective_requirements(corpus, "org") == {"r-org"}
 
-    def test_sets_are_built_once_per_corpus(self, monkeypatch):
-        built = []
-        build = hierarchy.build_effective_sets
-        monkeypatch.setattr(hierarchy, "build_effective_sets", lambda corpus: built.append(1) or build(corpus))
+    def test_sets_are_built_once_per_corpus(self):
         corpora = [tree_corpus(refines=[("r-org", "r-nat")]) for _ in range(2)]
+        org = effective_requirements(corpora[0], "org")
+        # reading the org builds its ancestors' sets, and nothing else
+        assert set(corpora[0].effective_sets) == {"org", "st", "nat"}
+        assert corpora[1].effective_sets == {}  # each corpus keeps its own memo
         for corpus in corpora:
             for _ in range(3):
-                for node in ("nat", "st", "org"):
-                    effective_requirements(corpus, node)
                 level_requirement_view(corpus, select_level(corpus, Level.ORGANISATIONAL))
-            assert corpus.effective_sets is corpus.effective_sets
-        assert len(built) == 2
+                for node in ("nat", "st", "org"):
+                    assert effective_requirements(corpus, node) is corpus.effective_sets[node]
+        assert effective_requirements(corpora[0], "org") is org
+        assert corpora[0].effective_sets is not corpora[1].effective_sets
 
     def test_unknown_node_after_the_sets_are_built(self):
         corpus = tree_corpus()
-        assert set(corpus.effective_sets) == {"nat", "st", "org"}
         with pytest.raises(UnknownIdError):
             effective_requirements(corpus, "nowhere")
+        assert corpus.effective_sets == {}
+        for node in ("nat", "st", "org"):
+            effective_requirements(corpus, node)
+        with pytest.raises(UnknownIdError):
+            effective_requirements(corpus, "nowhere")
+        assert set(corpus.effective_sets) == {"nat", "st", "org"}
+
+    def test_concurrent_first_readers_share_one_set(self):
+        nodes = [jur(f"n{a}") for a in range(4)]
+        nodes += [jur(f"n{a}s{b}", Level.STATE, f"n{a}") for a in range(4) for b in range(4)]
+        nodes += [jur(f"{s.id}o{c}", Level.ORGANISATIONAL, s.id) for s in nodes[4:] for c in range(4)]
+        reqs = tuple(req(f"r-{j.id}", j.id, key="k") for j in nodes)
+        refines = frozenset((f"r-{j.id}", f"r-{j.parent}") for j in nodes if j.parent and j.id.endswith(("0", "2")))
+
+        def read_all(corpus, order, got):
+            got.update((node, effective_requirements(corpus, node)) for node in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                corpus = Corpus(jurisdictions=tuple(nodes), sources=(), requirements=reqs,
+                                relations=RelationSet(refines=refines))
+                model.validate_corpus(corpus)
+                orders = [random.Random(round_ * 8 + t).sample([j.id for j in nodes], len(nodes)) for t in range(8)]
+                seen: list[dict] = [{} for _ in orders]
+                threads = [threading.Thread(target=read_all, args=(corpus, order, got))
+                           for order, got in zip(orders, seen)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert all(got.keys() == corpus.effective_sets.keys() for got in seen)
+                assert all(got[node] is corpus.effective_sets[node] for got in seen for node in got)
+        finally:
+            sys.setswitchinterval(interval)
+        fresh = Corpus(jurisdictions=tuple(nodes), sources=(), requirements=reqs, relations=RelationSet(refines=refines))
+        assert corpus.effective_sets == {j.id: effective_requirements(fresh, j.id) for j in nodes}
+
+    @pytest.mark.parametrize("level, built", [
+        (Level.NATIONAL, {"nat"}), (Level.STATE, {"nat", "st"}), (Level.ORGANISATIONAL, {"nat", "st", "org"}),
+    ])
+    def test_a_level_view_builds_only_its_frontier_and_their_ancestors(self, level, built):
+        corpus = tree_corpus(refines=[("r-st", "r-nat")])
+        level_requirement_view(corpus, select_level(corpus, level))
+        assert set(corpus.effective_sets) == built
+
+    @pytest.mark.parametrize("argv, built", [
+        (["validate", "--level", "state"], {"nat", "st"}),
+        (["partition", "--level", "national"], {"nat"}),
+        (["hierarchy"], {"nat", "st", "org"}),
+    ])
+    def test_a_command_builds_only_the_sets_its_level_reads(self, argv, built, tmp_path, monkeypatch, capsys):
+        corpus = tree_corpus(refines=[("r-st", "r-nat")])
+        path = tmp_path / "tree.reqcorpus.json"
+        corpus_io.save_corpus(corpus, path)
+        monkeypatch.setattr(corpus_io, "load_corpus", lambda _path: corpus)
+        assert cli.run([*argv, "--corpus", str(path), "--format", "json"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert set(corpus.effective_sets) == built
 
 
 class TestAncestorChains:

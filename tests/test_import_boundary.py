@@ -1,4 +1,4 @@
-"""Only ``rank`` loads numpy, and only ``cli`` imports ``gc``.
+"""Only ``rank`` loads numpy, only ``cli`` imports ``gc``, and ``model`` never imports ``hierarchy``.
 
 Every other command is set and graph work, so a run of it must not pay for
 numpy's import. ``reqlattice.topsis`` itself stays imported with the CLI: the
@@ -7,6 +7,7 @@ in a fresh interpreter, since this test session has imported numpy already.
 
 The collector is process-wide state, so its policy stays at the command
 boundary: an ``ast`` scan finds every import of ``gc``, top-level or not.
+The same scan keeps ``model`` from importing ``hierarchy``, which builds on it.
 """
 
 import ast
@@ -67,15 +68,23 @@ def test_only_rank_imports_numpy(tmp_path):
     assert facts["rank"] == {"numpy": True, "reqlattice.topsis": True}
 
 
-def imports_gc(source: str) -> bool:
+def imports(source: str, module: str) -> bool:
+    """Whether ``source`` imports ``module`` or a name from it, at any depth."""
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names):
+        if isinstance(node, ast.Import) and any(alias.name == module for alias in node.names):
             return True
-        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+        if isinstance(node, ast.ImportFrom) and module in (node.module, *(f"{node.module}.{a.name}" for a in node.names)):
             return True
     return False
 
 
 def test_only_cli_imports_gc():
-    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if imports_gc(p.read_text(encoding="utf-8"))] == ["cli.py"]
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if imports(p.read_text(encoding="utf-8"), "gc")] == ["cli.py"]
 
+
+def test_model_does_not_import_hierarchy():
+    # hierarchy builds on model; the effective sets live on the corpus but are built in hierarchy
+    source = (PACKAGE / "model.py").read_text(encoding="utf-8")
+    assert not imports(source, "reqlattice.hierarchy")
+    for nested in ("from reqlattice.hierarchy import effective_requirements", "from reqlattice import hierarchy"):
+        assert imports(f"def f():\n    {nested}\n", "reqlattice.hierarchy")

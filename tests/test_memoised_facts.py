@@ -30,7 +30,7 @@ from reqlattice.cli import EXIT_OK, run
 from reqlattice.changes import apply_change_set
 from reqlattice.corpus_io import Alternative, AlternativesFile, ChangeOp, ChangePayload, ChangeSet
 from reqlattice.errors import PartitionMismatchError, ValidationError
-from reqlattice.hierarchy import level_requirement_view, select_level
+from reqlattice.hierarchy import effective_requirements, level_requirement_view, select_level
 from reqlattice.model import Corpus, Jurisdiction, Level, RelationSet, Requirement, RequirementKind
 from reqlattice.optimize import optimize
 from reqlattice.partition import _check_same_corpus, partition_requirements
@@ -45,7 +45,7 @@ def shadowed_nodes(corpus: Corpus) -> list[str]:
     """The jurisdictions whose effective set is smaller than their pool of own and ancestor requirements."""
     pools = {j.id: {j.id, *corpus.ancestor_chains[j.id]} for j in corpus.jurisdictions}
     return [jid for jid, pool in pools.items()
-            if len(corpus.effective_sets[jid]) < sum(r.jurisdiction in pool for r in corpus.requirements)]
+            if len(effective_requirements(corpus, jid)) < sum(r.jurisdiction in pool for r in corpus.requirements)]
 
 
 def random_op(rng: random.Random, corpus: Corpus, n: int) -> ChangeOp:
@@ -133,8 +133,9 @@ def test_memoised_facts_match_scratch_after_each_change(seed):
         assert corpus.members is before_members and before_members == scratch_members(corpus)
         assert after.members == scratch_members(after)
         fresh = Corpus(after.jurisdictions, after.sources, after.requirements, after.relations, after.components)
-        assert (after.ancestor_chains, after.by_id, after.effective_sets) == (
-            fresh.ancestor_chains, fresh.by_id, fresh.effective_sets)
+        assert (after.ancestor_chains, after.by_id) == (fresh.ancestor_chains, fresh.by_id)
+        for j in after.jurisdictions:
+            assert effective_requirements(after, j.id) == effective_requirements(fresh, j.id)
         if after != corpus:
             assert model.corpus_fingerprint(after) != before_fp
             with pytest.raises(PartitionMismatchError):
