@@ -15,7 +15,6 @@ one analysis unit, so the flat partition engine works unchanged at any level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 from reqlattice.errors import UnknownIdError
 from reqlattice.model import Corpus, Level, RequirementKind, SourceKind
@@ -53,26 +52,22 @@ def effective_requirements(corpus: Corpus, node: str) -> frozenset[str]:
     return memo.setdefault(node, frozenset([*own, *(inherited - reach)]))
 
 
-def _pool(corpus: Corpus, node: str, kind: SourceKind | RequirementKind) -> list:
-    """The items of ``kind`` held by ``node`` or an ancestor, in id order."""
-    jids = (node, *corpus.ancestor_chains[node])
-    return sorted((i for jid in jids for i in corpus.members.get((jid, kind), ())), key=attrgetter("id"))
-
-
 def level_requirement_view(corpus: Corpus, frontier: tuple[str, ...]) -> dict[RequirementKind, ItemView]:
-    """Per-kind, per-frontier-node requirement sets, for partition analysis:
+    """Per-kind, per-frontier-node requirements, for partition analysis:
     each frontier node's effective set, split by kind."""
-    effective = {node: effective_requirements(corpus, node) for node in frontier}
-    return {
-        kind: {node: [r for r in _pool(corpus, node, kind) if r.id in effective[node]] for node in frontier}
-        for kind in RequirementKind
-    }
+    views: dict[RequirementKind, ItemView] = {kind: {node: [] for node in frontier} for kind in RequirementKind}
+    for node in frontier:
+        for rid in effective_requirements(corpus, node):
+            r = corpus.by_id[rid]
+            views[r.kind][node].append(r)
+    return views
 
 
 def level_source_view(corpus: Corpus, frontier: tuple[str, ...]) -> dict[SourceKind, ItemView]:
-    """Per-kind, per-frontier-node source sets, for partition analysis: a
-    node sees its own sources plus every ancestor's (no shadowing)."""
-    return {kind: {node: _pool(corpus, node, kind) for node in frontier} for kind in SourceKind}
+    """Per-kind, per-frontier-node sources, for partition analysis: a node
+    sees its own sources plus every ancestor's (no shadowing)."""
+    return {kind: {node: [s for jid in (node, *corpus.ancestor_chains[node]) for s in corpus.members.get((jid, kind), ())]
+                   for node in frontier} for kind in SourceKind}
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 
-from reqlattice.errors import ValidationError
+from reqlattice.errors import CycleError, ValidationError
 
 
 class Level(str, Enum):
@@ -138,12 +138,49 @@ class RelationSet:
     @cached_property
     def refinement_order(self) -> dict[str, set[str]]:
         """Direct ``refines`` adjacency over every id named in a pair, keyed in
-        topological order (refiners first), built once by relations.check_acyclic:
+        topological order (refiners first), built once by check_acyclic:
         a cyclic relation raises its CycleError here. Shared, so never mutate it.
         """
-        from reqlattice.relations import check_acyclic
-
         return check_acyclic(self, {i for pair in self.refines for i in pair})
+
+
+def check_acyclic(relations: RelationSet, ids: set[str] | frozenset[str]) -> dict[str, set[str]]:
+    """Adjacency of ``refines`` restricted to ``ids``, checked to be acyclic,
+    keyed in topological order (the search's finishing order, reversed).
+
+    Raises CycleError with one witness cycle. The depth-first search visits
+    starts and successors in sorted order, so the witness is reproducible;
+    it keeps an explicit stack, so chain depth is not bounded by the
+    interpreter's recursion limit.
+    """
+    edges: dict[str, set[str]] = {i: set() for i in ids}
+    for a, b in relations.refines:
+        if a in edges and b in edges:
+            edges[a].add(b)
+
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {i: WHITE for i in ids}
+    finished: list[str] = []
+    for start in sorted(ids):
+        if color[start] != WHITE:
+            continue
+        color[start] = GREY
+        path = [start]
+        pending = [iter(sorted(edges[start]))]
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GREY:
+                    raise CycleError(path[path.index(nxt):])
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    path.append(nxt)
+                    pending.append(iter(sorted(edges[nxt])))
+                    break
+            else:
+                color[path[-1]] = BLACK
+                finished.append(path.pop())
+                pending.pop()
+    return {i: edges[i] for i in reversed(finished)}
 
 
 @dataclass(frozen=True)

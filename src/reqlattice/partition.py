@@ -66,7 +66,7 @@ class Finding:
     message: str
 
 
-ItemView = dict[str, Sequence]  # jurisdiction id -> items analyzed as that node's set
+ItemView = dict[str, Sequence]  # jurisdiction id -> items, read as a set (their order means nothing); holders follow key order
 
 
 def flat_view(corpus: Corpus, kind: SourceKind | RequirementKind) -> ItemView:

@@ -5,47 +5,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from reqlattice.errors import CycleError
-from reqlattice.model import Corpus, RelationSet, Requirement
-
-
-def check_acyclic(relations: RelationSet, ids: set[str] | frozenset[str]) -> dict[str, set[str]]:
-    """Adjacency of ``refines`` restricted to ``ids``, checked to be acyclic,
-    keyed in topological order (the search's finishing order, reversed).
-
-    Raises CycleError with one witness cycle. The depth-first search visits
-    starts and successors in sorted order, so the witness is reproducible;
-    it keeps an explicit stack, so chain depth is not bounded by the
-    interpreter's recursion limit.
-    """
-    edges: dict[str, set[str]] = {i: set() for i in ids}
-    for a, b in relations.refines:
-        if a in edges and b in edges:
-            edges[a].add(b)
-
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in ids}
-    finished: list[str] = []
-    for start in sorted(ids):
-        if color[start] != WHITE:
-            continue
-        color[start] = GREY
-        path = [start]
-        pending = [iter(sorted(edges[start]))]
-        while pending:
-            for nxt in pending[-1]:
-                if color[nxt] == GREY:
-                    raise CycleError(path[path.index(nxt):])
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    path.append(nxt)
-                    pending.append(iter(sorted(edges[nxt])))
-                    break
-            else:
-                color[path[-1]] = BLACK
-                finished.append(path.pop())
-                pending.pop()
-    return {i: edges[i] for i in reversed(finished)}
+from reqlattice.model import Corpus, RelationSet, Requirement, check_acyclic
 
 
 def min_refiner(relations: RelationSet, scope: Mapping[str, str]) -> dict[str, str]:

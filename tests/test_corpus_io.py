@@ -242,6 +242,44 @@ class TestSaveCorpus:
             corpus_io.save_corpus(corpus, path)
             assert corpus_io.load_corpus(path) == corpus
 
+    def test_contradiction_given_in_both_orders_round_trips(self, worked_example_path, tmp_path):
+        # the worked example's one contradicts pair, given again reversed
+        doc = json.loads(worked_example_path.read_text(encoding="utf-8"))
+        doc["relations"]["contradicts"].append(doc["relations"]["contradicts"][0][::-1])
+        corpus = corpus_io.load_corpus(write(tmp_path, doc))
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        corpus_io.save_corpus(corpus, p1)
+        assert corpus_io.load_corpus(p1) == corpus
+        corpus_io.save_corpus(corpus_io.load_corpus(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes() == worked_example_path.read_bytes()
+
+    @pytest.mark.parametrize("command", ["conflicts", "partition", "optimize"])
+    def test_contradiction_given_in_both_orders_reports_as_one_pair(self, worked_example_path, tmp_path, command):
+        doc = json.loads(worked_example_path.read_text(encoding="utf-8"))
+        doc["relations"]["contradicts"].append(doc["relations"]["contradicts"][0][::-1])
+        both = write(tmp_path, doc)
+        envelopes = []
+        for path in (worked_example_path, both):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                envelopes.append((cli.run([command, "--corpus", str(path), "--format", "json"]), out.getvalue()))
+        assert envelopes[0] == envelopes[1]
+
+    @pytest.mark.parametrize("pairs,code", [
+        ([["ghost", "req-fr-retention"], ["req-fr-retention", "ghost"]], "DANGLING_REF"),
+        ([["req-de-retention", "src-fr-retention"], ["src-fr-retention", "req-de-retention"]], "RELATION_ROLE_MISMATCH"),
+        ([["req-de-retention", "req-de-retention"]], "RELATION_IRREFLEXIVE"),
+    ])
+    def test_both_orders_meet_the_first_error_of_the_sorted_one(self, worked_example_path, tmp_path, pairs, code):
+        doc = json.loads(worked_example_path.read_text(encoding="utf-8"))
+        errors = []
+        for given in (pairs, [min(pairs)]):
+            doc["relations"]["contradicts"] = given
+            with pytest.raises(ValidationError) as exc:
+                corpus_io.load_corpus(write(tmp_path, doc))
+            errors.append((exc.value.code, str(exc.value)))
+        assert errors[0] == errors[1] and errors[0][0] == code
+
     @pytest.mark.parametrize("jurisdiction", [None, "x", "ghost"])
     def test_component_round_trips_or_is_rejected(self, tmp_path, jurisdiction):
         # a component the validator accepts reloads as the same value

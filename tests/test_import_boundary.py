@@ -1,4 +1,4 @@
-"""Only ``rank`` loads numpy, only ``cli`` imports ``gc``, and ``model`` never imports ``hierarchy``.
+"""Only ``rank`` loads numpy, only ``cli`` imports ``gc``, and the package imports one way.
 
 Every other command is set and graph work, so a run of it must not pay for
 numpy's import. ``reqlattice.topsis`` itself stays imported with the CLI: the
@@ -7,15 +7,20 @@ in a fresh interpreter, since this test session has imported numpy already.
 
 The collector is process-wide state, so its policy stays at the command
 boundary: an ``ast`` scan finds every import of ``gc``, top-level or not.
-The same scan keeps ``model`` from importing ``hierarchy``, which builds on it.
+The same scan keeps the package's imports one-way: no module imports from the
+package inside a function, where a back-edge to a module that builds on it
+would hide, and the module-level import graph has no cycle.
 """
 
 import ast
+import graphlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "reqlattice"
@@ -68,23 +73,60 @@ def test_only_rank_imports_numpy(tmp_path):
     assert facts["rank"] == {"numpy": True, "reqlattice.topsis": True}
 
 
+def names(node: ast.AST, module: str) -> bool:
+    """Whether ``node`` is an import of ``module`` or of a name from it."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == module for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and module in (node.module, *(f"{node.module}.{a.name}" for a in node.names))
+
+
 def imports(source: str, module: str) -> bool:
     """Whether ``source`` imports ``module`` or a name from it, at any depth."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import) and any(alias.name == module for alias in node.names):
-            return True
-        if isinstance(node, ast.ImportFrom) and module in (node.module, *(f"{node.module}.{a.name}" for a in node.names)):
-            return True
-    return False
+    return any(names(node, module) for node in ast.walk(ast.parse(source)))
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def package_imports(source: str) -> set[tuple[str | None, str]]:
+    """Each package module that ``source`` imports, with the innermost function
+    around the import, or None for an import that runs when the module loads."""
+    found: set[tuple[str | None, str]] = set()
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        found.update((function, module) for module in MODULES if names(node, f"reqlattice.{module}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def package_graph() -> dict[str, set[tuple[str | None, str]]]:
+    return {module: package_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) for module in MODULES}
 
 
 def test_only_cli_imports_gc():
     assert [p.name for p in sorted(PACKAGE.glob("*.py")) if imports(p.read_text(encoding="utf-8"), "gc")] == ["cli.py"]
 
 
-def test_model_does_not_import_hierarchy():
-    # hierarchy builds on model; the effective sets live on the corpus but are built in hierarchy
-    source = (PACKAGE / "model.py").read_text(encoding="utf-8")
-    assert not imports(source, "reqlattice.hierarchy")
-    for nested in ("from reqlattice.hierarchy import effective_requirements", "from reqlattice import hierarchy"):
-        assert imports(f"def f():\n    {nested}\n", "reqlattice.hierarchy")
+def test_no_module_imports_from_the_package_in_a_function():
+    nested = {(module, function, target) for module, found in package_graph().items()
+              for function, target in found if function is not None}
+    # corpus_io builds on model, so model may name it only at call time; the fingerprint
+    # stays in model while perfbench/tracing.py traces it there by name
+    assert nested == {("model", "corpus_fingerprint", "corpus_io")}
+    for nested_import in ("from reqlattice.hierarchy import effective_requirements", "from reqlattice import hierarchy"):
+        assert package_imports(f"def f():\n    {nested_import}\n") == {("f", "hierarchy")}
+
+
+def test_the_module_import_graph_has_no_cycle():
+    graph = {module: {target for function, target in found if function is None}
+             for module, found in package_graph().items()}
+    assert graph["cli"] >= {"corpus_io", "hierarchy", "model", "partition", "relations"}  # the scan sees edges
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+    graph["model"].add("relations")  # the back-edge the refinement order once took
+    with pytest.raises(graphlib.CycleError):
+        list(graphlib.TopologicalSorter(graph).static_order())

@@ -99,7 +99,7 @@ def check_against_oracles(corpus: Corpus) -> None:
         expect = oracle_level_view(corpus, level)
         for kind in RequirementKind:
             rmap = corpus.requirement_map()
-            assert {node: [r.id for r in items] for node, items in got[kind].items()} == {
+            assert {node: sorted(r.id for r in items) for node, items in got[kind].items()} == {
                 node: sorted(i for i in visible if rmap[i].kind is kind)
                 for node, visible in expect.items()
             }

@@ -362,6 +362,27 @@ class TestSpecificContradictionCondition:
 
 
 @given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_level_partitions_read_each_node_as_a_set(seed):
+    # a level view's order within a node carries no meaning: shuffling it changes nothing
+    rng = random.Random(seed)
+    corpus = random_tree_corpus(rng)
+    for level in Level:
+        frontier = hierarchy.select_level(corpus, level)
+        views = {**hierarchy.level_source_view(corpus, frontier), **hierarchy.level_requirement_view(corpus, frontier)}
+        shuffled = {kind: {node: rng.sample(items, len(items)) for node, items in view.items()}
+                    for kind, view in views.items()}
+        results = []
+        for chosen in (views, shuffled):
+            parts = {kind.value: partition_sources(corpus, kind, view) if isinstance(kind, SourceKind)
+                     else partition_requirements(corpus, kind, view) for kind, view in chosen.items()}
+            results.append(([(p.general, list(p.specific.items()), p.general_concepts) for p in parts.values()],
+                            check_elaboration(corpus, parts),
+                            check_specific_contradiction_condition(corpus, *parts.values())))
+        assert results[0] == results[1]
+
+
+@given(st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_contradiction_condition_matches_the_oracle_at_every_level(seed):
     rng = random.Random(seed)

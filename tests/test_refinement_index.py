@@ -2,7 +2,7 @@
 
 ``RelationSet.refinement_order`` holds the direct ``refines`` adjacency over
 every id named in a pair, keyed in topological order. It is built once, on
-first use, by ``relations.check_acyclic``, and every analysis reads it: a
+first use, by ``model.check_acyclic``, and every analysis reads it: a
 CLI command runs the cycle check once, and a cyclic relation raises from
 every analysis, even one whose scope leaves the cycle out.
 """
@@ -12,13 +12,13 @@ import random
 import pytest
 
 from oracles import random_dag
-from reqlattice import model, relations
+from reqlattice import model
 from reqlattice.cli import EXIT_OK, run
 from reqlattice.errors import CycleError
 from reqlattice.hierarchy import effective_requirements
-from reqlattice.model import Corpus, Jurisdiction, Level, RelationSet, Requirement, RequirementKind
+from reqlattice.model import Corpus, Jurisdiction, Level, RelationSet, Requirement, RequirementKind, check_acyclic
 from reqlattice.optimize import optimize
-from reqlattice.relations import check_acyclic, min_refiner
+from reqlattice.relations import min_refiner
 
 
 def test_order_is_the_adjacency_in_topological_order():
@@ -50,7 +50,7 @@ def test_cycle_check_runs_once_per_command(capsys, monkeypatch, worked_example_p
         calls.append(ids)
         return check_acyclic(rels, ids)
 
-    monkeypatch.setattr(relations, "check_acyclic", counting)
+    monkeypatch.setattr(model, "check_acyclic", counting)
     extra = [*extra, str(change_set_path)] if command == "change" else extra
     assert run([command, "--corpus", str(worked_example_path), *extra]) == EXIT_OK
     capsys.readouterr()
