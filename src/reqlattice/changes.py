@@ -30,7 +30,7 @@ from operator import attrgetter
 
 from reqlattice import model
 from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
-from reqlattice.errors import MissingAdoptedByError, UnknownTargetError, ValidationError
+from reqlattice.errors import MissingAdoptedByError, ValidationError
 from reqlattice.model import Corpus, RelationSet, Requirement, RequirementKind, SourceItem
 from reqlattice.partition import ItemView, partition_requirements
 
@@ -153,9 +153,7 @@ def classify_change(work: _Draft, op: ChangeOp) -> OpRecord:
     """Classify and apply one modify op targeting a requirement; writes the
     new versions into ``work``, checked as :class:`_Draft` says, and returns
     the op's record."""
-    target = work.by_id.get(op.target)
-    if not isinstance(target, Requirement):
-        raise UnknownTargetError(op.target)
+    target = work.by_id[op.target]  # validate_change_set found it in the input; no earlier op removed it
     view = _concept_view(work, target.kind, target.concept_key)
     all_jids = frozenset(view)
 

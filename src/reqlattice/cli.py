@@ -14,7 +14,7 @@ from collections.abc import Callable
 
 from reqlattice import corpus_io, hierarchy, optimize, partition, relations, reports, topsis
 from reqlattice.changes import apply_change_set
-from reqlattice.errors import EmptyAspectError, IOFailure, ReqLatticeError
+from reqlattice.errors import IOFailure, ReqLatticeError
 from reqlattice.model import Corpus, Level, RequirementKind, SourceKind, corpus_fingerprint
 from reqlattice.partition import Finding, Partition
 
@@ -140,12 +140,7 @@ def _cmd_partition(args, corpus: Corpus) -> int:
 
 def _cmd_scenario(args, corpus: Corpus) -> int:
     parts = _level_partitions(corpus, args.level, (SourceKind,))
-    classes = {}
-    for kind in SourceKind:
-        try:
-            classes[kind.value] = partition.classify_scenario(parts[kind.value])
-        except EmptyAspectError:
-            classes[kind.value] = None
+    classes = {kind.value: partition.classify_scenario(parts[kind.value]) for kind in SourceKind}
     _emit(args, "scenario", reports.scenario_body(classes), reports.scenario_text)
     return EXIT_OK
 
@@ -210,15 +205,12 @@ def run(argv: list[str] | None = None) -> int:
     try:
         corpus = corpus_io.load_corpus(args.corpus)
         return _COMMANDS[args.command](args, corpus)
-    except IOFailure as exc:
+    except (IOFailure, OSError) as exc:  # before ReqLatticeError, which IOFailure subclasses
         print(f"reqlattice: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ReqLatticeError as exc:
         print(f"reqlattice: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:
-        print(f"reqlattice: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     finally:  # every exit, an escaping exception too, leaves the caller's state
         if enabled:
             gc.enable()

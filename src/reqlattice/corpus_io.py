@@ -202,11 +202,9 @@ def parse_corpus(doc: Any) -> Corpus:
     requirements = [_requirement(raw) for raw in fields.get("requirements", ())]
 
     rel_raw = _take(fields.get("relations", {}), "relations", _RELATIONS)
-    contradicts = set(_id_pairs(rel_raw.get("contradicts", []), "relations.contradicts"))
-    contradicts -= {(b, a) for a, b in contradicts if a < b}  # a pair given in both orders keeps the sorted one
     relations = RelationSet(
         refines=frozenset(_id_pairs(rel_raw.get("refines", []), "relations.refines")),
-        contradicts=frozenset(contradicts),
+        contradicts=frozenset(_id_pairs(rel_raw.get("contradicts", []), "relations.contradicts")),
     )
 
     components = []

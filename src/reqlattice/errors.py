@@ -46,14 +46,6 @@ class UnknownIdError(ReqLatticeError):
         super().__init__(f"unknown id: {item_id}")
 
 
-class UnknownTargetError(ReqLatticeError):
-    """A change op targets an id that does not exist (or exists, for add)."""
-
-    def __init__(self, target: str):
-        self.target = target
-        super().__init__(f"unknown change target: {target}")
-
-
 class MissingAdoptedByError(ReqLatticeError):
     """Modify of a general-set requirement without an adoptedBy declaration."""
 
@@ -67,10 +59,6 @@ class MissingAdoptedByError(ReqLatticeError):
 
 class PartitionMismatchError(ReqLatticeError):
     """Partitions handed to a check were computed from a different corpus."""
-
-
-class EmptyAspectError(ReqLatticeError):
-    """Scenario classification requested for an aspect with no items at all."""
 
 
 class DegenerateMatrixError(ReqLatticeError):

@@ -129,11 +129,15 @@ class RelationSet:
     """Declared refinement and contradiction pairs over requirement/source ids.
 
     ``refines`` pairs are ordered (a, b): a is the stronger, refining element.
-    ``contradicts`` pairs are stored as given; consumers treat them unordered.
+    ``contradicts`` pairs are unordered and kept as given; a pair given in both orders keeps its sorted one.
     """
 
     refines: frozenset[tuple[str, str]] = frozenset()
     contradicts: frozenset[tuple[str, str]] = frozenset()
+
+    def __post_init__(self):
+        reversed_twins = {(b, a) for a, b in self.contradicts if a < b}
+        object.__setattr__(self, "contradicts", frozenset(self.contradicts) - reversed_twins)
 
     @cached_property
     def refinement_order(self) -> dict[str, set[str]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from reqlattice.errors import EmptyAspectError, PartitionMismatchError
+from reqlattice.errors import PartitionMismatchError
 from reqlattice.model import SOURCE_KIND_FOR_REQUIREMENT, Corpus, RequirementKind, SourceKind
 from reqlattice.relations import derive_contradictions
 
@@ -209,10 +209,11 @@ _SCENARIO_NOTES = {
 }
 
 
-def classify_scenario(source_part: Partition) -> ScenarioClass:
+def classify_scenario(source_part: Partition) -> ScenarioClass | None:
+    """The aspect's overlap scenario, or None when the aspect has no items."""
     any_specific = any(source_part.specific.values())
     if not (source_part.general or any_specific):
-        raise EmptyAspectError(f"no {source_part.kind} items in the corpus")
+        return None
     if not source_part.general:
         option = ScenarioOption.DISJOINT
     elif not any_specific:

@@ -53,7 +53,7 @@ def make_matrix(alternatives: list[str], criteria: list[tuple[str, float, str]],
     # normalized weights do not change, but their sum cannot overflow
     scale = math.ldexp(1.0, math.frexp(max(raw, default=0.0))[1] - 1)
     total = sum(w / scale for w in raw)
-    if total <= 0:
+    if criteria and total <= 0:  # no criteria at all is rejected at rank time
         raise DegenerateMatrixError("every criterion has weight 0; nothing to rank by")
     crits = tuple(Criterion(cid, w / scale / total, direction) for (cid, w, direction) in criteria)
     for c in crits:
@@ -129,7 +129,4 @@ def build_conflict_matrix(corpus: Corpus, alts: AlternativesFile) -> DecisionMat
         [alt.satisfies.get(rid, 0.0) for rid in conflict_ids]
         for alt in alts.alternatives
     ]).reshape(len(alts.alternatives), len(conflict_ids))
-    if not criteria:
-        # make_matrix would reject it here; the DegenerateMatrixError contract surfaces it at rank time
-        return DecisionMatrix(alternatives=tuple(a.id for a in alts.alternatives), criteria=(), values=values)
     return make_matrix([a.id for a in alts.alternatives], criteria, values)

@@ -18,7 +18,7 @@ from dataclasses import replace
 from reqlattice import corpus_io, model
 from reqlattice.changes import ImpactReport, Migration, OpRecord, ReuseHint
 from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
-from reqlattice.errors import MissingAdoptedByError, UnknownTargetError, ValidationError
+from reqlattice.errors import MissingAdoptedByError, ValidationError
 from reqlattice.model import (
     SOURCE_KIND_FOR_REQUIREMENT,
     Component,
@@ -463,9 +463,7 @@ def _no_adopted_by(op: ChangeOp) -> None:
 
 
 def _scratch_modify(corpus: Corpus, op: ChangeOp) -> tuple[Corpus, OpRecord]:
-    target = corpus.requirement_map().get(op.target)
-    if target is None:
-        raise UnknownTargetError(op.target)
+    target = corpus.requirement_map()[op.target]
     view = _concept_items(corpus, target.kind, target.concept_key)
     all_jids = frozenset(view)
     if op.target in per_concept_partition(view)[0]:

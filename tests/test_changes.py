@@ -11,11 +11,10 @@ from reqlattice.changes import (
     CASE_SPEC_STAYS_SPEC,
     CASE_SPEC_TO_GENERAL,
     apply_change_set,
-    classify_change,
     reuse_hints,
 )
 from reqlattice.corpus_io import ChangeOp, ChangePayload, ChangeSet
-from reqlattice.errors import CycleError, MissingAdoptedByError, UnknownTargetError, ValidationError
+from reqlattice.errors import CycleError, MissingAdoptedByError, ValidationError
 from reqlattice.model import (
     Component,
     Corpus,
@@ -140,9 +139,9 @@ class TestClassifyChange:
 
     def test_unknown_target(self):
         corpus = three_country_corpus()
-        op = modify("ghost", "x")
-        with pytest.raises((UnknownTargetError, ValidationError)):
-            classify_change(corpus, op)
+        with pytest.raises(ValidationError) as exc:
+            apply_change_set(corpus, change_set(modify("ghost", "x")))
+        assert exc.value.code == "UNKNOWN_TARGET"
 
 
 class TestApplyChangeSet:

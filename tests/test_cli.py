@@ -61,6 +61,18 @@ def test_missing_corpus_exit_3(capsys, tmp_path):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("argv,name", [
+    pytest.param(["validate"], "report.txt", id="report-open-fails"),  # a raw OSError from _emit's open
+    pytest.param(["change", "--changes", None], "after.json", id="corpus-save-fails"),  # IOFailure from save_corpus
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_out_into_a_missing_directory_exit_3(capsys, corpus_arg, change_set_path, tmp_path, argv, name, fmt):
+    argv = [str(change_set_path) if a is None else a for a in argv]
+    code, out, err = invoke(capsys, *argv, *corpus_arg, "--format", fmt, "--out", str(tmp_path / "absent" / name))
+    assert (code, out) == (EXIT_IO, "")
+    assert err.startswith("reqlattice: i/o error: ") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exit_1(capsys):
     code, _, err = invoke(capsys, "frobnicate")
     assert code == EXIT_INVALID
@@ -499,6 +511,20 @@ def test_rank_without_weighted_discriminating_criterion_exit_1(capsys, corpus_ar
         code, out, err = invoke(capsys, "rank", *corpus_arg, "--alts", str(path), "--format", fmt)
         assert code == EXIT_INVALID and out == ""
         assert err.startswith("reqlattice: ") and err.count("\n") == 1 and "weight" in err
+
+
+def test_rank_without_contradictions_exit_1(capsys, worked_example_path, tmp_path):
+    # no contradiction leaves no criterion; the matrix is rejected when it is ranked
+    doc = json.loads(worked_example_path.read_text())
+    doc["relations"]["contradicts"] = []
+    corpus = tmp_path / "peaceful.reqcorpus.json"
+    corpus.write_text(json.dumps(doc))
+    alts = tmp_path / "alts.reqalts.json"
+    alts.write_text(json.dumps({"formatVersion": 1, "alternatives": [{"id": "a1", "satisfies": {}},
+                                                                      {"id": "a2", "satisfies": {}}]}))
+    for fmt in ("text", "json"):
+        code, out, err = invoke(capsys, "rank", "--corpus", str(corpus), "--alts", str(alts), "--format", fmt)
+        assert (code, out, err) == (EXIT_INVALID, "", "reqlattice: matrix has no alternatives or no criteria\n")
 
 
 def test_rank_extreme_scores_print_no_nan(capsys, corpus_arg, alts_path, tmp_path):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -252,6 +253,23 @@ class TestSaveCorpus:
         assert corpus_io.load_corpus(p1) == corpus
         corpus_io.save_corpus(corpus_io.load_corpus(p1), p2)
         assert p1.read_bytes() == p2.read_bytes() == worked_example_path.read_bytes()
+
+    def test_corpus_built_with_both_orders_round_trips(self, worked_example, tmp_path):
+        # built in code, not loaded: the relation set itself folds the reversed pair
+        (pair,) = worked_example.relations.contradicts
+        relations = dataclasses.replace(worked_example.relations,
+                                        contradicts=worked_example.relations.contradicts | {pair[::-1]})
+        corpus = dataclasses.replace(worked_example, relations=relations)
+        assert corpus.relations.contradicts == {min(pair, pair[::-1])}
+        assert corpus_io.parse_corpus(json.loads(corpus_io.canonical_bytes(corpus))) == corpus
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        corpus_io.save_corpus(corpus, p1)
+        corpus_io.save_corpus(corpus_io.load_corpus(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_a_single_contradicts_pair_keeps_its_orientation(self):
+        for pair in (("a", "b"), ("b", "a")):
+            assert model.RelationSet(contradicts=frozenset({pair})).contradicts == {pair}
 
     @pytest.mark.parametrize("command", ["conflicts", "partition", "optimize"])
     def test_contradiction_given_in_both_orders_reports_as_one_pair(self, worked_example_path, tmp_path, command):

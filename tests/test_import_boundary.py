@@ -1,4 +1,5 @@
-"""Only ``rank`` loads numpy, only ``cli`` imports ``gc``, and the package imports one way.
+"""Only ``rank`` loads numpy, only ``cli`` imports ``gc``, the package imports one way,
+and only ``cli.run`` catches a package error.
 
 Every other command is set and graph work, so a run of it must not pay for
 numpy's import. ``reqlattice.topsis`` itself stays imported with the CLI: the
@@ -9,7 +10,9 @@ The collector is process-wide state, so its policy stays at the command
 boundary: an ``ast`` scan finds every import of ``gc``, top-level or not.
 The same scan keeps the package's imports one-way: no module imports from the
 package inside a function, where a back-edge to a module that builds on it
-would hide, and the module-level import graph has no cycle.
+would hide, and the module-level import graph has no cycle. Each fault takes
+one path, from where it is raised to the one handler in ``cli.run`` that maps
+it to an exit code, so no other ``except`` clause names a class of ``errors``.
 """
 
 import ast
@@ -88,19 +91,38 @@ def imports(source: str, module: str) -> bool:
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
+def with_function(source: str):
+    """Each node of ``source`` with the innermost function around it, or None
+    for a node that runs when the module loads."""
+    stack: list[tuple[ast.AST, str | None]] = [(ast.parse(source), None)]
+    while stack:
+        node, function = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        yield node, function
+        stack.extend((child, function) for child in ast.iter_child_nodes(node))
+
+
 def package_imports(source: str) -> set[tuple[str | None, str]]:
     """Each package module that ``source`` imports, with the innermost function
     around the import, or None for an import that runs when the module loads."""
-    found: set[tuple[str | None, str]] = set()
+    return {(function, module) for node, function in with_function(source)
+            for module in MODULES if names(node, f"reqlattice.{module}")}
 
-    def visit(node: ast.AST, function: str | None) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        found.update((function, module) for module in MODULES if names(node, f"reqlattice.{module}"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
 
-    visit(ast.parse(source), None)
+ERRORS = {node.name for node in ast.walk(ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")))
+          if isinstance(node, ast.ClassDef)}
+
+
+def error_handlers(source: str) -> set[tuple[str | None, int]]:
+    """Each ``except`` clause of ``source`` that names a class of ``errors``, bare,
+    in a tuple or as ``errors.X``, with the innermost function around it and its line."""
+    found = set()
+    for node, function in with_function(source):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(c, "id", None) in ERRORS or getattr(c, "attr", None) in ERRORS for c in caught):
+                found.add((function, node.lineno))
     return found
 
 
@@ -130,3 +152,14 @@ def test_the_module_import_graph_has_no_cycle():
     graph["model"].add("relations")  # the back-edge the refinement order once took
     with pytest.raises(graphlib.CycleError):
         list(graphlib.TopologicalSorter(graph).static_order())
+
+
+def test_only_cli_run_catches_a_package_error():
+    handlers = {(module, function, line) for module in MODULES
+                for function, line in error_handlers((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))}
+    assert sorted(f"{module}.py:{line}" for module, function, line in handlers if (module, function) != ("cli", "run")) == []
+    assert handlers  # the scan sees the handlers in cli.run that map faults to exit codes
+    snippet = ("def f():\n    try:\n        pass\n    except ValidationError:\n        pass\n"
+               "    except (KeyError, errors.IOFailure):\n        pass\n    except OSError:\n        pass\n"
+               "try:\n    pass\nexcept (ParseError):\n    pass\n")
+    assert error_handlers(snippet) == {("f", 4), ("f", 6), (None, 12)}

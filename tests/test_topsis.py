@@ -101,6 +101,13 @@ class TestRankAlternatives:
             make_matrix(["a1", "a2"], [("c1", 0.0, "benefit"), ("c2", 0.0, "benefit")],
                         [[1.0, 2.0], [2.0, 1.0]])
 
+    def test_no_criteria_is_degenerate_at_rank_time(self):
+        # all-zero weights raise in make_matrix (above); no criteria at all builds and fails to rank
+        m = make_matrix(["a1", "a2"], [], np.zeros((2, 0)))
+        assert (m.criteria, m.values.shape) == ((), (2, 0))
+        with pytest.raises(DegenerateMatrixError, match="no alternatives or no criteria"):
+            rank_alternatives(m)
+
     def test_zero_weight_on_every_varying_criterion_is_degenerate(self):
         m = make_matrix(["a1", "a2"],
                         [("flat", 1.0, "benefit"), ("c", 0.0, "benefit")],
@@ -171,12 +178,12 @@ class TestBuildConflictMatrix:
         peaceful = replace(worked_example, relations=RelationSet(
             refines=worked_example.relations.refines, contradicts=frozenset()))
         m = build_conflict_matrix(peaceful, self._alts([("a1", {}), ("a2", {})]))
-        with pytest.raises(DegenerateMatrixError):
+        with pytest.raises(DegenerateMatrixError, match="no alternatives or no criteria"):
             rank_alternatives(m)
 
     def test_no_alternatives_degenerates_at_rank_time(self, worked_example):
         m = build_conflict_matrix(worked_example, self._alts([]))
-        with pytest.raises(DegenerateMatrixError):
+        with pytest.raises(DegenerateMatrixError, match="no alternatives or no criteria"):
             rank_alternatives(m)
 
     def test_weight_override(self, worked_example):
