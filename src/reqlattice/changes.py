@@ -47,7 +47,7 @@ _ELABORATED_FROM = {source: kind for kind, source in model.SOURCE_KIND_FOR_REQUI
 @dataclass(frozen=True)
 class Migration:
     item_id: str
-    from_set: str  # "general" | "specific:<jid>" | "-"
+    from_set: str  # "general" | "specific:<jid>"
     to_set: str
 
 

@@ -140,8 +140,8 @@ def _cmd_partition(args, corpus: Corpus) -> int:
 
 def _cmd_scenario(args, corpus: Corpus) -> int:
     parts = _level_partitions(corpus, args.level, (SourceKind,))
-    classes = {kind.value: partition.classify_scenario(parts[kind.value]) for kind in SourceKind}
-    _emit(args, "scenario", reports.scenario_body(classes), reports.scenario_text)
+    options = {kind.value: partition.classify_scenario(parts[kind.value]) for kind in SourceKind}
+    _emit(args, "scenario", reports.scenario_body(options), reports.scenario_text)
     return EXIT_OK
 
 

@@ -299,7 +299,7 @@ def canonical_bytes(corpus: Corpus, layouts: dict[int, str] | None = None) -> by
         "jurisdictions": [{"id": j.id, "level": j.level.value, "name": j.name} if j.parent is None
                           else {"id": j.id, "level": j.level.value, "name": j.name, "parent": j.parent}
                           for j in corpus.jurisdictions],
-        "relations": {"contradicts": sorted(sorted(p) for p in corpus.relations.contradicts),
+        "relations": {"contradicts": sorted(corpus.relations.contradicts),
                       "refines": sorted(corpus.relations.refines)},
         "requirements": _Laid(layouts.get(id(r)) or layouts.setdefault(id(r),
             f'{{\n      "conceptKey": {_str(r.concept_key)}{_FIELD}"contentHash": {_str(r.content_hash)}{_FIELD}'

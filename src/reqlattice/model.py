@@ -129,15 +129,14 @@ class RelationSet:
     """Declared refinement and contradiction pairs over requirement/source ids.
 
     ``refines`` pairs are ordered (a, b): a is the stronger, refining element.
-    ``contradicts`` pairs are unordered and kept as given; a pair given in both orders keeps its sorted one.
+    ``contradicts`` pairs are unordered and stored sorted, so a pair given in both orders is one pair.
     """
 
     refines: frozenset[tuple[str, str]] = frozenset()
     contradicts: frozenset[tuple[str, str]] = frozenset()
 
     def __post_init__(self):
-        reversed_twins = {(b, a) for a, b in self.contradicts if a < b}
-        object.__setattr__(self, "contradicts", frozenset(self.contradicts) - reversed_twins)
+        object.__setattr__(self, "contradicts", frozenset((min(a, b), max(a, b)) for a, b in self.contradicts))
 
     @cached_property
     def refinement_order(self) -> dict[str, set[str]]:

@@ -52,13 +52,6 @@ class ScenarioOption(str, Enum):
 
 
 @dataclass(frozen=True)
-class ScenarioClass:
-    aspect: str  # "legal" | "cultural"
-    option: ScenarioOption
-    note: str
-
-
-@dataclass(frozen=True)
 class Finding:
     code: str
     severity: str  # "error" | "warning"
@@ -199,25 +192,13 @@ def check_specific_contradiction_condition(corpus: Corpus, *parts: Partition) ->
     return findings
 
 
-_SCENARIO_NOTES = {
-    ScenarioOption.DISJOINT:
-        "no jurisdiction shares any item; rare in practice, every per-jurisdiction set needs its own review",
-    ScenarioOption.IDENTICAL_GENERAL:
-        "all jurisdictions share identical items; one shared system can serve every jurisdiction",
-    ScenarioOption.PARTIAL_OVERLAP:
-        "a shared core plus per-jurisdiction deltas; the usual situation, well served by splitting shared and specific components",
-}
-
-
-def classify_scenario(source_part: Partition) -> ScenarioClass | None:
+def classify_scenario(source_part: Partition) -> ScenarioOption | None:
     """The aspect's overlap scenario, or None when the aspect has no items."""
     any_specific = any(source_part.specific.values())
     if not (source_part.general or any_specific):
         return None
     if not source_part.general:
-        option = ScenarioOption.DISJOINT
-    elif not any_specific:
-        option = ScenarioOption.IDENTICAL_GENERAL
-    else:
-        option = ScenarioOption.PARTIAL_OVERLAP
-    return ScenarioClass(aspect=source_part.kind, option=option, note=_SCENARIO_NOTES[option])
+        return ScenarioOption.DISJOINT
+    if not any_specific:
+        return ScenarioOption.IDENTICAL_GENERAL
+    return ScenarioOption.PARTIAL_OVERLAP

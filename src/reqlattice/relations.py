@@ -96,9 +96,6 @@ class ConflictRecord:
 def find_conflicts(corpus: Corpus) -> list[ConflictRecord]:
     """Every derived contradiction between two requirements (not sources), sorted."""
     items = corpus.by_id
-    explicit = {frozenset(p) for p in corpus.relations.contradicts}
-    out = [ConflictRecord(tuple(sorted(pair)), "explicit" if pair in explicit else "derived")
-           for pair in derive_contradictions(corpus.relations)
-           if all(isinstance(items.get(i), Requirement) for i in pair)]
-    out.sort(key=lambda c: c.pair)
-    return out
+    pairs = sorted(tuple(sorted(p)) for p in derive_contradictions(corpus.relations)
+                   if all(isinstance(items.get(i), Requirement) for i in p))
+    return [ConflictRecord(pair, "explicit" if pair in corpus.relations.contradicts else "derived") for pair in pairs]

@@ -8,7 +8,7 @@ from reqlattice.changes import ImpactReport, reuse_hints
 from reqlattice.corpus_io import FORMAT_VERSION, canonical_json
 from reqlattice.hierarchy import HierarchyFinding
 from reqlattice.optimize import GlobalView, OptimizedView
-from reqlattice.partition import Finding, Partition, ScenarioClass
+from reqlattice.partition import Finding, Partition, ScenarioOption
 from reqlattice.relations import ConflictRecord
 from reqlattice.topsis import Ranking
 
@@ -49,9 +49,19 @@ def partition_body(parts: dict[str, Partition],
     }
 
 
-def scenario_body(classes: dict[str, ScenarioClass | None]) -> dict:
-    return {aspect: None if cls is None else {"option": cls.option.value, "note": cls.note}
-            for aspect, cls in sorted(classes.items())}
+_SCENARIO_NOTES = {
+    ScenarioOption.DISJOINT:
+        "no jurisdiction shares any item; rare in practice, every per-jurisdiction set needs its own review",
+    ScenarioOption.IDENTICAL_GENERAL:
+        "all jurisdictions share identical items; one shared system can serve every jurisdiction",
+    ScenarioOption.PARTIAL_OVERLAP:
+        "a shared core plus per-jurisdiction deltas; the usual situation, well served by splitting shared and specific components",
+}
+
+
+def scenario_body(options: dict[str, ScenarioOption | None]) -> dict:
+    return {aspect: None if option is None else {"option": option.value, "note": _SCENARIO_NOTES[option]}
+            for aspect, option in sorted(options.items())}
 
 
 def _view_body(view: OptimizedView, emit: str) -> dict:

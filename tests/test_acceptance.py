@@ -203,7 +203,7 @@ def test_criterion_5_scenario_fixtures():
     for corpus, option in expect:
         model.validate_corpus(corpus)
         got = classify_scenario(partition_sources(corpus, SourceKind.LEGAL))
-        assert got.option is option
+        assert got is option
     _report("criterion 5 scenario classifier (3 fixtures exact)")
 
 

@@ -243,6 +243,29 @@ class TestSaveCorpus:
             corpus_io.save_corpus(corpus, path)
             assert corpus_io.load_corpus(path) == corpus
 
+    def test_random_round_trip_with_reversed_pairs(self, tmp_path):
+        # random_corpus lists every contradicts pair ascending; reverse a seeded subset of them
+        rng = random.Random(20261020)
+        reversed_any = False
+        for i in range(25):
+            corpus = random_corpus(rng, with_relations=True)
+            given = frozenset(p[::-1] if rng.random() < 0.5 else p for p in corpus.relations.contradicts)
+            reversed_any |= given != corpus.relations.contradicts
+            corpus = dataclasses.replace(corpus, relations=dataclasses.replace(corpus.relations, contradicts=given))
+            path = tmp_path / f"r{i}.json"
+            corpus_io.save_corpus(corpus, path)
+            assert corpus_io.load_corpus(path) == corpus
+        assert reversed_any
+
+    def test_a_single_descending_pair_round_trips(self, worked_example_path, tmp_path):
+        doc = json.loads(worked_example_path.read_text(encoding="utf-8"))
+        doc["relations"]["contradicts"] = [pair[::-1] for pair in doc["relations"]["contradicts"]]
+        corpus = corpus_io.load_corpus(write(tmp_path, doc))
+        path = tmp_path / "saved.json"
+        corpus_io.save_corpus(corpus, path)
+        assert corpus_io.load_corpus(path) == corpus
+        assert path.read_bytes() == worked_example_path.read_bytes()
+
     def test_contradiction_given_in_both_orders_round_trips(self, worked_example_path, tmp_path):
         # the worked example's one contradicts pair, given again reversed
         doc = json.loads(worked_example_path.read_text(encoding="utf-8"))
@@ -267,36 +290,50 @@ class TestSaveCorpus:
         corpus_io.save_corpus(corpus_io.load_corpus(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_a_single_contradicts_pair_keeps_its_orientation(self):
+    def test_a_single_contradicts_pair_is_stored_sorted(self):
         for pair in (("a", "b"), ("b", "a")):
-            assert model.RelationSet(contradicts=frozenset({pair})).contradicts == {pair}
+            assert model.RelationSet(contradicts=frozenset({pair})).contradicts == {("a", "b")}
 
-    @pytest.mark.parametrize("command", ["conflicts", "partition", "optimize"])
-    def test_contradiction_given_in_both_orders_reports_as_one_pair(self, worked_example_path, tmp_path, command):
+    @pytest.mark.parametrize("command", ["validate", "partition", "scenario", "optimize", "conflicts", "hierarchy",
+                                         "rank", "change"])
+    def test_contradiction_given_in_both_orders_reports_as_one_pair(self, worked_example_path, change_set_path,
+                                                                    alts_path, tmp_path, command):
+        # the worked example's one contradicts pair as shipped, also given reversed, and given only reversed
         doc = json.loads(worked_example_path.read_text(encoding="utf-8"))
-        doc["relations"]["contradicts"].append(doc["relations"]["contradicts"][0][::-1])
-        both = write(tmp_path, doc)
-        envelopes = []
-        for path in (worked_example_path, both):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                envelopes.append((cli.run([command, "--corpus", str(path), "--format", "json"]), out.getvalue()))
-        assert envelopes[0] == envelopes[1]
+        (pair,) = doc["relations"]["contradicts"]
+        listings = [worked_example_path]
+        for name, given in (("both", [pair, pair[::-1]]), ("reversed", [pair[::-1]])):
+            doc["relations"]["contradicts"] = given
+            listings.append(write(tmp_path, doc, f"{name}.reqcorpus.json"))
+        extra = {"rank": ["--alts", str(alts_path)], "change": ["--changes", str(change_set_path)]}.get(command, [])
+        outputs = []
+        for i, path in enumerate(listings):
+            for fmt in ("json", "text"):
+                after = tmp_path / f"after-{i}-{fmt}.json"
+                argv = [command, "--corpus", str(path), "--format", fmt, *extra]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.run(argv + (["--out", str(after)] if command == "change" else []))
+                written = after.read_bytes() if command == "change" else None
+                outputs.append((fmt, code, out.getvalue(), err.getvalue(), written))
+        assert outputs[:2] == outputs[2:4] == outputs[4:]
+        assert all(code == 0 for _, code, *_ in outputs)
 
     @pytest.mark.parametrize("pairs,code", [
         ([["ghost", "req-fr-retention"], ["req-fr-retention", "ghost"]], "DANGLING_REF"),
         ([["req-de-retention", "src-fr-retention"], ["src-fr-retention", "req-de-retention"]], "RELATION_ROLE_MISMATCH"),
         ([["req-de-retention", "req-de-retention"]], "RELATION_IRREFLEXIVE"),
+        ([["req-de-audit", "req-fr-retention"], ["req-fr-retention", "req-de-audit"]], "RELATION_KIND_MISMATCH"),
     ])
     def test_both_orders_meet_the_first_error_of_the_sorted_one(self, worked_example_path, tmp_path, pairs, code):
         doc = json.loads(worked_example_path.read_text(encoding="utf-8"))
         errors = []
-        for given in (pairs, [min(pairs)]):
+        for given in (pairs, [min(pairs)], [min(pairs)[::-1]]):
             doc["relations"]["contradicts"] = given
             with pytest.raises(ValidationError) as exc:
                 corpus_io.load_corpus(write(tmp_path, doc))
             errors.append((exc.value.code, str(exc.value)))
-        assert errors[0] == errors[1] and errors[0][0] == code
+        assert errors == [errors[0]] * 3 and errors[0][0] == code
 
     @pytest.mark.parametrize("jurisdiction", [None, "x", "ghost"])
     def test_component_round_trips_or_is_rejected(self, tmp_path, jurisdiction):

@@ -404,21 +404,18 @@ class TestClassifyScenario:
     def test_identical_general(self):
         corpus = make([jur("a"), jur("b")],
                       sources=[src("s1", "a", "k", "t"), src("s2", "b", "k", "t")])
-        cls = classify_scenario(partition_sources(corpus, SourceKind.LEGAL))
-        assert cls.option is ScenarioOption.IDENTICAL_GENERAL
+        assert classify_scenario(partition_sources(corpus, SourceKind.LEGAL)) is ScenarioOption.IDENTICAL_GENERAL
 
     def test_disjoint(self):
         corpus = make([jur("a"), jur("b")],
                       sources=[src("s1", "a", "k1", "t1"), src("s2", "b", "k2", "t2")])
-        cls = classify_scenario(partition_sources(corpus, SourceKind.LEGAL))
-        assert cls.option is ScenarioOption.DISJOINT
+        assert classify_scenario(partition_sources(corpus, SourceKind.LEGAL)) is ScenarioOption.DISJOINT
 
     def test_partial_overlap(self):
         corpus = make([jur("a"), jur("b")],
                       sources=[src("s1", "a", "k", "t"), src("s2", "b", "k", "t"),
                                src("s3", "a", "k2", "t2")])
-        cls = classify_scenario(partition_sources(corpus, SourceKind.LEGAL))
-        assert cls.option is ScenarioOption.PARTIAL_OVERLAP
+        assert classify_scenario(partition_sources(corpus, SourceKind.LEGAL)) is ScenarioOption.PARTIAL_OVERLAP
 
     def test_empty_aspect(self):
         corpus = make([jur("a")])

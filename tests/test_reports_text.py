@@ -13,6 +13,7 @@ import pytest
 
 from reqlattice import reports
 from reqlattice.cli import run
+from reqlattice.partition import ScenarioOption
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 EXPECTED = Path(__file__).resolve().parent / "expected_text"
@@ -125,3 +126,8 @@ def test_text_report_is_rendered_from_the_json_body(case, color, capsys, tmp_pat
     body = json.loads(_stdout(capsys, [*argv, "--format", "json"]))["body"]
     render = getattr(reports, RENDERER[argv[0]])
     assert _stdout(capsys, argv) == render(body, color)
+
+
+def test_every_scenario_option_has_a_note():
+    # scenario_body looks each option's note up here; a missing one would end in a KeyError
+    assert set(reports._SCENARIO_NOTES) == set(ScenarioOption)
