@@ -22,6 +22,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -57,10 +58,10 @@ def _schema(required: dict[str, type], optional: dict[str, type]) -> tuple[dict[
 def _take(obj: Any, what: str, schema: tuple[dict[str, type], Any]) -> dict:
     """Check ``obj`` against a closed schema and return it.
 
-    One pass over the items accepts a valid record; any other is searched for
-    its first fault: a non-object, the first unknown key, then the first
-    missing or wrongly typed field in schema order, required fields first.
-    A JSON type is exact: ``type(...) is`` keeps a bool out of an int field.
+    One pass over the items accepts a valid record; any other is searched for its first fault: a non-object,
+    the first unknown key, then the first missing or wrongly typed field in schema order, required fields first.
+    A JSON type is exact: ``type(...) is`` keeps a bool out of an int field. A source or requirement laid out as
+    canonical_bytes writes it comes here only if it fails the same checks, made by its parser after one fetch.
     """
     fields, required = schema
     if type(obj) is dict:
@@ -162,10 +163,20 @@ _RELATIONS = _schema({}, {"refines": list, "contradicts": list})
 _COMPONENT = _schema({"id": str, "implements": list, "scope": str}, {"jurisdiction": str})
 #: each enum's members by value, in definition order
 _LEVELS, _SOURCE_KINDS, _REQUIREMENT_KINDS = ({e.value: e for e in cls} for cls in (Level, SourceKind, RequirementKind))
+_SOURCE_FIELDS, _REQUIREMENT_FIELDS = itemgetter(*_SOURCE[0]), itemgetter(*_REQUIREMENT[0])  # all seven, in one call
 
 
 def _source(raw: Any) -> SourceItem:
     """One source record, from a corpus or an add op's payload."""
+    if type(raw) is dict and len(raw) == 7:  # as canonical_bytes writes it: one fetch, every check inline
+        try:
+            sid, kind, jid, key, text, digest, is_static = _SOURCE_FIELDS(raw)
+        except KeyError:  # an unknown key in place of a known one
+            pass
+        else:
+            if (type(sid) is type(kind) is type(jid) is type(key) is type(text) is type(digest) is str and digest
+                    and type(is_static) is bool and kind in _SOURCE_KINDS):
+                return SourceItem(sid, _SOURCE_KINDS[kind], jid, key, text, digest, is_static)
     s = _take(raw, "source", _SOURCE)
     kind = _member(_SOURCE_KINDS, s, "kind", "source")
     return SourceItem(s["id"], kind, s["jurisdiction"], s["conceptKey"], s["text"],
@@ -173,7 +184,16 @@ def _source(raw: Any) -> SourceItem:
 
 
 def _requirement(raw: Any) -> Requirement:
-    """One requirement record, from a corpus or an add op's payload."""
+    """One requirement record, from a corpus or an add op's payload, read as ``_source`` reads a source."""
+    if type(raw) is dict and len(raw) == 7:
+        try:
+            rid, kind, jid, key, text, digest, ids = _REQUIREMENT_FIELDS(raw)
+        except KeyError:
+            pass
+        else:
+            if (type(rid) is type(kind) is type(jid) is type(key) is type(text) is type(digest) is str and digest
+                    and type(ids) is list and all(type(i) is str for i in ids) and kind in _REQUIREMENT_KINDS):
+                return Requirement(rid, _REQUIREMENT_KINDS[kind], jid, key, text, digest, frozenset(ids))
     r = _take(raw, "requirement", _REQUIREMENT)
     derived = r.get("derivedFrom", ())
     for sid in derived:

@@ -393,8 +393,12 @@ class TestChangeSetIO:
         {"kind": "legal", "jurisdiction": "de", "conceptKey": "k", "text": "t", "isStatic": True},
         {"kind": "legalBased", "jurisdiction": "de", "conceptKey": "k", "text": "t", "derivedFrom": ["s"]},
         {"kind": "functional", "jurisdiction": "de", "conceptKey": "k", "text": "T  t", "contentHash": "h"},
+        {"kind": "cultural", "jurisdiction": "de", "conceptKey": "k", "text": "t", "contentHash": "h",
+         "isStatic": False},
+        {"kind": "legalBased", "jurisdiction": "de", "conceptKey": "k", "text": "t", "contentHash": "h",
+         "derivedFrom": ["s"]},
     ], ids=["source-default-static", "source-hash", "source-static", "requirement-derived",
-            "requirement-hash"])
+            "requirement-hash", "source-all-fields", "requirement-all-fields"])
     def test_add_item_is_the_item_a_corpus_record_loads_as(self, record):
         role = "source" if record["kind"] in ("legal", "cultural") else "requirement"
         cs = corpus_io.parse_change_set({"formatVersion": 1, "label": "l", "ops": [
@@ -451,6 +455,61 @@ class TestAlternativesIO:
         doc = {"formatVersion": 1, "alternatives": [], "weights": {"r1": -1}}
         with pytest.raises(ValidationError):
             corpus_io.parse_alternatives(doc)
+
+
+#: a source and a requirement with all seven fields, laid out as canonical_bytes writes them
+_SRC7 = {"conceptKey": "k", "contentHash": "h", "id": "s", "isStatic": False, "jurisdiction": "de", "kind": "legal",
+         "text": "Some  Law"}
+_REQ7 = {"conceptKey": "k", "contentHash": "h", "derivedFrom": ["s"], "id": "r", "jurisdiction": "de",
+         "kind": "legalBased", "text": "The  system"}
+
+
+def _seven_key_doc(source=_SRC7, requirement=_REQ7):
+    return dict(MINIMAL, sources=[source], requirements=[requirement])
+
+
+class TestSevenKeyRecords:
+    """Records holding every field, at the boundary of what a canonical record may be."""
+
+    def test_canonical_records_load_as_written(self):
+        corpus = corpus_io.parse_corpus(_seven_key_doc())
+        assert corpus.sources == (model.SourceItem("s", model.SourceKind.LEGAL, "de", "k", "Some  Law", "h", False),)
+        assert corpus.requirements == (model.Requirement("r", model.RequirementKind.LEGAL_BASED, "de", "k",
+                                                         "The  system", "h", frozenset({"s"})),)
+
+    def test_empty_content_hash_is_recomputed_from_the_text(self):
+        corpus = corpus_io.parse_corpus(_seven_key_doc(dict(_SRC7, contentHash=""), dict(_REQ7, contentHash="")))
+        assert corpus.sources[0].content_hash == model.content_hash("Some  Law")
+        assert corpus.requirements[0].content_hash == model.content_hash("The  system")
+
+    @pytest.mark.parametrize("role,edit,message", [
+        ("requirement", {"derivedFrom": [1]}, "BAD_TYPE: requirement 'r' derivedFrom must hold ids"),
+        ("requirement", {"derivedFrom": ["s", None]}, "BAD_TYPE: requirement 'r' derivedFrom must hold ids"),
+        ("requirement", {"derivedFrom": "s"}, "BAD_TYPE: requirement field 'derivedFrom' has the wrong type"),
+        ("source", {"isStatic": 1}, "BAD_TYPE: source field 'isStatic' has the wrong type"),
+        ("source", {"isStatic": None}, "BAD_TYPE: source field 'isStatic' has the wrong type"),
+        ("source", {"kind": []}, "BAD_TYPE: source field 'kind' has the wrong type"),
+        ("requirement", {"kind": []}, "BAD_TYPE: requirement field 'kind' has the wrong type"),
+        ("source", {"kind": "legalBased"}, "BAD_ENUM: source 's' kind: 'legalBased' is not one of legal, cultural"),
+        ("requirement", {"kind": "legal"},
+         "BAD_ENUM: requirement 'r' kind: 'legal' is not one of legalBased, culturalBased, functional"),
+        ("source", {"contentHash": None}, "BAD_TYPE: source field 'contentHash' has the wrong type"),
+        ("requirement", {"text": 1}, "BAD_TYPE: requirement field 'text' has the wrong type"),
+    ], ids=["derived-int", "derived-null", "derived-str", "static-1", "static-null", "source-kind-list",
+            "requirement-kind-list", "source-kind-unknown", "requirement-kind-unknown", "hash-null", "text-int"])
+    def test_first_fault_of_a_seven_key_record(self, role, edit, message):
+        doc = _seven_key_doc(**{role: dict(_SRC7 if role == "source" else _REQ7, **edit)})
+        with pytest.raises(ValidationError) as e:
+            corpus_io.parse_corpus(doc)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("role,record", [("source", _SRC7), ("requirement", _REQ7)])
+    @pytest.mark.parametrize("known", ["id", "conceptKey", "contentHash", "text"])
+    def test_a_known_key_swapped_for_an_unknown_one(self, role, record, known):
+        swapped = {("zz" if k == known else k): v for k, v in record.items()}
+        with pytest.raises(ValidationError) as e:
+            corpus_io.parse_corpus(_seven_key_doc(**{role: swapped}))
+        assert str(e.value) == f"UNKNOWN_FIELD: {role} has unknown field 'zz'"
 
 
 _JUR = {"id": "j", "name": "J", "level": "national"}

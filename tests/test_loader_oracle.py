@@ -3,16 +3,19 @@
 Records of a valid corpus are mutated (keys dropped, added or reordered,
 values retyped, non-string ids, unknown enum values); ``parse_corpus`` must
 raise exactly the reference's first fault, or load and round-trip when the
-reference finds none.
+reference finds none. A source or requirement laid out as ``canonical_bytes``
+writes it is read by one fetch, any other by ``_take``'s search: both must
+give the same record or the same first fault.
 """
 
 import copy
 import json
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RECORD_ENUMS, first_record_error
+from oracles import RECORD_ENUMS, first_record_error, random_corpus
 from reqlattice import corpus_io
 from reqlattice.errors import ValidationError
 
@@ -33,6 +36,9 @@ BASE = {
          "text": "The system shall keep records.", "derivedFrom": ["s-law"]},
         {"id": "r-log", "kind": "functional", "jurisdiction": "de", "conceptKey": "log",
          "text": "The system shall log.", "contentHash": "h2"},
+        # every field present, so the parser reads it by one fetch
+        {"id": "r-greet", "kind": "culturalBased", "jurisdiction": "de-by", "conceptKey": "greeting",
+         "text": "The system shall greet formally.", "contentHash": "h3", "derivedFrom": ["s-custom"]},
     ],
     "relations": {},
     "components": [
@@ -139,3 +145,39 @@ def test_loader_raises_the_reference_first_error(doc):
         assert (exc.code, str(exc)) == (want[0], f"{want[0]}: {want[1]}")
     else:
         raise AssertionError(f"loaded, but the reference finds {want}")
+
+
+class Sub(dict):
+    """A dict subclass fails the one-fetch path's ``type(raw) is dict``, so the parser searches it as ``_take`` does."""
+
+
+PARSERS = {"sources": corpus_io._source, "requirements": corpus_io._requirement}
+
+
+def _parsed(parse, raw):
+    """The record ``parse`` reads from ``raw``, or its first fault as (code, message)."""
+    try:
+        return parse(raw)
+    except ValidationError as exc:
+        return exc.code, str(exc)
+
+
+def _assert_one_fetch_matches_the_search(doc):
+    for section, parse in PARSERS.items():
+        for raw in doc[section]:
+            assert _parsed(parse, raw) == _parsed(parse, Sub(raw)), raw
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_canonical_records_read_by_one_fetch_as_by_the_search(seed):
+    corpus = random_corpus(random.Random(seed), with_relations=True, with_derivations=True)
+    doc = json.loads(corpus_io.canonical_bytes(corpus))
+    _assert_one_fetch_matches_the_search(doc)
+    assert corpus_io.parse_corpus(doc) == corpus
+
+
+@given(mutated_corpora())
+@settings(max_examples=600, deadline=None)
+def test_mutated_records_read_by_one_fetch_as_by_the_search(doc):
+    _assert_one_fetch_matches_the_search(doc)
