@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
@@ -140,30 +140,39 @@ class RelationSet:
 
     @cached_property
     def refinement_order(self) -> dict[str, set[str]]:
-        """Direct ``refines`` adjacency over every id named in a pair, keyed in
-        topological order (refiners first), built once by check_acyclic:
-        a cyclic relation raises its CycleError here. Shared, so never mutate it.
+        """Direct ``refines`` adjacency over every id named in a pair, keyed in a
+        topological order (refiners first), built once by check_acyclic: a
+        cyclic relation raises its CycleError here. Shared, so never mutate it.
         """
         return check_acyclic(self, {i for pair in self.refines for i in pair})
 
 
 def check_acyclic(relations: RelationSet, ids: set[str] | frozenset[str]) -> dict[str, set[str]]:
     """Adjacency of ``refines`` restricted to ``ids``, checked to be acyclic,
-    keyed in topological order (the search's finishing order, reversed).
+    keyed in a topological order.
 
-    Raises CycleError with one witness cycle. The depth-first search visits
-    starts and successors in sorted order, so the witness is reproducible;
-    it keeps an explicit stack, so chain depth is not bounded by the
-    interpreter's recursion limit.
+    One unsorted pass places each id once no unplaced id refines it (Kahn's
+    algorithm). Only a cycle leaves ids unplaced; then a depth-first search
+    in sorted order, with an explicit stack (chain depth is not bounded by the
+    recursion limit), raises CycleError with a reproducible witness.
     """
     edges: dict[str, set[str]] = {i: set() for i in ids}
+    refiners = dict.fromkeys(ids, 0)  # each id's count of refiners not yet placed
     for a, b in relations.refines:
         if a in edges and b in edges:
             edges[a].add(b)
+            refiners[b] += 1
+    order = [i for i, n in refiners.items() if not n]
+    for a in order:  # grows as it is read
+        for b in edges[a]:
+            refiners[b] -= 1
+            if not refiners[b]:
+                order.append(b)
+    if len(order) == len(edges):
+        return {i: edges[i] for i in order}
 
     WHITE, GREY, BLACK = 0, 1, 2
     color = {i: WHITE for i in ids}
-    finished: list[str] = []
     for start in sorted(ids):
         if color[start] != WHITE:
             continue
@@ -180,10 +189,9 @@ def check_acyclic(relations: RelationSet, ids: set[str] | frozenset[str]) -> dic
                     pending.append(iter(sorted(edges[nxt])))
                     break
             else:
-                color[path[-1]] = BLACK
-                finished.append(path.pop())
+                color[path.pop()] = BLACK
                 pending.pop()
-    return {i: edges[i] for i in reversed(finished)}
+    raise AssertionError("ids left unplaced lie on a cycle, which the search meets")
 
 
 @dataclass(frozen=True)
@@ -262,12 +270,23 @@ ALLOWED_PARENT_LEVELS = {
 def validate_corpus(corpus: Corpus) -> None:
     """Check every structural invariant; raise ValidationError on the first hit.
 
-    Refinement acyclicity is checked separately, by building
-    ``RelationSet.refinement_order``; the loader does both.
+    The first hit in this order: unique ids over jurisdictions, sources,
+    requirements and components; each jurisdiction's parent known and of an
+    allowed level; :func:`check_items` over sources, then requirements; each
+    ``refines``, then ``contradicts`` pair, sorted: both ends known, distinct,
+    of one role and kind; each component implementing only requirements, in
+    a known jurisdiction or none; each section in id order. Ids, items and
+    relations are first tested as whole sets; only a failing set is scanned
+    in order, to name its first fault. Acyclicity is checked apart, by
+    building ``RelationSet.refinement_order``; the loader does both.
     """
-    check_unique_ids([e.id for e in (*corpus.jurisdictions, *corpus.sources, *corpus.requirements, *corpus.components)])
-
+    items = corpus.by_id  # the map the loaded corpus keeps
     jmap = corpus.jurisdiction_map()
+    sections = (corpus.jurisdictions, corpus.sources, corpus.requirements, corpus.components)
+    others = {*jmap, *(c.id for c in corpus.components)}
+    if len(items) + len(others) < sum(map(len, sections)) or not others.isdisjoint(items):  # an id repeats
+        check_unique_ids([e.id for section in sections for e in section])
+
     for j in corpus.jurisdictions:
         if j.parent is not None:
             if j.parent not in jmap:
@@ -279,10 +298,12 @@ def validate_corpus(corpus: Corpus) -> None:
                     item_id=j.id,
                 )
 
-    items = corpus.by_id  # the map the loaded corpus keeps; its ids are unique, as checked above
     check_items(corpus, (*corpus.sources, *corpus.requirements), items)
 
     for rel_name, pairs in (("refines", corpus.relations.refines), ("contradicts", corpus.relations.contradicts)):
+        # one kind implies one role: SourceKind and RequirementKind share no member
+        if all(a in items and b in items and a != b and items[a].kind is items[b].kind for a, b in pairs):
+            continue
         for a, b in sorted(pairs):
             for item_id in (a, b):
                 if item_id not in items:
@@ -311,19 +332,28 @@ def check_unique_ids(ids: Iterable[str]) -> None:
         seen.add(entity_id)
 
 
-def check_items(corpus: Corpus, items: Iterable[SourceItem | Requirement],
+def check_items(corpus: Corpus, items: Sequence[SourceItem | Requirement],
                 by_id: dict[str, SourceItem | Requirement]) -> None:
     """The per-item rules over ``items`` of a corpus with unique ids, whose
     sources and requirements ``by_id`` maps; raise ValidationError on the
-    first hit. A change op passes the items it may have broken, with the
-    rest of each (jurisdiction, concept, kind) among them, in
-    :func:`validate_corpus`'s order (sources, then requirements, each by
-    id), so both meet the same first error.
+    first hit. The rules are first tested on ``items`` as a whole set; only
+    a failing test runs the ordered walk, to name the first fault. A change
+    op passes the items it may have broken, with the rest of each
+    (jurisdiction, concept, kind) among them, in :func:`validate_corpus`'s
+    order (sources, then requirements, each by id), so both meet the same
+    first error.
     """
+    jids = corpus.ancestor_chains  # keyed by every jurisdiction id
+    # a dict, whose table is half a set's; a functional kind maps to no source kind, so its derivedFrom ids fail
+    if (jids.keys() >= {x.jurisdiction for x in items}
+            and len({(x.jurisdiction, x.concept_key, x.kind): x for x in items}) == len(items)
+            and all(type(src := by_id.get(sid)) is SourceItem and src.kind is SOURCE_KIND_FOR_REQUIREMENT.get(x.kind)
+                    and (src.jurisdiction == x.jurisdiction or src.jurisdiction in jids[x.jurisdiction])
+                    for x in items if x.role == "requirement" for sid in x.derived_from)):
+        return
     # one item per (jurisdiction, concept, kind): partitions and change ops
     # find a jurisdiction's version of a concept by that triple
     concept_holder: dict[tuple[str, str, SourceKind | RequirementKind], str] = {}
-    jids = corpus.ancestor_chains  # keyed by every jurisdiction id
     for item in items:
         if item.jurisdiction not in jids:
             raise ValidationError(

@@ -414,6 +414,115 @@ def first_record_error(role: str, record) -> tuple[str, str] | None:
 
 
 # ---------------------------------------------------------------------------
+# reference validator: the first structural fault of a parsed corpus, by
+# ordered scans over the rule definitions
+
+#: the allowed levels of a jurisdiction's parent
+_PARENT_LEVELS = {Level.NATIONAL: (), Level.STATE: (Level.NATIONAL,),
+                  Level.ORGANISATIONAL: (Level.STATE, Level.NATIONAL)}
+
+
+def first_structural_fault(corpus: Corpus) -> tuple[str, str, str] | None:
+    """The first fault of ``corpus`` under the structural rules, as (code,
+    message, item id), or None. The rules run in ``validate_corpus``'s
+    documented order, each over its entities in id order:
+
+    1. no id repeats an earlier one, over jurisdictions, sources,
+       requirements and components, in that order;
+    2. each jurisdiction's parent is known and of an allowed level;
+    3. each source, then each requirement: its jurisdiction is known and
+       no earlier item holds its (jurisdiction, concept, kind); a
+       requirement with ``derivedFrom`` is not functional, and each of its
+       source ids, in order, names a source of the kind its kind is
+       elaborated from, held by its own jurisdiction or an ancestor;
+    4. each ``refines`` pair, then each ``contradicts`` pair, in sorted
+       order: both ends are known, distinct, of one role and of one kind;
+    5. each component implements only requirements (the least other id is
+       named) and is scoped to a known jurisdiction or to none.
+    """
+    jurisdictions = sorted(corpus.jurisdictions, key=lambda j: j.id)
+    sources = sorted(corpus.sources, key=lambda s: s.id)
+    requirements = sorted(corpus.requirements, key=lambda r: r.id)
+    components = sorted(corpus.components, key=lambda c: c.id)
+
+    seen = []
+    for entity in (*jurisdictions, *sources, *requirements, *components):
+        if entity.id in seen:
+            return "DUPLICATE_ID", f"id {entity.id!r} declared twice", entity.id
+        seen.append(entity.id)
+
+    level_of = {j.id: j.level for j in jurisdictions}
+    parent_of = {j.id: j.parent for j in jurisdictions}
+    for j in jurisdictions:
+        if j.parent is None:
+            continue
+        if j.parent not in level_of:
+            return "DANGLING_REF", f"jurisdiction {j.id!r} has unknown parent {j.parent!r}", j.id
+        if level_of[j.parent] not in _PARENT_LEVELS[j.level]:
+            return ("LEVEL_VIOLATION",
+                    f"{j.level.value} node {j.id!r} cannot have a {level_of[j.parent].value} parent", j.id)
+
+    def self_and_ancestors(jid):
+        out = [jid]
+        while parent_of[out[-1]] is not None:  # the levels above bound every walk
+            out.append(parent_of[out[-1]])
+        return out
+
+    source_by_id = {s.id: s for s in sources}
+    earlier = []
+    for item in (*sources, *requirements):
+        role = "source" if isinstance(item, SourceItem) else "requirement"
+        if item.jurisdiction not in level_of:
+            return ("DANGLING_REF",
+                    f"{role} {item.id!r} references unknown jurisdiction {item.jurisdiction!r}", item.id)
+        for other in earlier:
+            if (other.jurisdiction, other.concept_key, other.kind) == (item.jurisdiction, item.concept_key, item.kind):
+                return ("DUPLICATE_CONCEPT",
+                        f"jurisdiction {item.jurisdiction!r} declares concept {item.concept_key!r} twice for kind "
+                        f"{item.kind.value}: {other.id!r} and {item.id!r}", item.id)
+        earlier.append(item)
+        if role == "source" or not item.derived_from:
+            continue
+        if item.kind is RequirementKind.FUNCTIONAL:
+            return ("FUNCTIONAL_WITH_SOURCES",
+                    f"functional requirement {item.id!r} must not derive from sources", item.id)
+        for sid in sorted(item.derived_from):
+            src = source_by_id.get(sid)
+            if src is None:
+                return "DANGLING_REF", f"requirement {item.id!r} derives from unknown source {sid!r}", item.id
+            if src.kind is not SOURCE_KIND_FOR_REQUIREMENT[item.kind]:
+                return ("DERIVED_FROM_KIND",
+                        f"{item.kind.value} requirement {item.id!r} derives from {src.kind.value} source {sid!r}",
+                        item.id)
+            if src.jurisdiction not in self_and_ancestors(item.jurisdiction):
+                return ("DERIVED_FROM_JURISDICTION",
+                        f"requirement {item.id!r} derives from source {sid!r} of unrelated jurisdiction "
+                        f"{src.jurisdiction!r}", item.id)
+
+    item_by_id = {x.id: x for x in (*sources, *requirements)}
+    for name, pairs in (("refines", corpus.relations.refines), ("contradicts", corpus.relations.contradicts)):
+        for a, b in sorted(pairs):
+            for end in (a, b):
+                if end not in item_by_id:
+                    return "DANGLING_REF", f"relation references unknown id {end!r}", end
+            if a == b:
+                return "RELATION_IRREFLEXIVE", f"{name} pair relates {a!r} to itself", a
+            if isinstance(item_by_id[a], SourceItem) != isinstance(item_by_id[b], SourceItem):
+                return "RELATION_ROLE_MISMATCH", f"{name} pair ({a!r}, {b!r}) mixes roles", a
+            if item_by_id[a].kind is not item_by_id[b].kind:
+                return "RELATION_KIND_MISMATCH", f"{name} pair ({a!r}, {b!r}) mixes kinds", a
+
+    requirement_ids = {r.id for r in requirements}
+    for c in components:
+        missing = sorted(c.implements - requirement_ids)
+        if missing:
+            return "DANGLING_REF", f"component {c.id!r} implements unknown requirement {missing[0]!r}", c.id
+        if c.jurisdiction is not None and c.jurisdiction not in level_of:
+            return "DANGLING_REF", f"component {c.id!r} scoped to unknown jurisdiction", c.id
+    return None
+
+
+# ---------------------------------------------------------------------------
 # reference change path: each op builds a fresh corpus, with no cached fact
 # carried over, and the whole corpus is validated after it
 

@@ -1,11 +1,15 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from oracles import random_tree_corpus
+from reqlattice import corpus_io
 from reqlattice.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_STRICT, run
 from reqlattice.model import content_hash
 
@@ -135,7 +139,6 @@ def test_change_deterministic_and_writes_corpus(capsys, corpus_arg, change_set_p
     assert out1 == out2
     # input corpus file untouched, output corpus loadable
     assert worked_example_path.read_bytes() == before
-    from reqlattice import corpus_io
     corpus_io.load_corpus(out_path)
     body = json.loads(out1)["body"]
     assert [op["case"] for op in body["ops"]] == ["1b", "2b"]
@@ -144,8 +147,6 @@ def test_change_deterministic_and_writes_corpus(capsys, corpus_arg, change_set_p
 
 def test_change_out_serialises_the_new_corpus_once(capsys, corpus_arg, change_set_path, tmp_path, monkeypatch):
     import hashlib
-
-    from reqlattice import corpus_io
 
     calls = []  # (corpus, layouts) per serialisation
     serialise = corpus_io.canonical_bytes
@@ -702,3 +703,90 @@ def test_rename_onto_a_translated_counterpart_promotes_it(capsys, tmp_path):
     assert record["case"] == "1b"
     assert record["migrations"] == [{"id": "r-de", "from": "specific:de", "to": "general"},
                                     {"id": "r-fr", "from": "specific:fr", "to": "general"}]
+
+
+# ---------------------------------------------------------------------------
+# byte-determinism across hash seeds: set and dict orders of str keys change
+# with PYTHONHASHSEED, and no output may follow them
+
+_RUN_CASES = """
+import contextlib, io, json, os, sys
+from reqlattice.cli import run
+records = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    written = None
+    if "--out" in argv:
+        path = argv[argv.index("--out") + 1]
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                written = fh.read().decode("utf-8")
+            os.remove(path)
+    records.append([argv, code, out.getvalue(), err.getvalue(), written])
+sys.stdout.write(json.dumps(records))
+"""
+
+
+def _cyclic_tree_corpus(tmp_path):
+    """A random forest, and a copy whose ``refines`` get two back edges, so
+    two cycles compete for the witness."""
+    seed = 0
+    while len((tree := random_tree_corpus(random.Random(seed))).relations.refines) < 12:
+        seed += 1
+    order = tree.relations.refinement_order
+    paths = [(a, c) for a in sorted(order) for b in sorted(order[a]) for c in sorted(order[b])]
+    back = {(c, a) for a, c in (paths[0], paths[-1])}  # each closes a -> b -> c
+    assert len(back) == 2
+    acyclic, cyclic = tmp_path / "tree.reqcorpus.json", tmp_path / "cyclic.reqcorpus.json"
+    acyclic.write_bytes(corpus_io.canonical_bytes(tree))
+    relations = replace(tree.relations, refines=tree.relations.refines | back)
+    cyclic.write_bytes(corpus_io.canonical_bytes(replace(tree, relations=relations)))
+    return acyclic, cyclic
+
+
+def _faulty_corpus(tmp_path, worked_example_path):
+    """The worked example with several structural faults; only the first is reported."""
+    doc = json.loads(worked_example_path.read_text())
+    doc["requirements"].append(dict(doc["requirements"][3], id="req-zz-twin"))  # a repeated concept
+    doc["requirements"][0]["derivedFrom"] = ["src-nowhere"]
+    doc["relations"]["refines"] += [["req-de-audit", "req-nowhere"], ["req-fr-audit", "req-fr-audit"]]
+    doc["components"][0]["implements"].append("src-de-consent")
+    path = tmp_path / "faulty.reqcorpus.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_every_output_is_the_same_under_every_hash_seed(tmp_path, worked_example_path, change_set_path, alts_path):
+    acyclic, cyclic = _cyclic_tree_corpus(tmp_path)
+    faulty = _faulty_corpus(tmp_path, worked_example_path)
+    example = ["--corpus", str(worked_example_path)]
+    out = str(tmp_path / "after.reqcorpus.json")
+    cases = [[command, *example, *extra, "--format", fmt]
+             for command, extra in [("validate", []), ("partition", []), ("scenario", []), ("optimize", []),
+                                    ("conflicts", []), ("hierarchy", []), ("rank", ["--alts", str(alts_path)]),
+                                    ("change", ["--changes", str(change_set_path)]),
+                                    ("change", ["--changes", str(change_set_path), "--out", out])]
+             for fmt in ("text", "json")]
+    cases += [["hierarchy", "--corpus", str(acyclic), "--format", "json"],
+              ["optimize", "--corpus", str(acyclic), "--format", "json"],
+              ["partition", "--corpus", str(acyclic), "--level", "org", "--format", "json"],
+              ["validate", "--corpus", str(cyclic)],
+              ["hierarchy", "--corpus", str(cyclic), "--format", "json"],
+              ["validate", "--corpus", str(faulty)]]
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = []
+    for seed in ("0", "1", "2"):  # one after another: the --out path is shared
+        proc = subprocess.run([sys.executable, "-c", _RUN_CASES, json.dumps(cases)], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1] == runs[2]
+    records = json.loads(runs[0])
+    assert [code for _, code, *_ in records[-3:]] == [EXIT_INVALID] * 3
+    assert records[-3][3].startswith("reqlattice: refinement cycle: ")
+    assert records[-1][3] == ("reqlattice: FUNCTIONAL_WITH_SOURCES: functional requirement 'req-de-audit' "
+                              "must not derive from sources\n")
+    assert all(code == EXIT_OK for _, code, *_ in records[:-3])
+    assert all(written for argv, _, _, _, written in records if "--out" in argv)  # the --out corpus is compared too
