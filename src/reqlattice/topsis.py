@@ -4,21 +4,30 @@ Classical variant: vector normalization per criterion, weighted columns,
 ideal/anti-ideal points from column extremes, Euclidean distances, closeness
 ``d- / (d+ + d-)``. Criteria whose column cannot discriminate (zero variance)
 are dropped before ranking and reported in ``Ranking.dropped_criteria``.
+Each float sum keeps the order numpy gave it, so closeness values keep their bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import reduce
+from operator import add
 
 from reqlattice.corpus_io import AlternativesFile
 from reqlattice.errors import DegenerateMatrixError, UnknownRequirementError
 from reqlattice.model import Corpus
 from reqlattice.relations import find_conflicts
 
-if TYPE_CHECKING:
-    import numpy as np
+
+def _pairwise_sum(terms: list[float]) -> float:
+    """numpy's ``add.reduce`` of a contiguous run: eight strided accumulators, halved above 128 terms."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    r = [reduce(add, terms[j:n - n % 8:8], 0.0) for j in range(8)]
+    return reduce(add, terms[n - n % 8:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 @dataclass(frozen=True)
@@ -32,14 +41,13 @@ class Criterion:
 class DecisionMatrix:
     alternatives: tuple[str, ...]
     criteria: tuple[Criterion, ...]
-    values: np.ndarray  # rows = alternatives, columns = criteria
+    values: tuple[tuple[float, ...], ...]  # rows = alternatives, columns = criteria
 
     def __post_init__(self):
-        import numpy as np  # imported where an array is touched, so only `rank` loads numpy
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.alternatives), len(self.criteria)):
+        values = tuple(tuple(float(x) for x in row) for row in self.values)
+        if len(values) != len(self.alternatives) or any(len(row) != len(self.criteria) for row in values):
             raise ValueError("matrix shape does not match alternative/criterion counts")
-        if not np.all(np.isfinite(values)):
+        if not all(math.isfinite(x) for row in values for x in row):
             raise ValueError("matrix values must be finite")
         object.__setattr__(self, "values", values)
 
@@ -52,7 +60,7 @@ def make_matrix(alternatives: list[str], criteria: list[tuple[str, float, str]],
     # dividing by a power of two near the largest weight is exact, so the
     # normalized weights do not change, but their sum cannot overflow
     scale = math.ldexp(1.0, math.frexp(max(raw, default=0.0))[1] - 1)
-    total = sum(w / scale for w in raw)
+    total = reduce(add, (w / scale for w in raw), 0.0)  # left to right: builtin sum compensates from 3.12
     if criteria and total <= 0:  # no criteria at all is rejected at rank time
         raise DegenerateMatrixError("every criterion has weight 0; nothing to rank by")
     crits = tuple(Criterion(cid, w / scale / total, direction) for (cid, w, direction) in criteria)
@@ -69,43 +77,41 @@ class Ranking:
 
 
 def rank_alternatives(m: DecisionMatrix) -> Ranking:
-    import numpy as np
     if len(m.alternatives) == 0 or len(m.criteria) == 0:
         raise DegenerateMatrixError("matrix has no alternatives or no criteria")
     if len(m.alternatives) == 1:
         # a single candidate is trivially the closest to the ideal
         return Ranking(entries=((m.alternatives[0], 1.0),), dropped_criteria=())
 
-    values = m.values
-    keep = [j for j in range(values.shape[1]) if values[:, j].max() > values[:, j].min()]
-    dropped = tuple(m.criteria[j].id for j in range(values.shape[1]) if j not in keep)
-    if not keep:
+    kept = [(c, column) for c, column in zip(m.criteria, zip(*m.values)) if max(column) > min(column)]
+    dropped = tuple(c.id for c, column in zip(m.criteria, zip(*m.values)) if max(column) <= min(column))
+    if not kept:
         raise DegenerateMatrixError("every criterion column is constant; nothing discriminates")
-    weights = np.array([m.criteria[j].weight for j in keep])
-    if weights.sum() <= 0:
+    total = _pairwise_sum([c.weight for c, _ in kept])
+    if total <= 0:
         raise DegenerateMatrixError("every criterion that discriminates has weight 0; nothing to rank by")
 
-    values = values[:, keep]
-    # dividing a column by a power of two near its largest magnitude is exact,
-    # so normal-range results do not change, but the squares in the column
-    # norm can then neither overflow nor underflow
-    values = values / np.ldexp(1.0, np.frexp(np.abs(values).max(axis=0))[1] - 1)
-    weights = weights / weights.sum()
-    benefit = np.array([m.criteria[j].direction == "benefit" for j in keep])
-    weighted = values / np.linalg.norm(values, axis=0) * weights
-
-    ideal = np.where(benefit, weighted.max(axis=0), weighted.min(axis=0))
-    anti = np.where(benefit, weighted.min(axis=0), weighted.max(axis=0))
-    d_plus = np.linalg.norm(weighted - ideal, axis=1)
-    d_minus = np.linalg.norm(weighted - anti, axis=1)
-    if not np.all(d_plus + d_minus > 0.0):
+    weighted = []
+    for c, column in kept:
+        # dividing a column by a power of two near its largest magnitude is exact,
+        # so normal-range results do not change, but the squares in the column
+        # norm can then neither overflow nor underflow
+        scale = math.ldexp(1.0, math.frexp(max(map(abs, column)))[1] - 1)
+        column = [x / scale for x in column]
+        norm = math.sqrt(_pairwise_sum([x * x for x in column]))
+        weighted.append([x / norm * (c.weight / total) for x in column])
+    ideal = [max(w) if c.direction == "benefit" else min(w) for (c, _), w in zip(kept, weighted)]
+    anti = [min(w) if c.direction == "benefit" else max(w) for (c, _), w in zip(kept, weighted)]
+    rows = list(zip(*weighted))
+    d_plus = [math.sqrt(reduce(add, [(x - p) * (x - p) for x, p in zip(row, ideal)], 0.0)) for row in rows]
+    d_minus = [math.sqrt(reduce(add, [(x - p) * (x - p) for x, p in zip(row, anti)], 0.0)) for row in rows]
+    if not all(dp + dm > 0.0 for dp, dm in zip(d_plus, d_minus)):
         # scores a rounding step apart can coincide once normalized and weighted
         raise DegenerateMatrixError("the scores differ too little to rank")
-    closeness = d_minus / (d_plus + d_minus)
+    closeness = [dm / (dp + dm) for dp, dm in zip(d_plus, d_minus)]
 
-    order = sorted(range(len(m.alternatives)), key=lambda i: (-closeness[i], m.alternatives[i]))
-    entries = tuple((m.alternatives[i], float(closeness[i])) for i in order)
-    return Ranking(entries=entries, dropped_criteria=dropped)
+    entries = sorted(zip(m.alternatives, closeness), key=lambda entry: (-entry[1], entry[0]))
+    return Ranking(entries=tuple(entries), dropped_criteria=dropped)
 
 
 def build_conflict_matrix(corpus: Corpus, alts: AlternativesFile) -> DecisionMatrix:
@@ -115,7 +121,6 @@ def build_conflict_matrix(corpus: Corpus, alts: AlternativesFile) -> DecisionMat
     direction; equal weights unless the alternatives file overrides them);
     values are each alternative's satisfaction scores, defaulting to 0.
     """
-    import numpy as np
     conflict_ids = sorted({i for record in find_conflicts(corpus) for i in record.pair})
     conflict_set = set(conflict_ids)
     for rid in (*(rid for alt in alts.alternatives for rid in alt.satisfies), *alts.weights):
@@ -123,10 +128,5 @@ def build_conflict_matrix(corpus: Corpus, alts: AlternativesFile) -> DecisionMat
             raise UnknownRequirementError(rid)
 
     criteria = [(rid, alts.weights.get(rid, 1.0), "benefit") for rid in conflict_ids]
-    # the explicit shape keeps a file without alternatives a 0 x n matrix and a
-    # conflict-free corpus an n x 0 one; rank_alternatives rejects both as degenerate
-    values = np.array([
-        [alt.satisfies.get(rid, 0.0) for rid in conflict_ids]
-        for alt in alts.alternatives
-    ]).reshape(len(alts.alternatives), len(conflict_ids))
+    values = [[alt.satisfies.get(rid, 0.0) for rid in conflict_ids] for alt in alts.alternatives]
     return make_matrix([a.id for a in alts.alternatives], criteria, values)

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the package's own algorithms: closures by
 path enumeration, contradiction derivation by naive fixpoint iteration,
 maximality by exhaustive pairwise comparison, partitions by a literal
-per-concept check.
+per-concept check, TOPSIS in numpy arrays.
 """
 
 from __future__ import annotations
@@ -11,14 +11,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import string
 from dataclasses import replace
 
+import numpy as np
+
 from reqlattice import corpus_io, model
 from reqlattice.changes import ImpactReport, Migration, OpRecord, ReuseHint
 from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
-from reqlattice.errors import MissingAdoptedByError, ValidationError
+from reqlattice.errors import DegenerateMatrixError, MissingAdoptedByError, ValidationError
 from reqlattice.model import (
     SOURCE_KIND_FOR_REQUIREMENT,
     Component,
@@ -32,6 +35,7 @@ from reqlattice.model import (
     SourceKind,
 )
 from reqlattice.partition import Finding, Partition
+from reqlattice.topsis import Criterion, Ranking
 
 
 def path_enumeration_closure(edges: set[tuple[str, str]], ids: set[str]) -> set[tuple[str, str]]:
@@ -678,3 +682,64 @@ def scratch_impact_body(corpus: Corpus, cs: ChangeSet) -> dict:
         "reuseHints": [{"component": h.component_id, "owner": h.owner_jurisdiction, "for": h.for_jurisdiction,
                         "via": h.via_requirement} for h in hints],
     }
+
+
+# ---------------------------------------------------------------------------
+# TOPSIS in numpy arrays
+
+
+def numpy_topsis(alternatives: list[str], criteria: list[tuple[str, float, str]], values) -> Ranking:
+    """``rank_alternatives(make_matrix(alternatives, criteria, values))`` as the
+    package computed it in numpy, errors and their order included. numpy picks
+    each sum's order from the arrays' memory layout, so these are the bits that
+    the stdlib floats of ``reqlattice.topsis`` must equal. The one change is the
+    weights' total: a left-to-right loop, as builtin ``sum`` was on Python 3.11,
+    since from 3.12 ``sum`` compensates for rounding."""
+    raw = [w for _, w, _ in criteria]
+    if any(w < 0 for w in raw):
+        raise ValueError("criterion weights must be nonnegative")
+    scale = math.ldexp(1.0, math.frexp(max(raw, default=0.0))[1] - 1)
+    total = 0.0
+    for w in raw:
+        total += w / scale
+    if criteria and total <= 0:
+        raise DegenerateMatrixError("every criterion has weight 0; nothing to rank by")
+    crits = tuple(Criterion(cid, w / scale / total, direction) for (cid, w, direction) in criteria)
+    for c in crits:
+        if c.direction not in ("benefit", "cost"):
+            raise ValueError(f"criterion {c.id!r} direction must be benefit or cost")
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(alternatives), len(crits)):
+        raise ValueError("matrix shape does not match alternative/criterion counts")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix values must be finite")
+
+    if len(alternatives) == 0 or len(crits) == 0:
+        raise DegenerateMatrixError("matrix has no alternatives or no criteria")
+    if len(alternatives) == 1:
+        return Ranking(entries=((alternatives[0], 1.0),), dropped_criteria=())
+    keep = [j for j in range(values.shape[1]) if values[:, j].max() > values[:, j].min()]
+    dropped = tuple(crits[j].id for j in range(values.shape[1]) if j not in keep)
+    if not keep:
+        raise DegenerateMatrixError("every criterion column is constant; nothing discriminates")
+    weights = np.array([crits[j].weight for j in keep])
+    if weights.sum() <= 0:
+        raise DegenerateMatrixError("every criterion that discriminates has weight 0; nothing to rank by")
+
+    values = values[:, keep]
+    values = values / np.ldexp(1.0, np.frexp(np.abs(values).max(axis=0))[1] - 1)
+    weights = weights / weights.sum()
+    benefit = np.array([crits[j].direction == "benefit" for j in keep])
+    weighted = values / np.linalg.norm(values, axis=0) * weights
+
+    ideal = np.where(benefit, weighted.max(axis=0), weighted.min(axis=0))
+    anti = np.where(benefit, weighted.min(axis=0), weighted.max(axis=0))
+    d_plus = np.linalg.norm(weighted - ideal, axis=1)
+    d_minus = np.linalg.norm(weighted - anti, axis=1)
+    if not np.all(d_plus + d_minus > 0.0):
+        raise DegenerateMatrixError("the scores differ too little to rank")
+    closeness = d_minus / (d_plus + d_minus)
+
+    order = sorted(range(len(alternatives)), key=lambda i: (-closeness[i], alternatives[i]))
+    entries = tuple((alternatives[i], float(closeness[i])) for i in order)
+    return Ranking(entries=entries, dropped_criteria=dropped)
