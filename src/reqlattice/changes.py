@@ -109,7 +109,7 @@ class _Draft:
             self.groups.setdefault((item.jurisdiction, item.kind), {})[item.id] = item
         checked = {x.id: x for item in items for x in self.groups[item.jurisdiction, item.kind].values()
                    if x.concept_key == item.concept_key}
-        model.check_items(self.base, sorted(checked.values(), key=lambda x: (x.role != "source", x.id)), self.by_id)
+        model.check_items(self.base, sorted(checked.values(), key=attrgetter("id")), self.by_id)
 
     def remove(self, item: SourceItem | Requirement) -> None:
         del self.by_id[item.id], self.groups[item.jurisdiction, item.kind][item.id]

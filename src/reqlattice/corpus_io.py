@@ -56,21 +56,12 @@ def _schema(required: dict[str, type], optional: dict[str, type]) -> tuple[dict[
 
 
 def _take(obj: Any, what: str, schema: tuple[dict[str, type], Any]) -> dict:
-    """Check ``obj`` against a closed schema and return it.
-
-    One pass over the items accepts a valid record; any other is searched for its first fault: a non-object,
-    the first unknown key, then the first missing or wrongly typed field in schema order, required fields first.
+    """Check ``obj`` against a closed schema and return it, or raise its first fault: a non-object, the first
+    unknown key, then the first missing or wrongly typed field in schema order, required fields first.
     A JSON type is exact: ``type(...) is`` keeps a bool out of an int field. A source or requirement laid out as
     canonical_bytes writes it comes here only if it fails the same checks, made by its parser after one fetch.
     """
     fields, required = schema
-    if type(obj) is dict:
-        for key, value in obj.items():
-            if type(value) is not fields.get(key):
-                break
-        else:
-            if obj.keys() >= required:
-                return obj
     if not isinstance(obj, dict):
         raise ValidationError("BAD_TYPE", f"{what} must be an object")
     for key in obj:
@@ -82,7 +73,7 @@ def _take(obj: Any, what: str, schema: tuple[dict[str, type], Any]) -> dict:
                 raise ValidationError("MISSING_FIELD", f"{what} lacks required field {key!r}")
         elif type(obj[key]) is not typ:
             raise ValidationError("BAD_TYPE", f"{what} field {key!r} has the wrong type")
-    return obj  # a dict subclass that passed the search
+    return obj
 
 
 def _member(members: dict[str, Any], record: dict, field: str, role: str):

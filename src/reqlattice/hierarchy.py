@@ -14,11 +14,9 @@ one analysis unit, so the flat partition engine works unchanged at any level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from reqlattice.errors import UnknownIdError
 from reqlattice.model import Corpus, Level, RequirementKind, SourceKind
-from reqlattice.partition import ItemView
+from reqlattice.partition import Finding, ItemView
 
 
 def select_level(corpus: Corpus, level: Level) -> tuple[str, ...]:
@@ -70,13 +68,6 @@ def level_source_view(corpus: Corpus, frontier: tuple[str, ...]) -> dict[SourceK
                    for node in frontier} for kind in SourceKind}
 
 
-@dataclass(frozen=True)
-class HierarchyFinding:
-    code: str
-    jurisdiction: str
-    message: str
-
-
 # the finding for a state or organisational node without a parent
 _ORPHANS = {
     Level.STATE: ("ORPHAN_STATE", "state {!r} has no national parent"),
@@ -84,14 +75,14 @@ _ORPHANS = {
 }
 
 
-def validate_hierarchy(corpus: Corpus) -> list[HierarchyFinding]:
-    """Lint the jurisdiction forest for orphans: states and organisational
-    nodes without a parent. A dangling parent or one at a disallowed level is
-    rejected by :func:`~reqlattice.model.validate_corpus`, not linted here.
+def validate_hierarchy(corpus: Corpus) -> list[Finding]:
+    """Warn of each orphan in the jurisdiction forest, a state or organisational
+    node without a parent, by its id. A dangling parent or one at a disallowed
+    level is rejected by :func:`~reqlattice.model.validate_corpus`, not here.
     """
-    findings: list[HierarchyFinding] = []
+    findings: list[Finding] = []
     for j in corpus.jurisdictions:
         if j.parent is None and j.level in _ORPHANS:
             code, message = _ORPHANS[j.level]
-            findings.append(HierarchyFinding(code, j.id, message.format(j.id)))
+            findings.append(Finding(code, "warning", j.id, message.format(j.id)))
     return findings

@@ -201,6 +201,9 @@ class Corpus:
     requirements: tuple[Requirement, ...]
     relations: RelationSet = field(default_factory=RelationSet)
     components: tuple[Component, ...] = ()
+    # the effective requirement ids of each jurisdiction read so far; only
+    # hierarchy.effective_requirements fills it. Shared, so never mutate it.
+    effective_sets: dict[str, frozenset[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # canonical member order by id, so structurally equal corpora compare
@@ -247,12 +250,6 @@ class Corpus:
         for item in (*self.sources, *self.requirements):
             groups[item.jurisdiction, item.kind].append(item)
         return {key: tuple(items) for key, items in groups.items()}
-
-    @cached_property
-    def effective_sets(self) -> dict[str, frozenset[str]]:
-        """The effective requirement ids of each jurisdiction read so far; only
-        hierarchy.effective_requirements fills it. Shared, so never mutate it."""
-        return {}
 
     def ancestors(self, jurisdiction_id: str) -> list[str]:
         """Ancestor jurisdiction ids, nearest first. Assumes a valid forest."""
@@ -337,11 +334,11 @@ def check_items(corpus: Corpus, items: Sequence[SourceItem | Requirement],
     """The per-item rules over ``items`` of a corpus with unique ids, whose
     sources and requirements ``by_id`` maps; raise ValidationError on the
     first hit. The rules are first tested on ``items`` as a whole set; only
-    a failing test runs the ordered walk, to name the first fault. A change
-    op passes the items it may have broken, with the rest of each
-    (jurisdiction, concept, kind) among them, in :func:`validate_corpus`'s
-    order (sources, then requirements, each by id), so both meet the same
-    first error.
+    a failing test runs the ordered walk, over items in the given order and
+    each item's sources in id order, to name the first fault. A change op
+    passes the items it may have broken, with the rest of each (jurisdiction,
+    concept, kind) among them, in :func:`validate_corpus`'s order (sources,
+    then requirements, each by id), so both meet the same first error.
     """
     jids = corpus.ancestor_chains  # keyed by every jurisdiction id
     # a dict, whose table is half a set's; a functional kind maps to no source kind, so its derivedFrom ids fail
@@ -371,11 +368,10 @@ def check_items(corpus: Corpus, items: Sequence[SourceItem | Requirement],
             )
         if item.role == "source" or not item.derived_from:
             continue
-        derived = item.derived_from
         if item.kind is RequirementKind.FUNCTIONAL:
             raise ValidationError("FUNCTIONAL_WITH_SOURCES", f"functional requirement {item.id!r} must not derive from sources", item_id=item.id)
         allowed_kind = SOURCE_KIND_FOR_REQUIREMENT[item.kind]
-        for sid in sorted(derived) if len(derived) > 1 else derived:
+        for sid in sorted(item.derived_from):
             src = by_id.get(sid)
             if not isinstance(src, SourceItem):
                 raise ValidationError("DANGLING_REF", f"requirement {item.id!r} derives from unknown source {sid!r}", item_id=item.id)
@@ -385,7 +381,7 @@ def check_items(corpus: Corpus, items: Sequence[SourceItem | Requirement],
                     f"{item.kind.value} requirement {item.id!r} derives from {src.kind.value} source {sid!r}",
                     item_id=item.id,
                 )
-            if src.jurisdiction != item.jurisdiction and src.jurisdiction not in corpus.ancestor_chains[item.jurisdiction]:
+            if src.jurisdiction != item.jurisdiction and src.jurisdiction not in jids[item.jurisdiction]:
                 raise ValidationError(
                     "DERIVED_FROM_JURISDICTION",
                     f"requirement {item.id!r} derives from source {sid!r} of unrelated jurisdiction {src.jurisdiction!r}",

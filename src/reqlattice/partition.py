@@ -172,6 +172,7 @@ def check_specific_contradiction_condition(corpus: Corpus, *parts: Partition) ->
     escalate them. Contradictions are derived once for all ``parts``; the
     findings follow the order of the parts.
     """
+    _check_same_corpus(corpus, *parts)
     partners: dict[str, set[str]] = {}
     for a, b in derive_contradictions(corpus.relations):
         partners.setdefault(a, set()).add(b)

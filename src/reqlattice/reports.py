@@ -6,7 +6,6 @@ import os
 
 from reqlattice.changes import ImpactReport, reuse_hints
 from reqlattice.corpus_io import FORMAT_VERSION, canonical_json
-from reqlattice.hierarchy import HierarchyFinding
 from reqlattice.optimize import GlobalView, OptimizedView
 from reqlattice.partition import Finding, Partition, ScenarioOption
 from reqlattice.relations import ConflictRecord
@@ -111,9 +110,9 @@ def impact_body(report: ImpactReport, before: str, after: str) -> dict:
     }
 
 
-def hierarchy_body(findings: list[HierarchyFinding], effective: dict[str, list[str]]) -> dict:
+def hierarchy_body(findings: list[Finding], effective: dict[str, list[str]]) -> dict:
     return {
-        "findings": [{"code": f.code, "jurisdiction": f.jurisdiction, "message": f.message} for f in findings],
+        "findings": [{"code": f.code, "jurisdiction": f.item_id, "message": f.message} for f in findings],
         "effectiveRequirements": {jid: ids for jid, ids in sorted(effective.items())},
     }
 

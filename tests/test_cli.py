@@ -438,6 +438,36 @@ def test_change_op_outside_its_schema_exit_1(capsys, corpus_arg, tmp_path, op, c
     assert err.startswith(f"reqlattice: {code}: ") and err.count("\n") == 1
 
 
+def _with(key, *values):
+    return lambda doc: {**doc, key: list(values)}
+
+
+@pytest.mark.parametrize("command,flags,edit,line", [
+    pytest.param("validate", ["--corpus"], _with("components", {"id": "c", "implements": [], "scope": "specific"}),
+                 "MISSING_FIELD: specific component 'c' needs a jurisdiction", id="specific-component-unplaced"),
+    pytest.param("validate", ["--corpus"],
+                 _with("components", {"id": "c", "implements": [], "scope": "general", "jurisdiction": "de"}),
+                 "UNKNOWN_FIELD: general component 'c' must not name a jurisdiction", id="general-component-placed"),
+    pytest.param("change", ["--corpus", "--changes"], _with("ops", {"op": "rename", "target": "req-de-consent"}),
+                 "BAD_ENUM: op must be add/remove/modify, got 'rename'", id="unknown-op"),
+    pytest.param("change", ["--corpus", "--changes"],
+                 _with("ops", {"op": "modify", "target": "req-de-consent", "payload": {"text": "x"}, "adoptedBy": []}),
+                 "BAD_TYPE: adoptedBy must be a non-empty array of jurisdiction ids", id="empty-adoptedBy"),
+    pytest.param("rank", ["--corpus", "--alts"],
+                 _with("alternatives", {"id": "a", "satisfies": {}}, {"id": "a", "satisfies": {}}),
+                 "DUPLICATE_ID: alternative 'a' declared twice", id="duplicate-alternative"),
+])
+def test_input_error_is_one_stderr_line_exit_1(capsys, tmp_path, worked_example_path, change_set_path, alts_path,
+                                               command, flags, edit, line):
+    # the last flag's file gets the edit; the others are the worked example's
+    paths = {"--corpus": worked_example_path, "--changes": change_set_path, "--alts": alts_path}
+    bad = tmp_path / paths[flags[-1]].name
+    bad.write_text(json.dumps(edit(json.loads(paths[flags[-1]].read_text()))), encoding="utf-8")
+    paths[flags[-1]] = bad
+    code, out, err = invoke(capsys, command, *(arg for flag in flags for arg in (flag, str(paths[flag]))))
+    assert (code, out, err) == (EXIT_INVALID, "", f"reqlattice: {line}\n")
+
+
 def _write_change_set(tmp_path, *ops):
     path = tmp_path / "cs.reqchange.json"
     path.write_text(json.dumps({"formatVersion": 1, "label": "l", "ops": list(ops)}), encoding="utf-8")

@@ -328,4 +328,4 @@ class TestValidateHierarchy:
         else:
             model.validate_corpus(corpus)
             findings = validate_hierarchy(corpus)
-            assert [(f.jurisdiction, f.code) for f in findings] == [("x", code) for code in codes]
+            assert [(f.item_id, f.code) for f in findings] == [("x", code) for code in codes]

@@ -346,6 +346,17 @@ class TestSpecificContradictionCondition:
                         + check_specific_contradiction_condition(corpus, cultural))
         assert [f.item_id for f in both] == ["z", "c", "d"]
 
+    def test_partition_from_other_corpus_rejected(self, worked_example_path):
+        # as check_elaboration does: the relations are one corpus's, the buckets another's
+        corpus = corpus_io.load_corpus(worked_example_path)
+        other = replace(corpus, sources=corpus.sources[1:])
+        parts = [partition_sources(other, kind) for kind in SourceKind]
+        with pytest.raises(PartitionMismatchError):
+            check_elaboration(corpus, {p.kind: p for p in parts})
+        with pytest.raises(PartitionMismatchError):
+            check_specific_contradiction_condition(corpus, *parts)
+        assert check_specific_contradiction_condition(other, *parts) == specific_contradiction_condition(other, *parts)
+
     def test_inherited_partner_held_elsewhere_counts(self):
         # at --level org, x of nat-a sits in two of three org buckets; y of org-2
         # contradicts it, so y passes (org-1 holds x) and x passes only in org-1's bucket
