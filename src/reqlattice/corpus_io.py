@@ -12,7 +12,7 @@ Formats (all JSON syntax, strict schema, ``formatVersion: 1``):
 Serialization is canonical: keys sorted, arrays sorted by id, two-space
 indent, trailing newline. ``load(save(c)) == c`` and a second save is
 byte-identical. Corpus bytes and every report envelope share one layout
-routine, ``canonical_json``.
+routine, ``_render``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from reqlattice import model
 from reqlattice.errors import IOFailure, ParseError, ValidationError
@@ -246,10 +246,11 @@ def load_corpus(path: str | Path) -> Corpus:
 _str = json.encoder.encode_basestring  # the C escaper of json.dumps(ensure_ascii=False)
 _PAD = "\n      "  # before each field of a source or requirement
 _FIELD = "," + _PAD  # between two fields: nearly all the bytes, so one f-string each
+_CHUNK = 64  # pieces per chunk that corpus_chunks joins and encodes at once: about 32 records
 
 
 class _Laid(list):
-    """Records laid out in advance at their place in the corpus: ``_render`` joins them as they are."""
+    """Records laid out in advance at their place in the corpus: ``_render`` keeps each as one piece."""
 
 
 def _array(pieces: Iterable[str], pad: str) -> str:
@@ -259,10 +260,9 @@ def _array(pieces: Iterable[str], pad: str) -> str:
 
 
 def _render(value: Any, pad: str, out: list[str]) -> None:
-    """Append the pieces of ``value`` as ``indent=2, sort_keys=True`` lays it out after ``pad``. Most strings
-    are ids: a list of them is one piece, as is a list of records laid out in advance, and a dict writes its
-    string values itself. Joined once, the one flat list copies each byte once, where nested joins would copy
-    it once per level."""
+    """Append the pieces of ``value`` as ``indent=2, sort_keys=True`` lays it out after ``pad``. Most strings are
+    ids: a list of them is one piece, as is a record laid out in advance, and a dict writes its string values
+    itself. One flat list, joined once or in chunks, copies each byte once; nested joins would copy it per level."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
         sep = "{" + inner
@@ -274,8 +274,10 @@ def _render(value: Any, pad: str, out: list[str]) -> None:
                 _render(v, inner, out)
             sep = "," + inner
         out.append(pad + "}")
-    elif type(value) is _Laid:  # records, as one piece
-        out.append(_array(value, pad))
+    elif type(value) is _Laid and value:  # records, each its own piece between separators: no piece holds a section
+        laid = ["," + inner] * (2 * len(value) - 1)
+        laid[::2] = value
+        out += "[" + inner, *laid, pad + "]"
     elif isinstance(value, (list, tuple)) and value and all(type(v) is str for v in value):  # ids, as one piece
         out.append(_array(map(_str, value), pad))
     elif isinstance(value, (list, tuple)) and value:
@@ -297,12 +299,12 @@ def canonical_json(doc: Any) -> str:
     return "".join(out)
 
 
-def canonical_bytes(corpus: Corpus, layouts: dict[int, str] | None = None) -> bytes:
-    """canonical_json of the corpus's document (tests/oracles.py), each source and requirement in one f-string kept
-    in ``layouts`` under the record's ``id()``, so corpora that share records lay each out once. A record is immutable,
-    but its ``id`` is its own only while it lives: a memo may serve only corpora that all stay alive as long as it."""
+def corpus_chunks(corpus: Corpus, layouts: dict[int, str] | None = None) -> Iterator[bytes]:
+    """canonical_bytes as UTF-8 chunks of whole pieces, all rendered first. ``layouts`` keeps each record's f-string
+    under its ``id()``, which is its own only while it lives: share a memo only among corpora that all outlive it."""
     layouts = {} if layouts is None else layouts
-    return canonical_json({
+    out: list[str] = []
+    _render({
         "components": [{"id": c.id, "implements": sorted(c.implements), "scope": "general"} if c.jurisdiction is None
                        else {"id": c.id, "implements": sorted(c.implements), "jurisdiction": c.jurisdiction,
                              "scope": "specific"} for c in corpus.components],
@@ -322,17 +324,28 @@ def canonical_bytes(corpus: Corpus, layouts: dict[int, str] | None = None) -> by
             f'"id": {_str(s.id)}{_FIELD}"isStatic": {"true" if s.is_static else "false"}{_FIELD}'
             f'"jurisdiction": {_str(s.jurisdiction)}{_FIELD}"kind": {_str(s.kind)}{_FIELD}"text": {_str(s.text)}\n    }}')
             for s in corpus.sources),
-    }).encode("utf-8")
+    }, "\n", out)
+    out.append("\n")
+    return ("".join(out[i:i + _CHUNK]).encode("utf-8") for i in range(0, len(out), _CHUNK))
+
+
+def canonical_bytes(corpus: Corpus, layouts: dict[int, str] | None = None) -> bytes:
+    """canonical_json of the corpus's document (tests/oracles.py), joined from corpus_chunks."""
+    return b"".join(corpus_chunks(corpus, layouts))
 
 
 def save_corpus(corpus: Corpus, path: str | Path, layouts: dict[int, str] | None = None) -> str:
-    """Write the canonical bytes, laid out through ``layouts`` as canonical_bytes says; return their sha256."""
-    data = canonical_bytes(corpus, layouts)
+    """Write corpus_chunks(corpus, layouts) to ``path``, rendered before the file opens; return the bytes' sha256."""
+    chunks = corpus_chunks(corpus, layouts)
+    digest = hashlib.sha256()
     try:
-        Path(path).write_bytes(data)
+        with open(path, "wb") as file:
+            for chunk in chunks:
+                file.write(chunk)
+                digest.update(chunk)
     except OSError as exc:
         raise IOFailure(str(path), exc) from exc
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

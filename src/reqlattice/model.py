@@ -390,8 +390,10 @@ def check_items(corpus: Corpus, items: Sequence[SourceItem | Requirement],
 
 
 def corpus_fingerprint(corpus: Corpus, layouts: dict[int, str] | None = None) -> str:
-    """sha256 of the corpus's canonical serialization, reported before and after a change set. ``layouts`` is
-    canonical_bytes's memo of record layouts by ``id()``, shared only while every corpus laid out through it lives."""
+    """sha256 of the canonical serialization, reported before and after a change set, fed from corpus_chunks."""
     from reqlattice import corpus_io  # it imports this module
 
-    return hashlib.sha256(corpus_io.canonical_bytes(corpus, layouts)).hexdigest()
+    digest = hashlib.sha256()
+    for chunk in corpus_io.corpus_chunks(corpus, layouts):
+        digest.update(chunk)
+    return digest.hexdigest()

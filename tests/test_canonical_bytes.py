@@ -12,9 +12,19 @@ U+2028/U+2029, characters outside the BMP), empty and repeated sections,
 empty and multi-element id sets, general and specific components,
 jurisdictions with and without a parent, and relation pairs given in either
 order or both.
+
+``corpus_io.save_corpus`` and ``model.corpus_fingerprint`` take the same
+bytes from ``corpus_io.corpus_chunks`` a chunk at a time: what the one
+writes and both hash must be ``canonical_bytes``, and neither may hold the
+whole document at once.
 """
 
+import hashlib
+import random
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +40,7 @@ from reqlattice.model import (
     RequirementKind,
     SourceItem,
     SourceKind,
+    corpus_fingerprint,
 )
 
 # characters json escapes or that take more than one UTF-8 byte; other texts
@@ -71,6 +82,75 @@ _CORPUS = st.builds(
 def test_canonical_bytes_equal_the_json_dumps_layout(corpus):
     want = dumps_layout(corpus_to_doc(corpus)).encode("utf-8")
     assert corpus_io.canonical_bytes(corpus) == want
+
+
+def _requirements(texts) -> tuple[Requirement, ...]:
+    """One requirement per text, with distinct ids, built in code and never validated."""
+    return tuple(Requirement(f"r-{i:05}", RequirementKind.CULTURAL_BASED, "de", f"c-{i}", text, "h", frozenset({"s"}))
+                 for i, text in enumerate(texts))
+
+
+def _saved_bytes(corpus, path, layouts):
+    """What save_corpus writes for ``corpus``, after checking its digest against the file and corpus_fingerprint."""
+    digest = corpus_io.save_corpus(corpus, path, layouts)
+    data = path.read_bytes()
+    assert digest == hashlib.sha256(data).hexdigest() == corpus_fingerprint(corpus, layouts)
+    return data
+
+
+@pytest.fixture(scope="module")
+def out_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("save") / "corpus.reqcorpus.json"
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-memo", "no-memo"])
+@settings(max_examples=100, deadline=None)
+@given(corpus=_CORPUS)
+def test_save_corpus_writes_and_hashes_the_canonical_bytes(corpus, shared, out_path):
+    assert _saved_bytes(corpus, out_path, {} if shared else None) == corpus_io.canonical_bytes(corpus)
+
+
+def test_thousands_of_awkward_records_cross_chunk_boundaries_intact(tmp_path):
+    rng = random.Random(0)
+    texts = ["".join(rng.choices(_AWKWARD + "ab", k=rng.randrange(12))) for _ in range(3000)]
+    corpus = Corpus(jurisdictions=(), sources=tuple(
+        SourceItem(f"s-{i:05}", SourceKind.LEGAL, "\u2028", text, text, "\U0001f600", i % 2 == 0)
+        for i, text in enumerate(texts[:1000])), requirements=_requirements(texts))
+    want = dumps_layout(corpus_to_doc(corpus)).encode("utf-8")
+    assert len(list(corpus_io.corpus_chunks(corpus))) > 100
+    assert corpus_io.canonical_bytes(corpus) == want
+    for layouts in ({}, None):
+        assert _saved_bytes(corpus, tmp_path / "corpus.reqcorpus.json", layouts) == want
+
+
+def test_save_and_fingerprint_never_hold_the_whole_document(tmp_path):
+    path = tmp_path / "corpus.reqcorpus.json"
+    corpus = Corpus(jurisdictions=(), sources=(), requirements=_requirements(
+        f"{i} requires \xe9\U0001f600 " * 30 for i in range(3000)))
+    layouts: dict[int, str] = {}
+    size = len(_saved_bytes(corpus, path, layouts))  # fills the memo, as the two digests of one change share it
+    assert size >= 2_000_000
+    peaks = []
+    for call in (lambda: corpus_io.save_corpus(corpus, path, layouts), lambda: corpus_fingerprint(corpus, layouts)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < size / 4, (peaks, size)
+
+
+def test_a_lone_surrogate_stops_the_write_at_the_chunk_that_holds_it(tmp_path):
+    # only a corpus built in code can hold one: the loader rejects an unpaired surrogate escape
+    path = tmp_path / "corpus.reqcorpus.json"
+    corpus = Corpus(jurisdictions=(), sources=(), requirements=_requirements(["text"] * 2000 + ["\ud800"]))
+    with pytest.raises(UnicodeEncodeError):
+        corpus_io.save_corpus(corpus, path)
+    # the file was opened after every piece was rendered, and keeps the chunks before the surrogate's
+    written = path.read_bytes()
+    whole = dumps_layout(corpus_to_doc(corpus)).encode("utf-8", "surrogatepass")
+    assert 0 < len(written) < len(whole) and whole.startswith(written)
 
 
 # numbers json.dumps writes in a form of its own: signed zero, the smallest

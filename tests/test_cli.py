@@ -149,8 +149,8 @@ def test_change_out_serialises_the_new_corpus_once(capsys, corpus_arg, change_se
     import hashlib
 
     calls = []  # (corpus, layouts) per serialisation
-    serialise = corpus_io.canonical_bytes
-    monkeypatch.setattr(corpus_io, "canonical_bytes",
+    serialise = corpus_io.corpus_chunks
+    monkeypatch.setattr(corpus_io, "corpus_chunks",
                         lambda corpus, layouts=None: calls.append((corpus, layouts)) or serialise(corpus, layouts))
     out_path = tmp_path / "after.reqcorpus.json"
     code, out, _ = invoke(capsys, "change", *corpus_arg, "--changes", str(change_set_path),
@@ -179,6 +179,22 @@ def test_change_reports_the_digest_of_the_input_file(capsys, corpus_arg, change_
                           "--out", str(tmp_path / "after.reqcorpus.json"), "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["body"]["before"] == hashlib.sha256(worked_example_path.read_bytes()).hexdigest()
+
+
+def test_change_out_onto_its_own_corpus_writes_what_a_fresh_path_gets(capsys, change_set_path, tmp_path,
+                                                                      worked_example_path):
+    import hashlib
+
+    # the whole input is read before the output is opened, so --out may name the --corpus file itself
+    data = worked_example_path.read_bytes()
+    fresh, same = tmp_path / "fresh.reqcorpus.json", tmp_path / "same.reqcorpus.json"
+    same.write_bytes(data)
+    outputs = [invoke(capsys, "change", "--corpus", str(same), "--changes", str(change_set_path),
+                      "--out", str(out), "--format", "json") for out in (fresh, same)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
+    assert same.read_bytes() == fresh.read_bytes() != data
+    # the worked example is canonical, so before is the digest of the file the command overwrote
+    assert json.loads(outputs[1][1])["body"]["before"] == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("command,flag", [
