@@ -179,11 +179,12 @@ def _requirement(raw: Any) -> Requirement:
     if type(raw) is dict and len(raw) == 7:
         try:
             rid, kind, jid, key, text, digest, ids = _REQUIREMENT_FIELDS(raw)
-        except KeyError:
+            "".join(ids)  # raises TypeError unless ids holds only str
+        except (KeyError, TypeError):
             pass
         else:
             if (type(rid) is type(kind) is type(jid) is type(key) is type(text) is type(digest) is str and digest
-                    and type(ids) is list and all(type(i) is str for i in ids) and kind in _REQUIREMENT_KINDS):
+                    and type(ids) is list and kind in _REQUIREMENT_KINDS):
                 return Requirement(rid, _REQUIREMENT_KINDS[kind], jid, key, text, digest, frozenset(ids))
     r = _take(raw, "requirement", _REQUIREMENT)
     derived = r.get("derivedFrom", ())
@@ -287,7 +288,9 @@ def _render(value: Any, pad: str, out: list[str]) -> None:
             _render(v, inner, out)
             sep = "," + inner
         out.append(pad + "]")
-    else:  # a scalar or an empty container, through the C encoder of json.dumps
+    elif isinstance(value, (dict, list, tuple)):  # empty
+        out.append("{}" if isinstance(value, dict) else "[]")
+    else:  # a scalar, through the C encoder of json.dumps
         out.append(_str(value) if isinstance(value, str) else json.dumps(value))
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from reqlattice.model import Corpus, RelationSet, Requirement, check_acyclic
@@ -52,23 +52,23 @@ def refinement_closure(relations: RelationSet, ids: set[str] | frozenset[str]) -
     return frozenset(closure)
 
 
-def derive_contradictions(relations: RelationSet) -> frozenset[frozenset[str]]:
-    """Contradiction pairs closed under refinement strengthening.
+def _inherited_contradictions(relations: RelationSet, accept: Callable[[str], bool]) -> set[tuple[str, str]]:
+    """Contradiction pairs closed under refinement strengthening, between ids that ``accept`` takes.
 
     If contr(x, y) holds and x' refines x, then contr(x', y): the stronger
     statement inherits every incompatibility of the weaker one it subsumes.
+    One reverse walk from each endpoint finds it and its transitive refiners;
+    only the accepted ones enter the product, and each pair comes once, sorted.
     Degenerate self-pairs (an element refining both sides) are dropped; the
     relation stays irreflexive.
     """
-    endpoints = {i for pair in relations.contradicts for i in pair}
     direct: dict[str, list[str]] = {}
     for strong, weaker in relations.refinement_order.items():  # raises CycleError on a cycle
         for weak in weaker:
             direct.setdefault(weak, []).append(strong)
 
-    # each endpoint with all its transitive refiners, by a reverse walk
-    covered: dict[str, set[str]] = {}
-    for x in endpoints:
+    covered: dict[str, list[str]] = {}
+    for x in {i for pair in relations.contradicts for i in pair}:
         seen = {x}
         frontier = [x]
         while frontier:
@@ -76,15 +76,20 @@ def derive_contradictions(relations: RelationSet) -> frozenset[frozenset[str]]:
                 if strong not in seen:
                     seen.add(strong)
                     frontier.append(strong)
-        covered[x] = seen
+        covered[x] = [i for i in seen if accept(i)]
 
-    derived: set[frozenset[str]] = set()
+    derived: set[tuple[str, str]] = set()
     for x, y in relations.contradicts:
         for a in covered[x]:
             for b in covered[y]:
                 if a != b:
-                    derived.add(frozenset((a, b)))
-    return frozenset(derived)
+                    derived.add((a, b) if a < b else (b, a))
+    return derived
+
+
+def derive_contradictions(relations: RelationSet) -> frozenset[frozenset[str]]:
+    """Contradiction pairs closed under refinement strengthening, over ids of either role, each as a frozenset."""
+    return frozenset(map(frozenset, _inherited_contradictions(relations, lambda i: True)))
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,5 @@ class ConflictRecord:
 def find_conflicts(corpus: Corpus) -> list[ConflictRecord]:
     """Every derived contradiction between two requirements (not sources), sorted."""
     items = corpus.by_id
-    pairs = sorted(tuple(sorted(p)) for p in derive_contradictions(corpus.relations)
-                   if all(isinstance(items.get(i), Requirement) for i in p))
+    pairs = sorted(_inherited_contradictions(corpus.relations, lambda i: isinstance(items.get(i), Requirement)))
     return [ConflictRecord(pair, "explicit" if pair in corpus.relations.contradicts else "derived") for pair in pairs]

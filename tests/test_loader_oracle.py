@@ -181,3 +181,13 @@ def test_canonical_records_read_by_one_fetch_as_by_the_search(seed):
 @settings(max_examples=600, deadline=None)
 def test_mutated_records_read_by_one_fetch_as_by_the_search(doc):
     _assert_one_fetch_matches_the_search(doc)
+
+
+def test_a_non_string_id_in_a_record_read_by_one_fetch_gives_the_search_fault():
+    greet = BASE["requirements"][2]
+    assert len(greet) == 7  # every field present: the one-fetch path reads it first
+    want = ("BAD_TYPE", "BAD_TYPE: requirement 'r-greet' derivedFrom must hold ids")
+    for bad in NON_STRING_IDS:
+        for ids in ([bad], ["s-custom", bad], [bad, "s-custom"]):
+            raw = {**greet, "derivedFrom": ids}
+            assert _parsed(corpus_io._requirement, raw) == _parsed(corpus_io._requirement, Sub(raw)) == want, ids

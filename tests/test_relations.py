@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fixpoint_contradictions, path_enumeration_closure, random_dag
+from oracles import fixpoint_contradictions, path_enumeration_closure, random_corpus, random_dag
 from reqlattice import corpus_io, model
 from reqlattice.errors import CycleError
 from reqlattice.model import (
@@ -252,3 +252,45 @@ class TestFindConflicts:
         parts = [partition_sources(corpus, kind) for kind in SourceKind]
         flagged = [f.item_id for f in check_specific_contradiction_condition(corpus, *parts)]
         assert flagged == ["src-de-address", "src-fr-address"]
+
+
+def _with_sources_and_self_pairs(corpus: Corpus, rng: random.Random) -> Corpus:
+    """``corpus`` plus random same-kind ``refines`` and ``contradicts`` pairs between sources, and, in some
+    kinds of either role, an item that refines both ends of a contradiction: a self-pair the rule must drop.
+    Every added ``refines`` pair points forward in id order within its kind, as random_corpus's do, so the
+    relation stays acyclic."""
+    refines, contradicts = set(corpus.relations.refines), set(corpus.relations.contradicts)
+    groups: dict = {}
+    for item in (*corpus.sources, *corpus.requirements):
+        groups.setdefault(item.kind, []).append(item.id)
+    for kind, ids in groups.items():
+        ids.sort()
+        if isinstance(kind, SourceKind):
+            for i, a in enumerate(ids):
+                for b in ids[i + 1:]:
+                    roll = rng.random()
+                    if roll < 0.1:
+                        refines.add((a, b))
+                    elif roll < 0.2:
+                        contradicts.add((a, b))
+        if len(ids) >= 3 and rng.random() < 0.7:
+            both, x, y = sorted(rng.sample(ids, 3))
+            refines |= {(both, x), (both, y)}
+            contradicts.add((x, y))
+    widened = replace(corpus, relations=rel(refines, contradicts))
+    model.validate_corpus(widened)
+    return widened
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_conflicts_match_the_fixpoint_oracle_between_requirements(seed):
+    rng = random.Random(seed)
+    corpus = _with_sources_and_self_pairs(random_corpus(rng, with_relations=True), rng)
+    relations = corpus.relations
+    requirement_ids = {r.id for r in corpus.requirements}
+    oracle = fixpoint_contradictions(set(relations.refines), set(relations.contradicts))
+    want = [(pair, "explicit" if pair in relations.contradicts else "derived")
+            for pair in sorted(tuple(sorted(p)) for p in oracle if p <= requirement_ids)]
+    assert [(r.pair, r.origin) for r in find_conflicts(corpus)] == want
+    assert [(r.pair, r.origin) for r in global_view(corpus).conflicts] == want
