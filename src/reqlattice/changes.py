@@ -25,8 +25,9 @@ untouched (it is immutable) and raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from operator import attrgetter
+from typing import NamedTuple
 
 from reqlattice import model
 from reqlattice.corpus_io import ChangeOp, ChangeSet, validate_change_set
@@ -44,23 +45,20 @@ CASE_SOURCE_CHANGE = "SOURCE_CHANGE"
 _ELABORATED_FROM = {source: kind for kind, source in model.SOURCE_KIND_FOR_REQUIREMENT.items()}
 
 
-@dataclass(frozen=True)
-class Migration:
+class Migration(NamedTuple):
     item_id: str
     from_set: str  # "general" | "specific:<jid>"
     to_set: str
 
 
-@dataclass(frozen=True)
-class ReuseHint:
+class ReuseHint(NamedTuple):
     component_id: str
     owner_jurisdiction: str
     for_jurisdiction: str
     via_requirement: str
 
 
-@dataclass(frozen=True)
-class OpRecord:
+class OpRecord(NamedTuple):
     op: str
     target: str
     case_code: str
@@ -70,8 +68,7 @@ class OpRecord:
     reuse: tuple[ReuseHint, ...] = ()  # a 1b promotion's, one per (component, counterpart)
 
 
-@dataclass(frozen=True)
-class ImpactReport:
+class ImpactReport(NamedTuple):
     label: str
     per_op: tuple[OpRecord, ...]
 

@@ -21,10 +21,9 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from reqlattice import model
 from reqlattice.errors import IOFailure, ParseError, ValidationError
@@ -354,16 +353,14 @@ def save_corpus(corpus: Corpus, path: str | Path, layouts: dict[int, str] | None
 # ---------------------------------------------------------------------------
 # change sets
 
-@dataclass(frozen=True)
-class ChangePayload:
+class ChangePayload(NamedTuple):
     """New content for a modify op; unset fields keep the old value."""
 
     text: str | None = None
     concept_key: str | None = None
 
 
-@dataclass(frozen=True)
-class ChangeOp:
+class ChangeOp(NamedTuple):
     op: str  # "add" | "remove" | "modify"
     target: str
     # the new item for an add op (its id is ``target``), new content for a modify
@@ -371,8 +368,7 @@ class ChangeOp:
     adopted_by: frozenset[str] | None = None
 
 
-@dataclass(frozen=True)
-class ChangeSet:
+class ChangeSet(NamedTuple):
     label: str
     ops: tuple[ChangeOp, ...]
 
@@ -459,14 +455,12 @@ def load_change_set(path: str | Path, corpus: Corpus | None = None) -> ChangeSet
 # ---------------------------------------------------------------------------
 # alternatives (TOPSIS input)
 
-@dataclass(frozen=True)
-class Alternative:
+class Alternative(NamedTuple):
     id: str
     satisfies: dict[str, float]
 
 
-@dataclass(frozen=True)
-class AlternativesFile:
+class AlternativesFile(NamedTuple):
     alternatives: tuple[Alternative, ...]
     weights: dict[str, float]  # criterion id -> raw weight; may be empty
 

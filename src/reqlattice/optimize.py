@@ -7,14 +7,13 @@ baseline keeps the minimal elements, the floor any compliant system must meet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from reqlattice.model import Corpus, RequirementKind
 from reqlattice.relations import ConflictRecord, find_conflicts, min_refiner
 
 
-@dataclass(frozen=True)
-class OptimizedView:
+class OptimizedView(NamedTuple):
     scope: str
     strongest: frozenset[str]
     baseline: frozenset[str]
@@ -43,8 +42,7 @@ def _view(ids: set[str] | frozenset[str], refiners: dict[str, str], corpus: Corp
     )
 
 
-@dataclass(frozen=True)
-class GlobalView:
+class GlobalView(NamedTuple):
     per_jurisdiction: dict[str, dict[str, OptimizedView]]  # jid -> kind -> view
     global_per_kind: dict[str, OptimizedView]
     global_all: OptimizedView

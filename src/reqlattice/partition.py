@@ -12,6 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from reqlattice.errors import PartitionMismatchError
 from reqlattice.model import SOURCE_KIND_FOR_REQUIREMENT, Corpus, RequirementKind, SourceKind
@@ -51,8 +52,7 @@ class ScenarioOption(str, Enum):
     PARTIAL_OVERLAP = "PartialOverlap"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     code: str
     severity: str  # "error" | "warning"
     item_id: str

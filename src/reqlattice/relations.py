@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from reqlattice.model import Corpus, RelationSet, Requirement, check_acyclic
 
@@ -92,8 +92,7 @@ def derive_contradictions(relations: RelationSet) -> frozenset[frozenset[str]]:
     return frozenset(map(frozenset, _inherited_contradictions(relations, lambda i: True)))
 
 
-@dataclass(frozen=True)
-class ConflictRecord:
+class ConflictRecord(NamedTuple):
     pair: tuple[str, str]  # sorted endpoints
     origin: str  # "explicit" | "derived"
 

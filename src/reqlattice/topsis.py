@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from reqlattice.corpus_io import AlternativesFile
 from reqlattice.errors import DegenerateMatrixError, UnknownRequirementError
@@ -30,8 +31,7 @@ def _pairwise_sum(terms: list[float]) -> float:
     return reduce(add, terms[n - n % 8:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     id: str
     weight: float
     direction: str  # "benefit" | "cost"
@@ -70,8 +70,7 @@ def make_matrix(alternatives: list[str], criteria: list[tuple[str, float, str]],
     return DecisionMatrix(alternatives=tuple(alternatives), criteria=crits, values=values)
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(NamedTuple):
     entries: tuple[tuple[str, float], ...]  # (alternative id, closeness), best first
     dropped_criteria: tuple[str, ...]
 
