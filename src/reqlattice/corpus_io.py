@@ -17,7 +17,6 @@ routine, ``_render``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -184,7 +183,7 @@ def _requirement(raw: Any) -> Requirement:
         else:
             if (type(rid) is type(kind) is type(jid) is type(key) is type(text) is type(digest) is str and digest
                     and type(ids) is list and kind in _REQUIREMENT_KINDS):
-                return Requirement(rid, _REQUIREMENT_KINDS[kind], jid, key, text, digest, frozenset(ids))
+                return Requirement(rid, _REQUIREMENT_KINDS[kind], jid, key, text, digest, frozenset(ids) if ids else model.NO_DERIVATIONS)
     r = _take(raw, "requirement", _REQUIREMENT)
     derived = r.get("derivedFrom", ())
     for sid in derived:
@@ -192,7 +191,7 @@ def _requirement(raw: Any) -> Requirement:
             raise ValidationError("BAD_TYPE", f"requirement {r['id']!r} derivedFrom must hold ids")
     return Requirement(r["id"], _member(_REQUIREMENT_KINDS, r, "kind", "requirement"), r["jurisdiction"],
                        r["conceptKey"], r["text"], r.get("contentHash") or model.content_hash(r["text"]),
-                       frozenset(derived))
+                       frozenset(derived) if derived else model.NO_DERIVATIONS)
 
 
 #: the record parser for each ``role`` an add op's payload may name
@@ -339,7 +338,7 @@ def canonical_bytes(corpus: Corpus, layouts: dict[int, str] | None = None) -> by
 def save_corpus(corpus: Corpus, path: str | Path, layouts: dict[int, str] | None = None) -> str:
     """Write corpus_chunks(corpus, layouts) to ``path``, rendered before the file opens; return the bytes' sha256."""
     chunks = corpus_chunks(corpus, layouts)
-    digest = hashlib.sha256()
+    digest = model.sha256()
     try:
         with open(path, "wb") as file:
             for chunk in chunks:

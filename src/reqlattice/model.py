@@ -10,7 +10,6 @@ straight into its slot instead of the generated ``__init__``'s one
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
@@ -46,6 +45,7 @@ SOURCE_KIND_FOR_REQUIREMENT = {
 }
 
 _WS_RUN = re.compile(r"\s+")
+NO_DERIVATIONS: frozenset[str] = frozenset()  # the one derivedFrom of every requirement that derives from nothing
 
 
 def normalize_text(text: str) -> str:
@@ -53,9 +53,15 @@ def normalize_text(text: str) -> str:
     return _WS_RUN.sub(" ", text.lower()).strip()
 
 
+def sha256(data: bytes = b""):
+    """A new sha256 hash object. hashlib, and OpenSSL with it, loads on the first call: only a command that hashes pays."""
+    import hashlib
+    return hashlib.sha256(data)
+
+
 def content_hash(text: str) -> str:
     """Fingerprint of the normative content: sha256 of the normalized text."""
-    return hashlib.sha256(normalize_text(text).encode("utf-8")).hexdigest()
+    return sha256(normalize_text(text).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -97,11 +103,11 @@ class Requirement:
     concept_key: str
     text: str
     content_hash: str
-    derived_from: frozenset[str] = frozenset()
+    derived_from: frozenset[str] = NO_DERIVATIONS
 
     role = "requirement"
 
-    def __init__(self, id, kind, jurisdiction, concept_key, text, content_hash, derived_from=frozenset()):
+    def __init__(self, id, kind, jurisdiction, concept_key, text, content_hash, derived_from=NO_DERIVATIONS):
         set_id, set_kind, set_jurisdiction, set_concept_key, set_text, set_content_hash, set_derived_from = _REQUIREMENT_SLOTS
         set_id(self, id)
         set_kind(self, kind)
@@ -393,7 +399,7 @@ def corpus_fingerprint(corpus: Corpus, layouts: dict[int, str] | None = None) ->
     """sha256 of the canonical serialization, reported before and after a change set, fed from corpus_chunks."""
     from reqlattice import corpus_io  # it imports this module
 
-    digest = hashlib.sha256()
+    digest = sha256()
     for chunk in corpus_io.corpus_chunks(corpus, layouts):
         digest.update(chunk)
     return digest.hexdigest()

@@ -10,7 +10,7 @@ import pytest
 from oracles import random_corpus
 from reqlattice import cli, corpus_io, model
 from reqlattice.errors import IOFailure, ParseError, ValidationError
-from reqlattice.model import Component, Corpus, Jurisdiction, Level
+from reqlattice.model import Component, Corpus, Jurisdiction, Level, Requirement
 
 
 MINIMAL = {
@@ -70,6 +70,31 @@ class TestLoadCorpus:
         corpus = corpus_io.load_corpus(write(tmp_path, doc))
         from reqlattice.model import content_hash
         assert corpus.sources[0].content_hash == content_hash("Some  Law")
+
+    def test_hash_computed_when_absent_is_the_stored_one(self, worked_example_path, worked_example, tmp_path):
+        # the worked example stores each record's contentHash; dropping them all loads the same corpus
+        doc = json.loads(worked_example_path.read_text(encoding="utf-8"))
+        for record in (*doc["sources"], *doc["requirements"]):
+            del record["contentHash"]
+        unhashed = corpus_io.load_corpus(write(tmp_path, doc))
+        assert unhashed == worked_example
+        assert unhashed.sources[0].content_hash == "429468c73dbdd59fb98bdbc8292dabc72cb23b9f4d2eca6bd02179b710806389"
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast-path", "slow-path"])
+    def test_no_derivations_share_one_empty_set(self, worked_example_path, tmp_path, fast):
+        doc = json.loads(worked_example_path.read_text(encoding="utf-8"))
+        if not fast:  # a record without its contentHash or derivedFrom takes the checked path
+            for record in doc["requirements"]:
+                del record["contentHash"]
+            del doc["requirements"][0]["derivedFrom"]
+        corpus = corpus_io.load_corpus(write(tmp_path, doc))
+        underived = [r for r in corpus.requirements if not r.derived_from]
+        assert [r.id for r in underived] == ["req-de-audit", "req-fr-audit"]
+        for r in underived:
+            assert r.derived_from is model.NO_DERIVATIONS is Requirement("r", "k", "j", "c", "t", "h").derived_from
+            own = dataclasses.replace(r, derived_from=frozenset())  # an empty set of its own, as the loader once gave
+            assert own.derived_from is not r.derived_from
+            assert (own, hash(own), repr(own)) == (r, hash(r), repr(r))
 
     def test_explicit_hash_preserved(self, tmp_path):
         doc = dict(MINIMAL, sources=[{

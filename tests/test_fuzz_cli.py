@@ -1,18 +1,22 @@
 """Mutated worked-example documents never break the exit-code contract.
 
-Each example takes the shipped corpus, change set or alternatives file,
-applies a few random mutations (a dropped field or element, a retyped or
-replaced value, every number of a subtree scaled, a duplicated element, an
-extra field) and runs one command on it through ``cli.run``. Whatever the
-input, the command must end in a documented exit code, print no traceback
-and never print a NaN. A second family writes what ``json.dumps`` never
-does (a non-finite number literal, 3000-deep nesting, a truncated text) or
-closes a ``refines`` cycle; each must end in exit 1 with one stderr line.
+Each example takes the shipped corpus, change set or alternatives file, with
+one fixed national/state/org forest drawn as the corpus in place of the worked
+example about half the time, so that mutations also reach ancestor chains and
+every ``--level`` frontier. It applies a few random mutations (a dropped field
+or element, a retyped or replaced value, every number of a subtree scaled, a
+duplicated element, an extra field) and runs one command on it through
+``cli.run``. Whatever the input, the command must end in a documented exit
+code, print no traceback and never print a NaN. A second family writes what
+``json.dumps`` never does (a non-finite number literal, 3000-deep nesting, a
+truncated text) or closes a ``refines`` cycle; each must end in exit 1 with
+one stderr line.
 """
 
 import contextlib
 import io
 import json
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -20,6 +24,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import corpus_to_doc, random_tree_corpus
 from reqlattice import cli
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
@@ -35,6 +40,8 @@ DOCS["reqchange"]["ops"] += [
         "text": "Public holidays are days of rest."}},
     {"op": "remove", "target": "req-fr-salutation"},
 ]
+# two national roots over two states and an org, with refines pairs across the forest and one contradicts pair
+TREE = corpus_to_doc(random_tree_corpus(random.Random(5)))
 
 # what a command reads besides the corpus
 COMMANDS = {
@@ -56,7 +63,7 @@ def _strings(doc) -> set[str]:
     return {doc} if isinstance(doc, str) else set()
 
 
-WORDS = sorted(set().union(*map(_strings, DOCS.values()))
+WORDS = sorted(set().union(*map(_strings, [*DOCS.values(), TREE]))
                | {"national", "state", "organisational", "legal", "cultural", "legalBased",
                   "culturalBased", "functional", "general", "specific", "add", "remove", "modify",
                   "source", "requirement", "role", "adoptedBy", "payload", "derivedFrom", "isStatic",
@@ -129,12 +136,17 @@ def _run(data, command, texts):
     return code, out.getvalue(), err.getvalue()
 
 
+def _base(data) -> dict:
+    """The shipped documents, with the worked example or the tree as the corpus."""
+    return {**DOCS, "reqcorpus": data.draw(st.sampled_from([DOCS["reqcorpus"], TREE]))}
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_mutated_documents_keep_the_exit_code_contract(data):
     command = data.draw(st.sampled_from(sorted(COMMANDS)))
     mutated = data.draw(st.sampled_from(["reqcorpus", *COMMANDS[command][1:]]))
-    docs = {suffix: json.loads(json.dumps(doc)) for suffix, doc in DOCS.items()}
+    docs = {suffix: json.loads(json.dumps(doc)) for suffix, doc in _base(data).items()}
     for _ in range(data.draw(st.integers(1, 3))):
         docs[mutated] = _mutate(data, docs[mutated])
     code, out, err = _run(data, command, {suffix: json.dumps(doc) for suffix, doc in docs.items()})
@@ -186,14 +198,15 @@ def test_raw_text_and_cyclic_documents_exit_1(data):
     mutated = data.draw(st.sampled_from(["reqcorpus", *COMMANDS[command][1:]]))
     action = data.draw(st.sampled_from(
         ["non-finite", "nested", "truncated", *(["cycle"] if mutated == "reqcorpus" else [])]))
-    texts = {suffix: json.dumps(doc) for suffix, doc in DOCS.items()}
+    base = _base(data)
+    texts = {suffix: json.dumps(doc) for suffix, doc in base.items()}
     if action == "cycle":  # the reversed copy of a refines pair closes a two-cycle
         doc = json.loads(texts["reqcorpus"])
         pairs = doc["relations"]["refines"]
         pairs.append(data.draw(st.sampled_from(pairs))[::-1])
         texts["reqcorpus"] = json.dumps(doc)
     else:
-        texts[mutated] = _raw_text(data, DOCS[mutated], action)
+        texts[mutated] = _raw_text(data, base[mutated], action)
     code, out, err = _run(data, command, texts)
 
     assert (code, out) == (1, ""), err

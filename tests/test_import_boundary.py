@@ -1,9 +1,14 @@
-"""No command loads numpy, only ``cli`` imports ``gc``, the package imports one way,
-and only ``cli.run`` catches a package error.
+"""No command loads numpy, only a command that hashes loads hashlib, only ``cli``
+imports ``gc``, the package imports one way, and only ``cli.run`` catches a
+package error.
 
 numpy is only the tests' oracle for ``rank``, so every command, ``rank``
 included, runs in an interpreter where importing numpy fails. The check runs
 in a fresh interpreter, since this test session has imported numpy already.
+hashlib, and OpenSSL with it, loads only on the first hash (``model.sha256``):
+every analysis command, at every ``--level`` and in both formats, leaves it
+unloaded, while ``change``, with or without ``--out``, and the load of a
+record without ``contentHash`` load it and keep their digests.
 ``reqlattice.topsis`` itself stays imported with the CLI: the benchmark tracer
 wraps its functions through ``sys.modules``.
 
@@ -18,6 +23,7 @@ it to an exit code, so no other ``except`` clause names a class of ``errors``.
 
 import ast
 import graphlib
+import hashlib
 import json
 import os
 import subprocess
@@ -32,46 +38,91 @@ CORPORA = ROOT / "corpora"
 EXPECTED = Path(__file__).resolve().parent / "expected_text"
 
 # run in the child with numpy blocked: report whether the CLI is loaded with
-# topsis, and each command's exit code and text stdout
+# topsis, and each command's exit code, text stdout and whether hashlib is loaded after it
 PROGRAM = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None  # `import numpy` now raises ImportError
 from reqlattice import cli
 
-corpus, changes, alts, out = sys.argv[1:]
 facts = {"topsis": "reqlattice.topsis" in sys.modules, "commands": []}
-argvs = [[command, *level] for command in ("validate", "partition", "scenario")
-         for level in ([], *(["--level", flag] for flag in ("national", "state", "org")))]
-argvs += [["optimize"], ["conflicts"], ["hierarchy"], ["change", "--changes", changes, "--out", out],
-          ["rank", "--alts", alts]]
-for argv in argvs:
+for argv in json.loads(sys.argv[1]):
     for fmt in ("text", "json"):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = cli.run([*argv, "--corpus", corpus, "--format", fmt])
-        facts["commands"].append([argv, fmt, code, stdout.getvalue()])
+            code = cli.run([*argv, "--format", fmt])
+        hashing = [name for name in ("hashlib", "_hashlib") if name in sys.modules]
+        facts["commands"].append([argv, fmt, code, stdout.getvalue(), hashing])
 facts["numpy"] = sys.modules["numpy"] is not None
 print(json.dumps(facts))
 """
 
+CORPUS = CORPORA / "worked-example.reqcorpus.json"
+# every command that hashes nothing, at no --level and at every --level
+ANALYSES = [[command, *level, "--corpus", str(CORPUS)] for command in ("validate", "partition", "scenario")
+            for level in ([], *(["--level", flag] for flag in ("national", "state", "org")))]
+ANALYSES += [[command, "--corpus", str(CORPUS)] for command in ("optimize", "conflicts", "hierarchy")]
+ANALYSES += [["rank", "--corpus", str(CORPUS), "--alts", str(CORPORA / "worked-example.reqalts.json")]]
+CHANGE = ["change", "--corpus", str(CORPUS), "--changes", str(CORPORA / "worked-example.reqchange.json")]
 
-def test_no_command_imports_numpy(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", PROGRAM, str(CORPORA / "worked-example.reqcorpus.json"),
-         str(CORPORA / "worked-example.reqchange.json"), str(CORPORA / "worked-example.reqalts.json"),
-         str(tmp_path / "after.reqcorpus.json")],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "REQLATTICE_COLOR": "0"})
+
+def run_fresh(argvs: list[list[str]]) -> dict:
+    """PROGRAM's facts for ``argvs``, each run in both formats, in one fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", PROGRAM, json.dumps(argvs)], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "REQLATTICE_COLOR": "0"})
     assert proc.returncode == 0, proc.stderr
-    facts = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
 
+
+@pytest.fixture(scope="module")
+def after(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("change") / "after.reqcorpus.json"
+
+
+@pytest.fixture(scope="module")
+def facts(after) -> dict:
+    """Every command, the analyses first and then change without and with --out, in one fresh interpreter."""
+    return run_fresh([*ANALYSES, CHANGE, [*CHANGE, "--out", str(after)]])
+
+
+def test_no_command_imports_numpy(facts, after):
     assert facts["topsis"] is True and facts["numpy"] is False
-    assert len(facts["commands"]) == 2 * (3 * 4 + 5)
-    for argv, fmt, code, _ in facts["commands"]:
+    assert len(facts["commands"]) == 2 * (3 * 4 + 6)
+    for argv, fmt, code, _, _ in facts["commands"]:
         assert code == 0, (argv, fmt)
-    assert (tmp_path / "after.reqcorpus.json").is_file()
-    rank_text = [stdout for argv, fmt, _, stdout in facts["commands"] if (argv[0], fmt) == ("rank", "text")]
+    assert after.is_file()
+    rank_text = [stdout for argv, fmt, _, stdout, _ in facts["commands"] if (argv[0], fmt) == ("rank", "text")]
     assert rank_text == [(EXPECTED / "rank.txt").read_text(encoding="utf-8")]
+
+
+def test_only_a_command_that_hashes_loads_hashlib(facts, after, tmp_path):
+    runs = facts["commands"]
+    analyses, changes = runs[:2 * len(ANALYSES)], runs[2 * len(ANALYSES):]
+    assert [(argv, fmt, hashing) for argv, fmt, _, _, hashing in analyses] == [
+        (argv, fmt, []) for argv in ANALYSES for fmt in ("text", "json")]
+    assert [argv[-1] for argv, _, _, _, _ in changes] == [CHANGE[-1]] * 2 + [str(after)] * 2
+    for _, _, code, _, hashing in changes:
+        assert code == 0 and "hashlib" in hashing
+    # the digests: the worked example is stored in canonical form, and --out holds the changed corpus
+    bodies = [json.loads(stdout)["body"] for _, fmt, _, stdout, _ in changes if fmt == "json"]
+    assert [(body["before"], body["after"]) for body in bodies] == [
+        (hashlib.sha256(CORPUS.read_bytes()).hexdigest(), hashlib.sha256(after.read_bytes()).hexdigest())] * 2
+    assert changes[0][3] == (EXPECTED / "change.txt").read_text(encoding="utf-8")
+
+    # change --out alone, in a fresh interpreter, loads hashlib and prints what it printed after the analyses
+    alone = run_fresh([[*CHANGE, "--out", str(tmp_path / "after.reqcorpus.json")]])["commands"]
+    assert [(stdout, "hashlib" in hashing) for _, _, _, stdout, hashing in alone] == [
+        (stdout, True) for _, _, _, stdout, _ in changes[2:]]
+    assert (tmp_path / "after.reqcorpus.json").read_bytes() == after.read_bytes()
+
+    # a record without contentHash is hashed at load: that loads hashlib, and the report is unchanged
+    doc = json.loads(CORPUS.read_text(encoding="utf-8"))
+    for record in (*doc["sources"], *doc["requirements"]):
+        del record["contentHash"]
+    unhashed = tmp_path / "unhashed.reqcorpus.json"
+    unhashed.write_text(json.dumps(doc), encoding="utf-8")
+    validated = run_fresh([["validate", "--corpus", str(unhashed)]])["commands"]
+    assert [(code, stdout, "hashlib" in hashing) for _, _, code, stdout, hashing in validated] == [
+        (0, stdout, True) for _, _, _, stdout, _ in analyses[:2]]
 
 
 def names(node: ast.AST, module: str) -> bool:
