@@ -93,11 +93,11 @@ def _level_partitions(corpus: Corpus, level_flag: str | None,
     frontier = None if level_flag is None else hierarchy.select_level(corpus, _LEVEL_FLAG[level_flag])
     out: dict[str, Partition] = {}
     if SourceKind in kinds:
-        views = {} if frontier is None else hierarchy.level_source_view(corpus, frontier)
-        out.update({k.value: partition.partition_sources(corpus, k, views.get(k)) for k in SourceKind})
+        reads = None if frontier is None else hierarchy.level_source_view(corpus, frontier)
+        out.update({k.value: partition.partition_sources(corpus, k, None, reads) for k in SourceKind})
     if RequirementKind in kinds:
-        views = {} if frontier is None else hierarchy.level_requirement_view(corpus, frontier)
-        out.update({k.value: partition.partition_requirements(corpus, k, views.get(k)) for k in RequirementKind})
+        reads = None if frontier is None else hierarchy.level_requirement_view(corpus, frontier)
+        out.update({k.value: partition.partition_requirements(corpus, k, None, reads) for k in RequirementKind})
     return out
 
 

@@ -1,22 +1,20 @@
-"""Level composition: effective requirement sets and hierarchy lint.
+"""Level composition: effective requirement sets, level views and hierarchy lint.
 
 A node's effective requirements are its own plus everything inherited from
-ancestor jurisdictions, with refinement shadowing: when a nearer requirement
-refines an ancestor's, the weaker ancestor version is dropped. Each node's
-set is built on first read, from its parent's, and kept on the corpus, as
-``own(child) ∪ (effective(parent) − reach(own(child)))``, where ``reach``
-follows ``refines`` from the child's own items through items of the child
-and its ancestors only: an inherited item is shadowed through an own item,
-or was already shadowed at the parent.
-Selecting a level turns each frontier node (plus its inherited items) into
-one analysis unit, so the flat partition engine works unchanged at any level.
+ancestor jurisdictions, with refinement shadowing: an ancestor's requirement
+is dropped when an own item refines it along ``refines`` through ancestors'
+items only, or when it was already dropped at the parent. Each node's set is
+built on first read, from its parent's, and kept on the corpus.
+A level view turns each frontier node into one analysis unit without copying
+what it inherits: the node reads its own and each ancestor's items, one
+shared segment per jurisdiction, less the few ids that shadowing removes.
 """
 
 from __future__ import annotations
 
 from reqlattice.errors import UnknownIdError
-from reqlattice.model import Corpus, Level, RequirementKind, SourceKind
-from reqlattice.partition import Finding, ItemView
+from reqlattice.model import Corpus, Level, RequirementKind
+from reqlattice.partition import Finding, Reads
 
 
 def select_level(corpus: Corpus, level: Level) -> tuple[str, ...]:
@@ -34,38 +32,49 @@ def effective_requirements(corpus: Corpus, node: str) -> frozenset[str]:
     chain = corpus.ancestor_chains.get(node)
     if chain is None:
         raise UnknownIdError(node)
-    pool = {node, *chain}
-    own = {r.id for kind in RequirementKind for r in corpus.members.get((node, kind), ())}
-    reach: set[str] = set()
-    pending = list(own)
-    order = corpus.relations.refinement_order
-    while pending:
-        for weak in order.get(pending.pop(), ()):
-            if weak not in reach and corpus.by_id[weak].jurisdiction in pool:
-                reach.add(weak)
-                pending.append(weak)
+    own = [r.id for kind in RequirementKind for r in corpus.members.get((node, kind), ())]
     inherited = effective_requirements(corpus, chain[0]) if chain else frozenset()
     # from a list: a frozenset copied from a set gets a table twice as large;
     # setdefault, so concurrent first readers share one set
-    return memo.setdefault(node, frozenset([*own, *(inherited - reach)]))
+    shadow = shadowed(corpus, node, own)
+    return memo.setdefault(node, frozenset([*own, *(inherited - shadow if shadow else inherited)]))
 
 
-def level_requirement_view(corpus: Corpus, frontier: tuple[str, ...]) -> dict[RequirementKind, ItemView]:
-    """Per-kind, per-frontier-node requirements, for partition analysis:
-    each frontier node's effective set, split by kind."""
-    views: dict[RequirementKind, ItemView] = {kind: {node: [] for node in frontier} for kind in RequirementKind}
-    for node in frontier:
-        for rid in effective_requirements(corpus, node):
-            r = corpus.by_id[rid]
-            views[r.kind][node].append(r)
-    return views
+def shadowed(corpus: Corpus, node: str, own: list[str]) -> set[str]:
+    """The ancestors' requirement ids that ``own``, requirement ids of ``node``,
+    refine along ``refines`` paths through the ancestors' items only."""
+    ancestors = corpus.ancestor_chains[node]
+    by_id, order = corpus.by_id, corpus.relations.refinement_order
+    reach: set[str] = set()
+    pending = list(own)
+    while pending:
+        for weak in order.get(pending.pop(), ()):
+            if weak not in reach and by_id[weak].jurisdiction in ancestors:
+                reach.add(weak)
+                pending.append(weak)
+    return reach
 
 
-def level_source_view(corpus: Corpus, frontier: tuple[str, ...]) -> dict[SourceKind, ItemView]:
-    """Per-kind, per-frontier-node sources, for partition analysis: a node
-    sees its own sources plus every ancestor's (no shadowing)."""
-    return {kind: {node: [s for jid in (node, *corpus.ancestor_chains[node]) for s in corpus.members.get((jid, kind), ())]
-                   for node in frontier} for kind in SourceKind}
+def level_requirement_view(corpus: Corpus, frontier: tuple[str, ...]) -> Reads:
+    """What each frontier node reads for requirement partitions: its own and its ancestors'
+    items, less the ids that its or an ancestor's shadowing removes, a set siblings share."""
+    by_id, order, chains = corpus.by_id, corpus.relations.refinement_order, corpus.ancestor_chains
+    refiners: dict[str, list[str]] = {}  # jurisdiction -> its requirements that refine another
+    for strong, weaker in order.items():
+        if weaker and by_id[strong].role == "requirement":
+            refiners.setdefault(by_id[strong].jurisdiction, []).append(strong)
+    hidden: dict[str, frozenset[str]] = {}
+    for jid in sorted({jid for node in frontier for jid in (node, *chains[node])}, key=lambda jid: len(chains[jid])):
+        above = hidden[chains[jid][0]] if chains[jid] else frozenset()  # top down: the parent's is there
+        shadow = shadowed(corpus, jid, refiners.get(jid, []))
+        hidden[jid] = above | shadow if shadow else above
+    return {node: ((node, *chains[node]), hidden[node]) for node in frontier}
+
+
+def level_source_view(corpus: Corpus, frontier: tuple[str, ...]) -> Reads:
+    """What each frontier node reads for source partitions: its own sources
+    plus every ancestor's (no shadowing)."""
+    return {node: ((node, *corpus.ancestor_chains[node]), frozenset()) for node in frontier}
 
 
 # the finding for a state or organisational node without a parent

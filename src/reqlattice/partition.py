@@ -8,6 +8,7 @@ kind (legal / cultural / functional) and always forms a disjoint cover.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -59,7 +60,8 @@ class Finding(NamedTuple):
     message: str
 
 
-ItemView = dict[str, Sequence]  # jurisdiction id -> items, read as a set (their order means nothing); holders follow key order
+ItemView = dict[str, Sequence]  # jurisdiction id -> items, read as a set (their order means nothing)
+Reads = dict[str, tuple[tuple[str, ...], frozenset[str]]]  # node -> (it, then each ancestor it reads; ids it does not see)
 
 
 def flat_view(corpus: Corpus, kind: SourceKind | RequirementKind) -> ItemView:
@@ -67,50 +69,57 @@ def flat_view(corpus: Corpus, kind: SourceKind | RequirementKind) -> ItemView:
     return {j.id: corpus.members.get((j.id, kind), ()) for j in corpus.jurisdictions}
 
 
-def _partition(role: str, corpus: Corpus, kind: SourceKind | RequirementKind, view: ItemView | None) -> Partition:
-    if view is None:
-        view = flat_view(corpus, kind)
-    # concept -> jurisdiction ids holding it, and the full hash set
-    holders: dict[str, set[str]] = {}
-    hashes: dict[str, set[str]] = {}
-    for jid, items in view.items():
-        for item in items:
-            holders.setdefault(item.concept_key, set()).add(jid)
-            hashes.setdefault(item.concept_key, set()).add(item.content_hash)
+def _partition(role: str, corpus: Corpus, kind: SourceKind | RequirementKind,
+               view: ItemView | None, reads: Reads | None) -> Partition:
+    """``view`` holds each jurisdiction's own items (the flat view by default)
+    and ``reads`` the frontier in bucket order, by default each jurisdiction
+    of ``view`` reading only its own. Each item is read once."""
+    view = flat_view(corpus, kind) if view is None else view
+    above = corpus.ancestor_chains  # at a level, a jurisdiction's items are read below it too
+    if reads is None:  # flat: no jurisdiction reads another's items
+        reads, above = {jid: ((jid,), frozenset()) for jid in view}, None
+    width = Counter(jid for chain, _ in reads.values() for jid in chain)  # jurisdiction -> frontier nodes reading it
+    # a general concept is seen by every frontier node, so by the first one
+    chain, ids = next(iter(reads.values()), ((), frozenset()))
+    held: dict[str, list] = {item.concept_key: [] for jid in chain for item in view.get(jid, ()) if item.id not in ids}
+    for jid in width:
+        for item in view.get(jid, ()):
+            if (items := held.get(item.concept_key)) is not None:
+                items.append(item)
+    hidden = frozenset().union(*{ids for _, ids in reads.values()})
 
-    all_jids = set(view)
-    general_keys = {
-        key for key in holders
-        if holders[key] == all_jids and len(hashes[key]) == 1
-    }
+    # general: every frontier node sees an item of the concept, and every item seen has one hash
+    general_concepts: dict[str, frozenset[str]] = {}
+    for key, items in held.items():
+        holders = {item.jurisdiction for item in items}
+        # the topmost holders' readers are disjoint: they must cover the frontier
+        if sum(width[jid] for jid in holders if above is None or holders.isdisjoint(above[jid])) < len(reads):
+            continue
+        if hidden and not hidden.isdisjoint([item.id for item in items]):  # some node does not see some item
+            seen_by = [[item for item in items if item.jurisdiction in chain and item.id not in ids]
+                       for chain, ids in reads.values()]
+            if not all(seen_by):
+                continue
+            items = {item for found in seen_by for item in found}
+        if len({item.content_hash for item in items}) == 1:
+            general_concepts[key] = frozenset([item.id for item in items])
 
-    general: set[str] = set()
-    general_concepts: dict[str, set[str]] = {}
-    specific: dict[str, set[str]] = {jid: set() for jid in view}
-    for jid, items in view.items():
-        for item in items:
-            if item.concept_key in general_keys:
-                general.add(item.id)
-                general_concepts.setdefault(item.concept_key, set()).add(item.id)
-            else:
-                specific[jid].add(item.id)
-
-    return Partition(
-        role=role,
-        kind=kind.value,
-        general=frozenset(general),
-        specific={jid: frozenset(ids) for jid, ids in specific.items()},
-        general_concepts={k: frozenset(v) for k, v in general_concepts.items()},
-        corpus=corpus,
-    )
+    own_specific = {jid: frozenset([item.id for item in view.get(jid, ()) if item.concept_key not in general_concepts])
+                    for jid in width}
+    specific = {node: own_specific[node].union(*map(own_specific.__getitem__, chain[1:])) - ids if chain[1:]
+                else own_specific[node] for node, (chain, ids) in reads.items()}
+    return Partition(role=role, kind=kind.value, general=frozenset().union(*general_concepts.values()),
+                     specific=specific, general_concepts=general_concepts, corpus=corpus)
 
 
-def partition_sources(corpus: Corpus, kind: SourceKind, view: ItemView | None = None) -> Partition:
-    return _partition("sources", corpus, kind, view)
+def partition_sources(corpus: Corpus, kind: SourceKind, view: ItemView | None = None,
+                      reads: Reads | None = None) -> Partition:
+    return _partition("sources", corpus, kind, view, reads)
 
 
-def partition_requirements(corpus: Corpus, kind: RequirementKind, view: ItemView | None = None) -> Partition:
-    return _partition("requirements", corpus, kind, view)
+def partition_requirements(corpus: Corpus, kind: RequirementKind, view: ItemView | None = None,
+                           reads: Reads | None = None) -> Partition:
+    return _partition("requirements", corpus, kind, view, reads)
 
 
 def _check_same_corpus(corpus: Corpus, *parts: Partition) -> None:

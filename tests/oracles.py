@@ -345,6 +345,65 @@ def random_tree_corpus(rng: random.Random) -> Corpus:
     return tree
 
 
+def lineage(corpus: Corpus, jid: str) -> list[str]:
+    """``jid`` and its ancestors, by parent links, up to an unknown parent or a loop."""
+    parents = {j.id: j.parent for j in corpus.jurisdictions}
+    out = [jid]
+    while parents.get(out[-1]) is not None and parents[out[-1]] not in out:
+        out.append(parents[out[-1]])
+    return out
+
+
+def with_ancestor_derivations(rng: random.Random, corpus: Corpus) -> Corpus:
+    """Each legal- or cultural-based requirement derives from up to two
+    sources of its allowed kind, held by its jurisdiction or an ancestor."""
+    requirements = []
+    for r in corpus.requirements:
+        allowed = SOURCE_KIND_FOR_REQUIREMENT.get(r.kind)
+        chain = lineage(corpus, r.jurisdiction)
+        pool = sorted(s.id for s in corpus.sources if s.kind is allowed and s.jurisdiction in chain)
+        requirements.append(replace(r, derived_from=frozenset(rng.sample(pool, rng.randint(0, min(2, len(pool)))))))
+    return replace(corpus, requirements=tuple(requirements))
+
+
+def with_components(rng: random.Random, corpus: Corpus) -> Corpus:
+    """One to three components, general or of one jurisdiction, each
+    implementing up to three requirements."""
+    rids = sorted(r.id for r in corpus.requirements)
+    components = tuple(
+        Component(id=f"comp-{i}", implements=frozenset(rng.sample(rids, rng.randint(0, min(3, len(rids))))),
+                  jurisdiction=None if rng.random() < 0.4 else rng.choice(corpus.jurisdictions).id)
+        for i in range(rng.randint(1, 3)))
+    return replace(corpus, components=components)
+
+
+def random_forest(rng: random.Random) -> Corpus:
+    """A :func:`random_tree_corpus` forest whose requirements derive from
+    their own and their ancestors' sources, with components."""
+    return with_components(rng, with_ancestor_derivations(rng, random_tree_corpus(rng)))
+
+
+def level_view(corpus: Corpus, level: Level | None, kind: SourceKind | RequirementKind) -> dict[str, list]:
+    """Each frontier node's items of ``kind`` by definition, in id order of
+    the nodes: with no level every jurisdiction and its own items; at a
+    level its nodes, each with its :func:`closure_effective` requirements
+    or its own and every ancestor's sources."""
+    frontier = sorted(j.id for j in corpus.jurisdictions if level is None or j.level is level)
+    items = corpus.requirements if isinstance(kind, RequirementKind) else corpus.sources
+    if level is None:
+        return {node: [i for i in items if i.jurisdiction == node and i.kind is kind] for node in frontier}
+    seen = {node: closure_effective(corpus, node) if isinstance(kind, RequirementKind)
+            else {s.id for s in items if s.jurisdiction in lineage(corpus, node)} for node in frontier}
+    return {node: [i for i in items if i.id in seen[node] and i.kind is kind] for node in frontier}
+
+
+def expand_reads(corpus: Corpus, reads: dict, kind: SourceKind | RequirementKind) -> dict[str, list]:
+    """Each frontier node's items of ``kind`` under a level view's reads: the
+    items of every jurisdiction it reads, less those it does not see."""
+    return {node: [i for jid in chain for i in corpus.members.get((jid, kind), ()) if i.id not in hidden]
+            for node, (chain, hidden) in reads.items()}
+
+
 def random_label(rng: random.Random, length: int = 6) -> str:
     return "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
 

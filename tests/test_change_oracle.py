@@ -1,9 +1,11 @@
 """Random change sets checked against the per-concept partition oracle and
 against the from-scratch change path.
 
-Each example draws a random corpus with components and derivations and a
-sequence of ops on distinct targets: requirement modifies (new text and/or
-concept key, with ``adoptedBy`` drawn mostly for general targets), adds
+Each example draws a random corpus with components and derivations, flat
+or, half the time, a national/state/org forest whose requirements derive
+from their ancestors' sources too, and a sequence of ops on distinct
+targets: requirement modifies (new text and/or concept key, with
+``adoptedBy`` drawn mostly for general targets), adds
 (some deriving from sources), removes (some of a source that requirements
 derive from) and source modifies. Some ops must fail: a modify or remove of
 an unknown id, an add over an existing item, jurisdiction or component id, an
@@ -38,8 +40,10 @@ from hypothesis import strategies as st
 from oracles import (
     corpus_to_doc,
     dumps_layout,
+    lineage,
     per_concept_partition,
     random_corpus,
+    random_forest,
     scratch_apply_change_set,
     scratch_impact_body,
     scratch_members,
@@ -132,12 +136,14 @@ def _derived_from(data, corpus, kind, jurisdiction):
     """Up to two source ids for an added requirement, mostly ones its kind
     and jurisdiction allow; and whether they must fail: an unknown id, a
     source of the wrong kind or of another jurisdiction, or any source for a
-    functional requirement. An allowed source may still be gone, removed by
-    an earlier op."""
+    functional requirement. The jurisdiction's ancestors' sources are
+    allowed too. An allowed source may still be gone, removed by an earlier
+    op."""
     allowed = SOURCE_KIND_FOR_REQUIREMENT.get(kind)
-    fitting = [s.id for s in corpus.sources if s.jurisdiction == jurisdiction and s.kind is allowed]
+    chain = lineage(corpus, jurisdiction)
+    fitting = [s.id for s in corpus.sources if s.jurisdiction in chain and s.kind is allowed]
     wrong_kind = [s.id for s in corpus.sources if s.kind is not allowed]
-    elsewhere = [s.id for s in corpus.sources if s.jurisdiction != jurisdiction and s.kind is allowed]
+    elsewhere = [s.id for s in corpus.sources if s.jurisdiction not in chain and s.kind is allowed]
     pools = [st.sampled_from(ids) for ids in (fitting, fitting, wrong_kind, elsewhere, ["unknown-source"]) if ids]
     ids = data.draw(st.lists(st.one_of(pools), max_size=2, unique=True))
     return ids, bool(ids) and (kind is RequirementKind.FUNCTIONAL or not set(ids) <= set(fitting))
@@ -145,11 +151,15 @@ def _derived_from(data, corpus, kind, jurisdiction):
 
 def _draw_change_set(data) -> tuple[Corpus, dict, bool]:
     """A random corpus, a change-set document for it, and whether the set
-    must fail."""
-    # one variant per concept makes general requirements, and so 2a/2b, common
-    corpus = random_corpus(random.Random(data.draw(st.integers(0, 2**32 - 1))), max_jurisdictions=3,
-                           max_concepts=8, hash_alphabet=data.draw(st.integers(1, 3)),
-                           with_relations=True, with_components=True, with_derivations=True)
+    must fail. The corpus is flat, or half the time a national/state/org
+    forest whose requirements derive from their ancestors' sources too."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        corpus = random_forest(rng)
+    else:
+        # one variant per concept makes general requirements, and so 2a/2b, common
+        corpus = random_corpus(rng, max_jurisdictions=3, max_concepts=8, hash_alphabet=data.draw(st.integers(1, 3)),
+                               with_relations=True, with_components=True, with_derivations=True)
     general_ids = set().union(*(_general(corpus, kind) for kind in RequirementKind))
     ops, doomed, used = [], False, set()
     for i in range(data.draw(st.integers(1, 6))):

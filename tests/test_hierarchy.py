@@ -4,13 +4,15 @@ import threading
 
 import pytest
 
-from reqlattice import cli, corpus_io, model
+from oracles import expand_reads
+from reqlattice import cli, corpus_io, hierarchy, model
 from reqlattice.errors import UnknownIdError, ValidationError
 from reqlattice.hierarchy import (
     effective_requirements,
     level_requirement_view,
     level_source_view,
     select_level,
+    shadowed,
     validate_hierarchy,
 )
 from reqlattice.model import (
@@ -207,10 +209,14 @@ class TestRecurrence:
     @pytest.mark.parametrize("level, built", [
         (Level.NATIONAL, {"nat"}), (Level.STATE, {"nat", "st"}), (Level.ORGANISATIONAL, {"nat", "st", "org"}),
     ])
-    def test_a_level_view_builds_only_its_frontier_and_their_ancestors(self, level, built):
+    def test_a_level_view_builds_only_its_frontier_and_their_ancestors(self, level, built, monkeypatch):
+        # it walks the shadowing of each such node once, and copies no effective set
         corpus = tree_corpus(refines=[("r-st", "r-nat")])
+        walked = []
+        monkeypatch.setattr(hierarchy, "shadowed", lambda c, node, own: walked.append(node) or shadowed(c, node, own))
         level_requirement_view(corpus, select_level(corpus, level))
-        assert set(corpus.effective_sets) == built
+        assert sorted(walked) == sorted(built)
+        assert corpus.effective_sets == {}
 
     @pytest.mark.parametrize("argv, built", [
         (["validate", "--level", "state"], {"nat", "st"}),
@@ -218,13 +224,17 @@ class TestRecurrence:
         (["hierarchy"], {"nat", "st", "org"}),
     ])
     def test_a_command_builds_only_the_sets_its_level_reads(self, argv, built, tmp_path, monkeypatch, capsys):
+        # a level command walks the shadowing its level reads; only hierarchy keeps effective sets
         corpus = tree_corpus(refines=[("r-st", "r-nat")])
         path = tmp_path / "tree.reqcorpus.json"
         corpus_io.save_corpus(corpus, path)
         monkeypatch.setattr(corpus_io, "load_corpus", lambda _path: corpus)
+        walked = []
+        monkeypatch.setattr(hierarchy, "shadowed", lambda c, node, own: walked.append(node) or shadowed(c, node, own))
         assert cli.run([*argv, "--corpus", str(path), "--format", "json"]) == cli.EXIT_OK
         capsys.readouterr()
-        assert set(corpus.effective_sets) == built
+        assert sorted(walked) == sorted(built)
+        assert set(corpus.effective_sets) == (built if argv == ["hierarchy"] else set())
 
 
 class TestAncestorChains:
@@ -259,10 +269,14 @@ class TestLevelSelection:
         assert sel == ("st",)
 
     def test_level_view_uses_effective_sets(self):
-        corpus = tree_corpus()
-        frontier = select_level(corpus, Level.ORGANISATIONAL)
-        view = level_requirement_view(corpus, frontier)[RequirementKind.FUNCTIONAL]
-        assert {r.id for r in view["org"]} == {"r-nat", "r-st", "r-org"}
+        # what a node reads, less what it does not see, is its effective set
+        for refines in ((), [("r-org", "r-nat")], [("r-st", "r-nat")], [("r-org", "r-st"), ("r-st", "r-nat")]):
+            corpus = tree_corpus(refines)
+            reads = level_requirement_view(corpus, select_level(corpus, Level.ORGANISATIONAL))
+            view = expand_reads(corpus, reads, RequirementKind.FUNCTIONAL)
+            assert {r.id for r in view["org"]} == effective_requirements(corpus, "org")
+        assert {r.id for r in expand_reads(corpus, level_source_view(corpus, ("org",)), RequirementKind.FUNCTIONAL)["org"]} == {
+            "r-nat", "r-st", "r-org"}
 
 
 class TestValidateHierarchy:

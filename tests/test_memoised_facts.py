@@ -20,6 +20,7 @@ from oracles import (
     brute_force_minimal,
     corpus_to_doc,
     dumps_layout,
+    expand_reads,
     fixpoint_contradictions,
     path_enumeration_closure,
     random_tree_corpus,
@@ -95,11 +96,11 @@ def check_against_oracles(corpus: Corpus) -> None:
 
     for level in Level:
         frontier = select_level(corpus, level)
-        got = level_requirement_view(corpus, frontier)
+        reads = level_requirement_view(corpus, frontier)
         expect = oracle_level_view(corpus, level)
         for kind in RequirementKind:
             rmap = corpus.requirement_map()
-            assert {node: sorted(r.id for r in items) for node, items in got[kind].items()} == {
+            assert {node: sorted(r.id for r in items) for node, items in expand_reads(corpus, reads, kind).items()} == {
                 node: sorted(i for i in visible if rmap[i].kind is kind)
                 for node, visible in expect.items()
             }

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_concept_partition, random_corpus, random_tree_corpus, specific_contradiction_condition
+from oracles import (
+    level_view,
+    per_concept_partition,
+    random_corpus,
+    random_forest,
+    random_tree_corpus,
+    specific_contradiction_condition,
+)
 from reqlattice import cli, corpus_io, hierarchy, model, partition
 from reqlattice.errors import PartitionMismatchError
 from reqlattice.model import (
@@ -261,11 +268,11 @@ class TestLevelPartitionOwner:
             requirements=[req("r-st", "st-a", "state-rule", "state rule", derived=["s-nat"])],
         )
         frontier = hierarchy.select_level(corpus, Level.ORGANISATIONAL)
-        req_views = hierarchy.level_requirement_view(corpus, frontier)
-        source_views = hierarchy.level_source_view(corpus, frontier)
+        req_reads = hierarchy.level_requirement_view(corpus, frontier)
+        source_reads = hierarchy.level_source_view(corpus, frontier)
         return corpus, {
-            **{k.value: partition_sources(corpus, k, source_views[k]) for k in SourceKind},
-            **{k.value: partition_requirements(corpus, k, req_views[k]) for k in RequirementKind},
+            **{k.value: partition_sources(corpus, k, None, source_reads) for k in SourceKind},
+            **{k.value: partition_requirements(corpus, k, None, req_reads) for k in RequirementKind},
         }
 
     def test_inherited_item_owned_by_first_frontier_node(self):
@@ -375,22 +382,55 @@ class TestSpecificContradictionCondition:
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_level_partitions_read_each_node_as_a_set(seed):
-    # a level view's order within a node carries no meaning: shuffling it changes nothing
+    # the order of what a node reads carries no meaning: shuffling each
+    # jurisdiction's items and each node's ancestors changes nothing
     rng = random.Random(seed)
     corpus = random_tree_corpus(rng)
-    for level in Level:
-        frontier = hierarchy.select_level(corpus, level)
-        views = {**hierarchy.level_source_view(corpus, frontier), **hierarchy.level_requirement_view(corpus, frontier)}
-        shuffled = {kind: {node: rng.sample(items, len(items)) for node, items in view.items()}
-                    for kind, view in views.items()}
+    for level in (None, *Level):
+        frontier = None if level is None else hierarchy.select_level(corpus, level)
+        reads = {SourceKind: None, RequirementKind: None} if level is None else {
+            SourceKind: hierarchy.level_source_view(corpus, frontier),
+            RequirementKind: hierarchy.level_requirement_view(corpus, frontier)}
         results = []
-        for chosen in (views, shuffled):
-            parts = {kind.value: partition_sources(corpus, kind, view) if isinstance(kind, SourceKind)
-                     else partition_requirements(corpus, kind, view) for kind, view in chosen.items()}
+        for shuffled in (False, True):
+            parts = {}
+            for kind in (*SourceKind, *RequirementKind):
+                view, kind_reads = None, reads[type(kind)]
+                if shuffled:
+                    view = {jid: rng.sample(items, len(items)) for jid, items in partition.flat_view(corpus, kind).items()}
+                    if kind_reads is not None:
+                        kind_reads = {node: ((chain[0], *rng.sample(chain[1:], len(chain) - 1)), ids)
+                                      for node, (chain, ids) in kind_reads.items()}
+                build = partition_sources if isinstance(kind, SourceKind) else partition_requirements
+                parts[kind.value] = build(corpus, kind, view, kind_reads)
             results.append(([(p.general, list(p.specific.items()), p.general_concepts) for p in parts.values()],
                             check_elaboration(corpus, parts),
                             check_specific_contradiction_condition(corpus, *parts.values())))
         assert results[0] == results[1]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_level_partitions_match_the_oracle_over_materialised_views(seed):
+    # each frontier node's items materialised from the definition (effective
+    # sets by closure, sources along the parent links), then split per concept
+    corpus = random_forest(random.Random(seed))
+    for flag in (None, *cli._LEVEL_FLAG):
+        parts = cli._level_partitions(corpus, flag, (SourceKind, RequirementKind))
+        for kind in (*SourceKind, *RequirementKind):
+            view = level_view(corpus, cli._LEVEL_FLAG.get(flag), kind)
+            general, specific = per_concept_partition(view)
+            part = parts[kind.value]
+            assert (set(part.general), list(part.specific)) == (general, list(view))
+            assert {node: set(ids) for node, ids in part.specific.items()} == specific
+            concepts: dict = {}
+            for item_id in general:
+                concepts.setdefault(corpus.by_id[item_id].concept_key, set()).add(item_id)
+            assert part.general_concepts == concepts
+            # the first bucket in frontier order owns an item; a general or unseen one has no owner
+            for item in (*corpus.sources, *corpus.requirements):
+                if item.kind is kind:
+                    assert part.owner_of(item.id) == next((node for node in view if item.id in specific[node]), None)
 
 
 @given(st.integers(0, 2**32 - 1))

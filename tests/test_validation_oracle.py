@@ -13,7 +13,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import first_structural_fault, random_corpus, random_tree_corpus
+from oracles import first_structural_fault, lineage, random_corpus, random_forest
 from reqlattice import model
 from reqlattice.errors import ValidationError
 from reqlattice.model import (
@@ -39,40 +39,10 @@ def _requirement(rid, kind, jurisdiction, concept, derived=frozenset()):
                        content_hash=model.content_hash(rid), derived_from=derived)
 
 
-def _lineage(corpus: Corpus, jid: str) -> list[str]:
-    """``jid`` and its ancestors, by parent links, up to an unknown parent or a loop."""
-    parents = {j.id: j.parent for j in corpus.jurisdictions}
-    out = [jid]
-    while parents.get(out[-1]) is not None and parents[out[-1]] not in out:
-        out.append(parents[out[-1]])
-    return out
-
-
-def _with_ancestor_derivations(rng: random.Random, corpus: Corpus) -> Corpus:
-    """Each legal- or cultural-based requirement derives from up to two
-    sources of its allowed kind, held by its jurisdiction or an ancestor."""
-    requirements = []
-    for r in corpus.requirements:
-        allowed = SOURCE_KIND_FOR_REQUIREMENT.get(r.kind)
-        lineage = _lineage(corpus, r.jurisdiction)
-        pool = sorted(s.id for s in corpus.sources if s.kind is allowed and s.jurisdiction in lineage)
-        requirements.append(replace(r, derived_from=frozenset(rng.sample(pool, rng.randint(0, min(2, len(pool)))))))
-    return replace(corpus, requirements=tuple(requirements))
-
-
-def _with_components(rng: random.Random, corpus: Corpus) -> Corpus:
-    rids = sorted(r.id for r in corpus.requirements)
-    components = tuple(
-        Component(id=f"comp-{i}", implements=frozenset(rng.sample(rids, rng.randint(0, min(3, len(rids))))),
-                  jurisdiction=None if rng.random() < 0.4 else rng.choice(corpus.jurisdictions).id)
-        for i in range(rng.randint(1, 3)))
-    return replace(corpus, components=components)
-
-
 def base_corpus(rng: random.Random) -> Corpus:
     if rng.random() < 0.5:
         return random_corpus(rng, with_relations=True, with_components=True, with_derivations=True)
-    return _with_components(rng, _with_ancestor_derivations(rng, random_tree_corpus(rng)))
+    return random_forest(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +102,12 @@ def bad_derivation(rng, corpus):
         return corpus
     victim = rng.choice(elaborated)
     allowed = SOURCE_KIND_FOR_REQUIREMENT[victim.kind]
-    lineage = _lineage(corpus, victim.jurisdiction)
+    chain = lineage(corpus, victim.jurisdiction)
     candidates = {
         "unknown": ["s-nowhere", "a-nowhere"],
         "not a source": [r.id for r in corpus.requirements],
         "wrong kind": [s.id for s in corpus.sources if s.kind is not allowed],
-        "unrelated": [s.id for s in corpus.sources if s.kind is allowed and s.jurisdiction not in lineage],
+        "unrelated": [s.id for s in corpus.sources if s.kind is allowed and s.jurisdiction not in chain],
     }
     pool = candidates[rng.choice([k for k, ids in candidates.items() if ids])]
     return _swap(corpus, victim, replace(victim, derived_from=victim.derived_from | {rng.choice(pool)}))
