@@ -133,7 +133,7 @@ def _apply_payload(item: SourceItem | Requirement, op: ChangeOp, target: SourceI
     text = op.payload.text if op.payload.text is not None else item.text
     concept = op.payload.concept_key if op.payload.concept_key is not None else item.concept_key
     digest = item.content_hash if op.payload.text in (None, target.text) else model.content_hash(text)
-    new = replace(item, text=text, concept_key=concept, content_hash=digest)
+    new = item._replace(text=text, concept_key=concept, content_hash=digest)
     if (new.concept_key, new.content_hash) == (item.concept_key, item.content_hash):
         raise ValidationError("NO_CHANGE", f"modify op on {op.target!r} keeps its concept key and content")
     return new

@@ -157,7 +157,7 @@ _SOURCE_FIELDS, _REQUIREMENT_FIELDS = itemgetter(*_SOURCE[0]), itemgetter(*_REQU
 
 def _source(raw: Any) -> SourceItem:
     """One source record, from a corpus or an add op's payload."""
-    if type(raw) is dict and len(raw) == 7:  # as canonical_bytes writes it: one fetch, every check inline
+    if type(raw) is dict and len(raw) == 7:  # as canonical_bytes writes it: one fetch, every check inline, built past the class's Python __new__
         try:
             sid, kind, jid, key, text, digest, is_static = _SOURCE_FIELDS(raw)
         except KeyError:  # an unknown key in place of a known one
@@ -165,7 +165,7 @@ def _source(raw: Any) -> SourceItem:
         else:
             if (type(sid) is type(kind) is type(jid) is type(key) is type(text) is type(digest) is str and digest
                     and type(is_static) is bool and kind in _SOURCE_KINDS):
-                return SourceItem(sid, _SOURCE_KINDS[kind], jid, key, text, digest, is_static)
+                return tuple.__new__(SourceItem, (sid, _SOURCE_KINDS[kind], jid, key, text, digest, is_static))
     s = _take(raw, "source", _SOURCE)
     kind = _member(_SOURCE_KINDS, s, "kind", "source")
     return SourceItem(s["id"], kind, s["jurisdiction"], s["conceptKey"], s["text"],
@@ -183,7 +183,8 @@ def _requirement(raw: Any) -> Requirement:
         else:
             if (type(rid) is type(kind) is type(jid) is type(key) is type(text) is type(digest) is str and digest
                     and type(ids) is list and kind in _REQUIREMENT_KINDS):
-                return Requirement(rid, _REQUIREMENT_KINDS[kind], jid, key, text, digest, frozenset(ids) if ids else model.NO_DERIVATIONS)
+                return tuple.__new__(Requirement, (rid, _REQUIREMENT_KINDS[kind], jid, key, text, digest,
+                                                   frozenset(ids) if ids else model.NO_DERIVATIONS))
     r = _take(raw, "requirement", _REQUIREMENT)
     derived = r.get("derivedFrom", ())
     for sid in derived:

@@ -1,11 +1,11 @@
 """Domain types for jurisdictions, sources, requirements and their relations.
 
-Dataclasses here do not self-validate; :func:`validate_corpus` checks every
-structural invariant and raises :class:`~reqlattice.errors.ValidationError`.
-Sources and requirements are slotted, with no ``__dict__``. Each has one
-handwritten ``__init__`` with the generated signature, which stores each field
-straight into its slot instead of the generated ``__init__``'s one
-``object.__setattr__`` call per field.
+No type here self-validates; :func:`validate_corpus` checks every structural
+invariant and raises :class:`~reqlattice.errors.ValidationError`. Sources and
+requirements are named tuples, with no ``__dict__``: the loader builds each by
+one ``tuple.__new__`` call, past the class's generated ``__new__``.
+Jurisdictions, components, relation sets and corpora stay dataclasses, for
+their cached properties, ``replace`` or ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 from reqlattice.errors import CycleError, ValidationError
 
@@ -72,8 +73,7 @@ class Jurisdiction:
     parent: str | None = None
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SourceItem:
+class SourceItem(NamedTuple):
     id: str
     kind: SourceKind
     jurisdiction: str
@@ -84,19 +84,8 @@ class SourceItem:
 
     role = "source"
 
-    def __init__(self, id, kind, jurisdiction, concept_key, text, content_hash, is_static):
-        set_id, set_kind, set_jurisdiction, set_concept_key, set_text, set_content_hash, set_is_static = _SOURCE_SLOTS
-        set_id(self, id)
-        set_kind(self, kind)
-        set_jurisdiction(self, jurisdiction)
-        set_concept_key(self, concept_key)
-        set_text(self, text)
-        set_content_hash(self, content_hash)
-        set_is_static(self, is_static)
 
-
-@dataclass(frozen=True, slots=True, init=False)
-class Requirement:
+class Requirement(NamedTuple):
     id: str
     kind: RequirementKind
     jurisdiction: str
@@ -106,21 +95,6 @@ class Requirement:
     derived_from: frozenset[str] = NO_DERIVATIONS
 
     role = "requirement"
-
-    def __init__(self, id, kind, jurisdiction, concept_key, text, content_hash, derived_from=NO_DERIVATIONS):
-        set_id, set_kind, set_jurisdiction, set_concept_key, set_text, set_content_hash, set_derived_from = _REQUIREMENT_SLOTS
-        set_id(self, id)
-        set_kind(self, kind)
-        set_jurisdiction(self, jurisdiction)
-        set_concept_key(self, concept_key)
-        set_text(self, text)
-        set_content_hash(self, content_hash)
-        set_derived_from(self, derived_from)
-
-
-#: each record field's slot ``__set__``, in field order: it stores past the frozen ``__setattr__``
-_SOURCE_SLOTS = tuple(getattr(SourceItem, f.name).__set__ for f in fields(SourceItem))
-_REQUIREMENT_SLOTS = tuple(getattr(Requirement, f.name).__set__ for f in fields(Requirement))
 
 
 @dataclass(frozen=True)

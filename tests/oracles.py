@@ -8,7 +8,6 @@ per-concept check, TOPSIS in numpy arrays.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -194,15 +193,6 @@ def specific_contradiction_condition(corpus: Corpus, *parts: Partition) -> list[
     return findings
 
 
-def generated_init_record(cls: type) -> type:
-    """A frozen slotted dataclass with ``cls``'s name, fields, defaults and
-    ``role``, whose ``__init__`` the dataclass machinery generates: the
-    reference for a record's handwritten ``__init__``."""
-    specs = [(f.name, f.type) if f.default is dataclasses.MISSING
-             else (f.name, f.type, dataclasses.field(default=f.default)) for f in dataclasses.fields(cls)]
-    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True, slots=True, namespace={"role": cls.role})
-
-
 # ---------------------------------------------------------------------------
 # random generators
 
@@ -277,7 +267,7 @@ def random_corpus(
             allowed.setdefault((s.jurisdiction, s.kind), []).append(s.id)
         for i, r in enumerate(requirements):
             ids = allowed.get((r.jurisdiction, SOURCE_KIND_FOR_REQUIREMENT.get(r.kind)), [])
-            requirements[i] = replace(r, derived_from=frozenset(rng.sample(ids, rng.randint(0, min(2, len(ids))))))
+            requirements[i] = r._replace(derived_from=frozenset(rng.sample(ids, rng.randint(0, min(2, len(ids))))))
 
     refines: set[tuple[str, str]] = set()
     contradicts: set[tuple[str, str]] = set()
@@ -362,7 +352,7 @@ def with_ancestor_derivations(rng: random.Random, corpus: Corpus) -> Corpus:
         allowed = SOURCE_KIND_FOR_REQUIREMENT.get(r.kind)
         chain = lineage(corpus, r.jurisdiction)
         pool = sorted(s.id for s in corpus.sources if s.kind is allowed and s.jurisdiction in chain)
-        requirements.append(replace(r, derived_from=frozenset(rng.sample(pool, rng.randint(0, min(2, len(pool)))))))
+        requirements.append(r._replace(derived_from=frozenset(rng.sample(pool, rng.randint(0, min(2, len(pool)))))))
     return replace(corpus, requirements=tuple(requirements))
 
 
@@ -599,7 +589,7 @@ def _edit(item, op: ChangeOp, target):
     concept = op.payload.concept_key if op.payload.concept_key is not None else item.concept_key
     # the target's text, or none, keeps the hash, so every item the op writes gets the same one
     digest = item.content_hash if op.payload.text in (None, target.text) else model.content_hash(text)
-    new = replace(item, text=text, concept_key=concept, content_hash=digest)
+    new = item._replace(text=text, concept_key=concept, content_hash=digest)
     if (new.concept_key, new.content_hash) == (item.concept_key, item.content_hash):
         raise ValidationError("NO_CHANGE", f"modify op on {op.target!r} keeps its concept key and content")
     return new

@@ -31,7 +31,6 @@ import io
 import json
 import random
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -331,7 +330,7 @@ def _draw_promotion(data) -> tuple[Corpus, dict]:
         text = f"{concept} own" if jid == target_jid else shared
         version = held.get(jid) or Requirement(id=f"req-{jid}-{concept}", kind=kind, jurisdiction=jid,
                                                concept_key=concept, text="", content_hash="")
-        versions[jid] = replace(version, text=text, content_hash=model.content_hash(text))
+        versions[jid] = version._replace(text=text, content_hash=model.content_hash(text))
     counterparts = sorted(r.id for jid, r in versions.items() if jid != target_jid)
     requirements = {**{r.id: r for r in corpus.requirements}, **{r.id: r for r in versions.values()}}
     components = []

@@ -262,7 +262,7 @@ def source_tree_corpus():
                           content_hash=model.content_hash(i), is_static=False)
 
     def derived(i, jurisdiction, sid, kind=RequirementKind.LEGAL_BASED):
-        return replace(req(i, jurisdiction, "k", i, kind), derived_from=frozenset({sid}))
+        return req(i, jurisdiction, "k", i, kind)._replace(derived_from=frozenset({sid}))
 
     corpus = Corpus(
         jurisdictions=(jur("n"), jur("m"), Jurisdiction("st", "st", Level.STATE, parent="n"),

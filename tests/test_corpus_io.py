@@ -92,7 +92,7 @@ class TestLoadCorpus:
         assert [r.id for r in underived] == ["req-de-audit", "req-fr-audit"]
         for r in underived:
             assert r.derived_from is model.NO_DERIVATIONS is Requirement("r", "k", "j", "c", "t", "h").derived_from
-            own = dataclasses.replace(r, derived_from=frozenset())  # an empty set of its own, as the loader once gave
+            own = r._replace(derived_from=frozenset())  # an empty set of its own, as the loader once gave
             assert own.derived_from is not r.derived_from
             assert (own, hash(own), repr(own)) == (r, hash(r), repr(r))
 

@@ -5,7 +5,8 @@ values retyped, non-string ids, unknown enum values); ``parse_corpus`` must
 raise exactly the reference's first fault, or load and round-trip when the
 reference finds none. A source or requirement laid out as ``canonical_bytes``
 writes it is read by one fetch, any other by ``_take``'s search: both must
-give the same record or the same first fault.
+give the same record or the same first fault. Tuple ``==`` ignores the class,
+so each record's class and length are checked as well.
 """
 
 import copy
@@ -15,9 +16,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RECORD_ENUMS, first_record_error, random_corpus
+from oracles import RECORD_ENUMS, first_record_error, random_corpus, random_tree_corpus
 from reqlattice import corpus_io
 from reqlattice.errors import ValidationError
+from reqlattice.model import Requirement, SourceItem
 
 BASE = {
     "formatVersion": 1,
@@ -124,6 +126,13 @@ def _reference_error(doc):
     return None
 
 
+def _assert_whole_records(corpus):
+    """Each record is of its section's class and holds every field, which ``==`` between corpora does not check."""
+    for cls, records in ((SourceItem, corpus.sources), (Requirement, corpus.requirements)):
+        for record in records:
+            assert type(record) is cls and len(record) == len(cls._fields), record
+
+
 def test_base_corpus_is_valid():
     assert _reference_error(BASE) is None
     corpus_io.parse_corpus(copy.deepcopy(BASE))
@@ -138,6 +147,8 @@ def test_loader_raises_the_reference_first_error(doc):
         data = corpus_io.canonical_bytes(corpus)
         again = corpus_io.parse_corpus(json.loads(data))
         assert again == corpus and corpus_io.canonical_bytes(again) == data
+        _assert_whole_records(corpus)
+        _assert_whole_records(again)
         return
     try:
         corpus_io.parse_corpus(doc)
@@ -165,7 +176,10 @@ def _parsed(parse, raw):
 def _assert_one_fetch_matches_the_search(doc):
     for section, parse in PARSERS.items():
         for raw in doc[section]:
-            assert _parsed(parse, raw) == _parsed(parse, Sub(raw)), raw
+            fast, slow = _parsed(parse, raw), _parsed(parse, Sub(raw))
+            assert (type(fast), fast) == (type(slow), slow), raw
+            if type(fast) is not tuple:  # a record, not a fault's (code, message)
+                assert len(fast) == len(type(fast)._fields), raw
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -174,7 +188,25 @@ def test_canonical_records_read_by_one_fetch_as_by_the_search(seed):
     corpus = random_corpus(random.Random(seed), with_relations=True, with_derivations=True)
     doc = json.loads(corpus_io.canonical_bytes(corpus))
     _assert_one_fetch_matches_the_search(doc)
-    assert corpus_io.parse_corpus(doc) == corpus
+    loaded = corpus_io.parse_corpus(doc)
+    assert loaded == corpus
+    _assert_whole_records(loaded)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_the_one_fetch_builds_what_the_class_call_builds(seed, tree):
+    """The one-fetch path builds each record by ``tuple.__new__``, past the class's ``__new__``."""
+    rng = random.Random(seed)
+    corpus = random_tree_corpus(rng) if tree else random_corpus(rng, with_derivations=True)
+    doc = json.loads(corpus_io.canonical_bytes(corpus))
+    for (section, parse), cls in zip(PARSERS.items(), (SourceItem, Requirement)):
+        for raw in doc[section]:
+            assert len(raw) == len(cls._fields)  # laid out in full: the one-fetch path reads it
+            fast = parse(raw)
+            made = cls(*(getattr(fast, name) for name in cls._fields))
+            assert type(fast) is type(made) is cls and len(fast) == len(cls._fields)
+            assert (tuple(fast), repr(fast), hash(fast)) == (tuple(made), repr(made), hash(made))
 
 
 @given(mutated_corpora())

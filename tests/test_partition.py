@@ -148,8 +148,8 @@ class TestPartitionRequirements:
         corpus = random_corpus(rng, max_jurisdictions=4, max_concepts=8)
         renamed = Corpus(
             jurisdictions=tuple(replace(j, id="z" + j.id) for j in corpus.jurisdictions),
-            sources=tuple(replace(s, jurisdiction="z" + s.jurisdiction) for s in corpus.sources),
-            requirements=tuple(replace(r, jurisdiction="z" + r.jurisdiction) for r in corpus.requirements),
+            sources=tuple(s._replace(jurisdiction="z" + s.jurisdiction) for s in corpus.sources),
+            requirements=tuple(r._replace(jurisdiction="z" + r.jurisdiction) for r in corpus.requirements),
             relations=corpus.relations,
         )
         for kind in RequirementKind:
@@ -201,7 +201,7 @@ class TestCheckElaboration:
         bad = make(
             corpus.jurisdictions,
             sources=corpus.sources,
-            requirements=[r if r.id != "rg-a" else replace(r, derived_from=frozenset({"sg-a", "ss-a"}))
+            requirements=[r if r.id != "rg-a" else r._replace(derived_from=frozenset({"sg-a", "ss-a"}))
                           for r in corpus.requirements],
         )
         codes = [f.code for f in self._findings(bad)]
@@ -212,7 +212,7 @@ class TestCheckElaboration:
         bad = make(
             corpus.jurisdictions,
             sources=corpus.sources,
-            requirements=[r if r.id != "rs-a" else replace(r, derived_from=frozenset({"sg-a"}))
+            requirements=[r if r.id != "rs-a" else r._replace(derived_from=frozenset({"sg-a"}))
                           for r in corpus.requirements],
         )
         findings = self._findings(bad)
@@ -227,12 +227,12 @@ class TestCheckElaboration:
                      src("ss-b", "b", "own2", "other law")],
             requirements=[req("rs-b", "b", "rown", "do local", derived=["ss-b"])],
         )
-        # swap the derivation to the foreign source at the dataclass level,
+        # swap the derivation to the foreign source at the record level,
         # bypassing corpus validation on purpose
         broken = Corpus(
             jurisdictions=corpus.jurisdictions,
             sources=corpus.sources,
-            requirements=(replace(corpus.requirements[0], derived_from=frozenset({"ss-a"})),),
+            requirements=(corpus.requirements[0]._replace(derived_from=frozenset({"ss-a"})),),
         )
         findings = check_elaboration(broken, flat_partitions(broken))
         assert "SPECIFIC_REQ_FOREIGN_SOURCE" in [f.code for f in findings]

@@ -168,7 +168,7 @@ def grouped(*items):
     """Whether the partition puts the items, each in a jurisdiction of its
     own, together in the general set: semantic identity across jurisdictions."""
     jurisdictions = tuple(Jurisdiction(f"j{n}", f"J{n}", Level.NATIONAL) for n in range(len(items)))
-    placed = tuple(replace(item, id=f"x{n}", jurisdiction=f"j{n}") for n, item in enumerate(items))
+    placed = tuple(item._replace(id=f"x{n}", jurisdiction=f"j{n}") for n, item in enumerate(items))
     corpus = Corpus(jurisdictions=jurisdictions, sources=(), requirements=placed)
     general = set()
     for kind in {item.kind for item in items}:

@@ -1,4 +1,5 @@
-"""The result and input bags are named tuples; report bodies never hold one.
+"""The result and input bags, sources and requirements are named tuples;
+report bodies never hold one.
 
 A named tuple is a ``tuple``, and ``corpus_io._render`` lays out any tuple as
 a JSON array, so a record that leaked into a report body would print as an
@@ -6,8 +7,9 @@ array of its field values instead of failing. Each command's body is caught
 on its way into ``reports.envelope_json`` and must hold no value, or key, of
 a type that the package defines.
 
-Each bag stays immutable, builds the same value from keywords as from
-positions, and keeps its defaults.
+Each bag and record stays immutable, with no ``__dict__``, builds the same
+value from keywords as from positions, keeps its defaults (the very objects),
+and ``_replace`` keeps its class.
 """
 
 import inspect
@@ -20,6 +22,7 @@ from reqlattice import corpus_io, reports
 from reqlattice.changes import ImpactReport, Migration, OpRecord, ReuseHint
 from reqlattice.cli import EXIT_OK, EXIT_STRICT, run
 from reqlattice.corpus_io import Alternative, AlternativesFile, ChangeOp, ChangePayload, ChangeSet
+from reqlattice.model import NO_DERIVATIONS, Requirement, RequirementKind, SourceItem, SourceKind
 from reqlattice.optimize import GlobalView, OptimizedView
 from reqlattice.partition import Finding
 from reqlattice.relations import ConflictRecord
@@ -106,11 +109,14 @@ SAMPLES = {
     ChangeSet: ("label", ()),
     Alternative: ("a1", {"r1": 1.0}),
     AlternativesFile: ((), {}),
+    SourceItem: ("s1", SourceKind.LEGAL, "j1", "c1", "a text", "h1", False),
+    Requirement: ("r1", RequirementKind.FUNCTIONAL, "j1", "c1", "a text", "h1"),
 }
 DEFAULTS = {
     ChangePayload: {"text": None, "concept_key": None},
     ChangeOp: {"payload": None, "adopted_by": None},
     OpRecord: {"reuse": ()},
+    Requirement: {"derived_from": NO_DERIVATIONS},
 }
 
 
@@ -126,7 +132,7 @@ def test_each_bag_is_immutable_and_keeps_its_defaults(cls):
     made = cls(*values)
     assert made == cls(**dict(zip(required, values)))
     assert made == cls(*values, *defaults.values())
-    assert {name: getattr(made, name) for name in defaults} == defaults
+    assert all(getattr(made, name) is default for name, default in defaults.items())
     for name in params:
         with pytest.raises(AttributeError):
             setattr(made, name, getattr(made, name))
@@ -134,3 +140,6 @@ def test_each_bag_is_immutable_and_keeps_its_defaults(cls):
             delattr(made, name)
     with pytest.raises(AttributeError):
         made.unknown_field = 1
+    assert not hasattr(made, "__dict__")
+    again = made._replace()
+    assert type(again) is cls and again == made

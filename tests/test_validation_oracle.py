@@ -77,14 +77,14 @@ def unknown_item_jurisdiction(rng, corpus):
     if not items:
         return corpus
     victim = rng.choice(items)
-    return _swap(corpus, victim, replace(victim, jurisdiction=rng.choice(["j-nowhere", "comp-0"])))
+    return _swap(corpus, victim, victim._replace(jurisdiction=rng.choice(["j-nowhere", "comp-0"])))
 
 
 def repeated_concept(rng, corpus):
     items = _items(corpus)
     if not items:
         return corpus
-    return _add(corpus, replace(rng.choice(items), id=_fresh_id(rng, "twin")))
+    return _add(corpus, rng.choice(items)._replace(id=_fresh_id(rng, "twin")))
 
 
 def functional_with_sources(rng, corpus):
@@ -93,7 +93,7 @@ def functional_with_sources(rng, corpus):
         return corpus
     victim = rng.choice(functional)
     sid = rng.choice([s.id for s in corpus.sources] or ["s-nowhere"])
-    return _swap(corpus, victim, replace(victim, derived_from=victim.derived_from | {sid}))
+    return _swap(corpus, victim, victim._replace(derived_from=victim.derived_from | {sid}))
 
 
 def bad_derivation(rng, corpus):
@@ -110,7 +110,7 @@ def bad_derivation(rng, corpus):
         "unrelated": [s.id for s in corpus.sources if s.kind is allowed and s.jurisdiction not in chain],
     }
     pool = candidates[rng.choice([k for k, ids in candidates.items() if ids])]
-    return _swap(corpus, victim, replace(victim, derived_from=victim.derived_from | {rng.choice(pool)}))
+    return _swap(corpus, victim, victim._replace(derived_from=victim.derived_from | {rng.choice(pool)}))
 
 
 def bad_relation_pair(rng, corpus):
