@@ -1,89 +1,62 @@
-"""Each slotted record has one handwritten ``__init__``, which stores each
-field straight into its slot. It must build the record that a generated
-frozen-dataclass ``__init__`` builds: the same field values, ``hash``,
-``repr`` and ``dataclasses.replace``, refusing writes alike and keeping no
-``__dict__``.
+"""Sources and requirements are named tuples with no handwritten ``__init__``:
+each field is stored in its own tuple position, and the class call takes the
+signature that ``collections.namedtuple`` generates for the same fields and
+defaults, so a record is built the same from positions as from keywords and
+one built from its required fields alone takes the defaults.
 """
 
-import dataclasses
+import collections
 import inspect
-import random
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from oracles import generated_init_record, random_corpus, random_tree_corpus
 from reqlattice.model import Requirement, SourceItem
 
 RECORDS = (Requirement, SourceItem)
-REFERENCES = {cls: generated_init_record(cls) for cls in RECORDS}
-
-
-def _values(record) -> list:
-    return [getattr(record, f.name) for f in dataclasses.fields(record)]
+REFERENCES = {cls: collections.namedtuple(cls.__name__, cls._fields, defaults=tuple(cls._field_defaults.values()))
+              for cls in RECORDS}
 
 
 def _behaves_like(record, values: list) -> None:
-    """``record`` holds ``values`` and, like a generated-``__init__`` record, is frozen and has no ``__dict__``."""
-    assert _values(record) == values
+    """``record`` holds ``values``, one to a field in field order, is immutable and has no ``__dict__``."""
+    assert [getattr(record, name) for name in record._fields] == values
+    assert list(record) == values
     assert not hasattr(record, "__dict__")
-    for f in dataclasses.fields(record):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, f.name, getattr(record, f.name))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(record, f.name)
-
-
-@given(st.integers(0, 2**32 - 1), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_init_builds_the_generated_init_record(seed, tree):
-    rng = random.Random(seed)
-    corpus = random_tree_corpus(rng) if tree else random_corpus(rng, with_derivations=True)
-    for record in (*corpus.sources, *corpus.requirements):
-        cls = type(record)
-        values = _values(record)
-        kwargs = {f.name: v for f, v in zip(dataclasses.fields(cls), values)}
-        changed = _values(dataclasses.replace(record, text="changed"))
-        positional, by_name, reference = cls(*values), cls(**kwargs), REFERENCES[cls](**kwargs)
-        assert type(positional) is type(by_name) is cls
-        assert positional == by_name == record
-        for made in (positional, reference):
-            _behaves_like(made, values)
-            assert hash(made) == hash(record)
-            assert repr(made) == repr(record)
-            assert made.role == record.role
-            assert _values(dataclasses.replace(made)) == values
-            assert _values(dataclasses.replace(made, text="changed")) == changed
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_init_stores_every_field_in_its_own_slot(cls):
-    # a handwritten __init__ skips a __post_init__, so there must be none
+    # no handwritten __init__ or __post_init__ runs after tuple.__new__
+    assert cls.__init__ is tuple.__init__
     assert not hasattr(cls, "__post_init__")
-    names = [f.name for f in dataclasses.fields(cls)]
-    assert cls.__slots__ == tuple(names)
-    # distinct values, so a value stored in another field's slot shows
+    assert cls.__slots__ == ()
+    names = list(cls._fields)
+    assert names == list(REFERENCES[cls]._fields)
+    # each field reads its own position of the tuple
+    for name in names:
+        assert type(cls.__dict__[name]) is type(REFERENCES[cls].__dict__[name])
+    # distinct values, so a value stored in another field's position shows
     values = [f"value {i}" for i in range(len(names))]
     _behaves_like(cls(*values), values)
+    _behaves_like(cls(**dict(zip(names, values))), values)
+    _behaves_like(tuple.__new__(cls, values), values)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_init_signature_is_the_generated_one(cls):
-    def shape(init):
-        return [(p.name, p.kind, p.default) for p in inspect.signature(init).parameters.values()]
+    def shape(call):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(call).parameters.values()]
 
-    assert shape(cls.__init__) == shape(REFERENCES[cls].__init__)
-    assert [name for name, _, _ in shape(cls)] == [f.name for f in dataclasses.fields(cls)]
-    # a record built from its required fields alone takes the defaults
+    assert shape(cls) == shape(REFERENCES[cls])
+    assert [name for name, _, _ in shape(cls)] == list(cls._fields)
+    # a record built from its required fields alone takes the defaults, the very objects
     required = [name for name, _, default in shape(cls) if default is inspect.Parameter.empty]
     values = [f"value {i}" for i in range(len(required))]
-    assert _values(cls(*values)) == _values(REFERENCES[cls](*values))
-
-
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_the_one_init_is_the_handwritten_one(cls):
-    # a generated __init__ is compiled from a string, so its file is "<string>"
-    assert REFERENCES[cls].__init__.__code__.co_filename == "<string>"
-    assert Path(cls.__init__.__code__.co_filename).name == "model.py"
+    made = cls(*values)
+    assert list(made) == list(REFERENCES[cls](*values))
+    assert all(getattr(made, name) is default for name, default in cls._field_defaults.items())
