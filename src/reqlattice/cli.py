@@ -169,7 +169,7 @@ def _cmd_change(args, corpus: Corpus) -> int:
 
 def _cmd_hierarchy(args, corpus: Corpus) -> int:
     findings = hierarchy.validate_hierarchy(corpus)
-    effective = {j.id: sorted(hierarchy.effective_requirements(corpus, j.id)) for j in corpus.jurisdictions}
+    effective = hierarchy.effective_requirements(corpus, tuple(j.id for j in corpus.jurisdictions))
     _emit(args, "hierarchy", reports.hierarchy_body(findings, effective), reports.hierarchy_text)
     return EXIT_STRICT if args.strict and findings else EXIT_OK
 

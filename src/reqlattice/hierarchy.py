@@ -1,13 +1,13 @@
-"""Level composition: effective requirement sets, level views and hierarchy lint.
+"""Level composition: level views, effective requirements and hierarchy lint.
 
 A node's effective requirements are its own plus everything inherited from
 ancestor jurisdictions, with refinement shadowing: an ancestor's requirement
 is dropped when an own item refines it along ``refines`` through ancestors'
-items only, or when it was already dropped at the parent. Each node's set is
-built on first read, from its parent's, and kept on the corpus.
-A level view turns each frontier node into one analysis unit without copying
-what it inherits: the node reads its own and each ancestor's items, one
-shared segment per jurisdiction, less the few ids that shadowing removes.
+items only, or when it was already dropped at the parent. A level view turns
+each frontier node into one analysis unit without copying what it inherits:
+the node reads its own and each ancestor's items, one shared segment per
+jurisdiction, less the few ids that shadowing removes. Effective requirements
+are read off that view, so the shadowing rule lives in one walk.
 """
 
 from __future__ import annotations
@@ -20,24 +20,6 @@ from reqlattice.partition import Finding, Reads
 def select_level(corpus: Corpus, level: Level) -> tuple[str, ...]:
     """The frontier of ``level``: the ids of its jurisdictions, in id order."""
     return tuple(j.id for j in corpus.jurisdictions if j.level is level)
-
-
-def effective_requirements(corpus: Corpus, node: str) -> frozenset[str]:
-    """Requirement ids visible at ``node``: own plus non-shadowed ancestors',
-    built on first read from the parent's set and kept in ``corpus.effective_sets``.
-    The parent comes from the ancestor chains: a valid forest, as loaded."""
-    memo = corpus.effective_sets
-    if node in memo:
-        return memo[node]
-    chain = corpus.ancestor_chains.get(node)
-    if chain is None:
-        raise UnknownIdError(node)
-    own = [r.id for kind in RequirementKind for r in corpus.members.get((node, kind), ())]
-    inherited = effective_requirements(corpus, chain[0]) if chain else frozenset()
-    # from a list: a frozenset copied from a set gets a table twice as large;
-    # setdefault, so concurrent first readers share one set
-    shadow = shadowed(corpus, node, own)
-    return memo.setdefault(node, frozenset([*own, *(inherited - shadow if shadow else inherited)]))
 
 
 def shadowed(corpus: Corpus, node: str, own: list[str]) -> set[str]:
@@ -69,6 +51,17 @@ def level_requirement_view(corpus: Corpus, frontier: tuple[str, ...]) -> Reads:
         shadow = shadowed(corpus, jid, refiners.get(jid, []))
         hidden[jid] = above | shadow if shadow else above
     return {node: ((node, *chains[node]), hidden[node]) for node in frontier}
+
+
+def effective_requirements(corpus: Corpus, frontier: tuple[str, ...]) -> dict[str, list[str]]:
+    """Each frontier node's visible requirement ids, sorted: the requirements of
+    every segment it reads, less the ids its level view hides."""
+    if unknown := [node for node in frontier if node not in corpus.ancestor_chains]:
+        raise UnknownIdError(unknown[0])
+    members = corpus.members
+    return {node: sorted(r.id for jid in chain for kind in RequirementKind for r in members.get((jid, kind), ())
+                         if r.id not in hidden)
+            for node, (chain, hidden) in level_requirement_view(corpus, frontier).items()}
 
 
 def level_source_view(corpus: Corpus, frontier: tuple[str, ...]) -> Reads:

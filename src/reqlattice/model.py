@@ -181,9 +181,6 @@ class Corpus:
     requirements: tuple[Requirement, ...]
     relations: RelationSet = field(default_factory=RelationSet)
     components: tuple[Component, ...] = ()
-    # the effective requirement ids of each jurisdiction read so far; only
-    # hierarchy.effective_requirements fills it. Shared, so never mutate it.
-    effective_sets: dict[str, frozenset[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # canonical member order by id, so structurally equal corpora compare

@@ -1,10 +1,8 @@
 import random
-import sys
-import threading
 
 import pytest
 
-from oracles import expand_reads
+from oracles import closure_effective, expand_reads
 from reqlattice import cli, corpus_io, hierarchy, model
 from reqlattice.errors import UnknownIdError, ValidationError
 from reqlattice.hierarchy import (
@@ -49,28 +47,51 @@ def tree_corpus(refines=()):
     return corpus
 
 
+def effective(corpus, node):
+    return set(effective_requirements(corpus, (node,))[node])
+
+
+def count_walks(monkeypatch) -> list[str]:
+    """The nodes whose shadowing is walked from now on, one entry per walk."""
+    walked = []
+    monkeypatch.setattr(hierarchy, "shadowed", lambda c, node, own: walked.append(node) or shadowed(c, node, own))
+    return walked
+
+
 class TestEffectiveRequirements:
     def test_plain_union_over_ancestors(self):
         corpus = tree_corpus()
-        assert effective_requirements(corpus, "org") == {"r-nat", "r-st", "r-org"}
-        assert effective_requirements(corpus, "st") == {"r-nat", "r-st"}
+        assert effective(corpus, "org") == {"r-nat", "r-st", "r-org"}
+        assert effective(corpus, "st") == {"r-nat", "r-st"}
 
     def test_root_is_just_its_own(self):
         corpus = tree_corpus()
-        assert effective_requirements(corpus, "nat") == {"r-nat"}
+        assert effective(corpus, "nat") == {"r-nat"}
 
     def test_refining_requirement_shadows_ancestor(self):
         corpus = tree_corpus(refines=[("r-org", "r-nat")])
-        assert effective_requirements(corpus, "org") == {"r-st", "r-org"}
+        assert effective(corpus, "org") == {"r-st", "r-org"}
 
     def test_shadowing_never_removes_own_items(self):
         # an ancestor's stronger version does not shadow the node's own
         corpus = tree_corpus(refines=[("r-nat", "r-org")])
-        assert "r-org" in effective_requirements(corpus, "org")
+        assert "r-org" in effective(corpus, "org")
 
-    def test_unknown_node(self):
-        with pytest.raises(UnknownIdError):
-            effective_requirements(tree_corpus(), "nowhere")
+    def test_unknown_node(self, monkeypatch):
+        # raised before any walk, whichever place the unknown node takes in the frontier
+        corpus = tree_corpus(refines=[("r-st", "r-nat")])
+        walked = count_walks(monkeypatch)
+        for frontier in (("nowhere",), ("org", "nowhere"), ("nowhere", "st", "elsewhere")):
+            with pytest.raises(UnknownIdError) as exc:
+                effective_requirements(corpus, frontier)
+            assert exc.value.item_id == "nowhere"
+        assert walked == []
+
+    def test_one_sorted_list_per_frontier_node(self):
+        corpus = tree_corpus(refines=[("r-st", "r-nat")])
+        assert effective_requirements(corpus, ("org", "nat", "st")) == {
+            "org": ["r-org", "r-st"], "nat": ["r-nat"], "st": ["r-st"]}
+        assert effective_requirements(corpus, ()) == {}
 
     def test_matches_union_then_redundancy_oracle(self):
         rng = random.Random(20240823)
@@ -96,7 +117,7 @@ class TestEffectiveRequirements:
                 relations=RelationSet(refines=frozenset(refines)),
             )
             model.validate_corpus(corpus)
-            got = effective_requirements(corpus, "org")
+            got = effective(corpus, "org")
             # oracle: union, then drop ids refined by a strictly nearer one
             # (exhaustive check over the closure)
             from reqlattice.relations import refinement_closure
@@ -112,14 +133,14 @@ class TestEffectiveRequirements:
 
     def test_monotone_ancestry(self):
         corpus = tree_corpus(refines=[("r-st", "r-nat")])
-        parent_effective = effective_requirements(corpus, "st")
-        child_effective = effective_requirements(corpus, "org")
+        parent_effective = effective(corpus, "st")
+        child_effective = effective(corpus, "org")
         assert parent_effective <= child_effective
 
 
 class TestRecurrence:
-    """Each node's set is built from its parent's: own items, plus the
-    parent's effective set less what the own items reach."""
+    """Each node hides what its parent hides plus what its own items reach, so
+    its effective set is its own items plus its parent's set less that reach."""
 
     def test_org_without_requirements_inherits_its_state_set_exactly(self):
         corpus = Corpus(
@@ -128,95 +149,35 @@ class TestRecurrence:
             relations=RelationSet(refines=frozenset({("r-st", "r-nat")})),
         )
         model.validate_corpus(corpus)
-        assert effective_requirements(corpus, "org") == effective_requirements(corpus, "st") == {"r-st", "r-st2"}
+        assert effective(corpus, "org") == effective(corpus, "st") == {"r-st", "r-st2"}
 
     def test_shadowed_at_the_state_stays_shadowed_at_its_org(self):
         # nothing of the org reaches r-nat: the state's shadowing carries down
         corpus = tree_corpus(refines=[("r-st", "r-nat")])
-        assert effective_requirements(corpus, "st") == {"r-st"}
-        assert effective_requirements(corpus, "org") == {"r-st", "r-org"}
+        assert effective(corpus, "st") == {"r-st"}
+        assert effective(corpus, "org") == {"r-st", "r-org"}
 
     def test_org_item_refining_a_national_one_through_a_state_one_shadows_both(self):
         corpus = tree_corpus(refines=[("r-org", "r-st"), ("r-st", "r-nat")])
-        assert effective_requirements(corpus, "nat") == {"r-nat"}
-        assert effective_requirements(corpus, "st") == {"r-st"}
-        assert effective_requirements(corpus, "org") == {"r-org"}
+        assert effective(corpus, "nat") == {"r-nat"}
+        assert effective(corpus, "st") == {"r-st"}
+        assert effective(corpus, "org") == {"r-org"}
 
     def test_org_item_refining_a_state_one_through_a_national_one_shadows_both(self):
         # the path climbs to the national item and comes back down: reach follows every step
         corpus = tree_corpus(refines=[("r-org", "r-nat"), ("r-nat", "r-st")])
-        assert effective_requirements(corpus, "st") == {"r-nat", "r-st"}
-        assert effective_requirements(corpus, "org") == {"r-org"}
-
-    def test_sets_are_built_once_per_corpus(self):
-        corpora = [tree_corpus(refines=[("r-org", "r-nat")]) for _ in range(2)]
-        org = effective_requirements(corpora[0], "org")
-        # reading the org builds its ancestors' sets, and nothing else
-        assert set(corpora[0].effective_sets) == {"org", "st", "nat"}
-        assert corpora[1].effective_sets == {}  # each corpus keeps its own memo
-        for corpus in corpora:
-            for _ in range(3):
-                level_requirement_view(corpus, select_level(corpus, Level.ORGANISATIONAL))
-                for node in ("nat", "st", "org"):
-                    assert effective_requirements(corpus, node) is corpus.effective_sets[node]
-        assert effective_requirements(corpora[0], "org") is org
-        assert corpora[0].effective_sets is not corpora[1].effective_sets
-
-    def test_unknown_node_after_the_sets_are_built(self):
-        corpus = tree_corpus()
-        with pytest.raises(UnknownIdError):
-            effective_requirements(corpus, "nowhere")
-        assert corpus.effective_sets == {}
-        for node in ("nat", "st", "org"):
-            effective_requirements(corpus, node)
-        with pytest.raises(UnknownIdError):
-            effective_requirements(corpus, "nowhere")
-        assert set(corpus.effective_sets) == {"nat", "st", "org"}
-
-    def test_concurrent_first_readers_share_one_set(self):
-        nodes = [jur(f"n{a}") for a in range(4)]
-        nodes += [jur(f"n{a}s{b}", Level.STATE, f"n{a}") for a in range(4) for b in range(4)]
-        nodes += [jur(f"{s.id}o{c}", Level.ORGANISATIONAL, s.id) for s in nodes[4:] for c in range(4)]
-        reqs = tuple(req(f"r-{j.id}", j.id, key="k") for j in nodes)
-        refines = frozenset((f"r-{j.id}", f"r-{j.parent}") for j in nodes if j.parent and j.id.endswith(("0", "2")))
-
-        def read_all(corpus, order, got):
-            got.update((node, effective_requirements(corpus, node)) for node in order)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for round_ in range(20):
-                corpus = Corpus(jurisdictions=tuple(nodes), sources=(), requirements=reqs,
-                                relations=RelationSet(refines=refines))
-                model.validate_corpus(corpus)
-                orders = [random.Random(round_ * 8 + t).sample([j.id for j in nodes], len(nodes)) for t in range(8)]
-                seen: list[dict] = [{} for _ in orders]
-                threads = [threading.Thread(target=read_all, args=(corpus, order, got))
-                           for order, got in zip(orders, seen)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-                    assert not thread.is_alive()
-                assert all(got.keys() == corpus.effective_sets.keys() for got in seen)
-                assert all(got[node] is corpus.effective_sets[node] for got in seen for node in got)
-        finally:
-            sys.setswitchinterval(interval)
-        fresh = Corpus(jurisdictions=tuple(nodes), sources=(), requirements=reqs, relations=RelationSet(refines=refines))
-        assert corpus.effective_sets == {j.id: effective_requirements(fresh, j.id) for j in nodes}
+        assert effective(corpus, "st") == {"r-nat", "r-st"}
+        assert effective(corpus, "org") == {"r-org"}
 
     @pytest.mark.parametrize("level, built", [
         (Level.NATIONAL, {"nat"}), (Level.STATE, {"nat", "st"}), (Level.ORGANISATIONAL, {"nat", "st", "org"}),
     ])
     def test_a_level_view_builds_only_its_frontier_and_their_ancestors(self, level, built, monkeypatch):
-        # it walks the shadowing of each such node once, and copies no effective set
+        # it walks the shadowing of each such node once
         corpus = tree_corpus(refines=[("r-st", "r-nat")])
-        walked = []
-        monkeypatch.setattr(hierarchy, "shadowed", lambda c, node, own: walked.append(node) or shadowed(c, node, own))
+        walked = count_walks(monkeypatch)
         level_requirement_view(corpus, select_level(corpus, level))
         assert sorted(walked) == sorted(built)
-        assert corpus.effective_sets == {}
 
     @pytest.mark.parametrize("argv, built", [
         (["validate", "--level", "state"], {"nat", "st"}),
@@ -224,17 +185,15 @@ class TestRecurrence:
         (["hierarchy"], {"nat", "st", "org"}),
     ])
     def test_a_command_builds_only_the_sets_its_level_reads(self, argv, built, tmp_path, monkeypatch, capsys):
-        # a level command walks the shadowing its level reads; only hierarchy keeps effective sets
+        # a level command walks the shadowing its level reads, hierarchy every node's, each once
         corpus = tree_corpus(refines=[("r-st", "r-nat")])
         path = tmp_path / "tree.reqcorpus.json"
         corpus_io.save_corpus(corpus, path)
         monkeypatch.setattr(corpus_io, "load_corpus", lambda _path: corpus)
-        walked = []
-        monkeypatch.setattr(hierarchy, "shadowed", lambda c, node, own: walked.append(node) or shadowed(c, node, own))
+        walked = count_walks(monkeypatch)
         assert cli.run([*argv, "--corpus", str(path), "--format", "json"]) == cli.EXIT_OK
         capsys.readouterr()
         assert sorted(walked) == sorted(built)
-        assert set(corpus.effective_sets) == (built if argv == ["hierarchy"] else set())
 
 
 class TestAncestorChains:
@@ -253,8 +212,7 @@ class TestAncestorChains:
         expect = {"n1": [], "n2": [], "s1": ["n1"], "o1": ["s1", "n1"], "o2": ["n2"]}
         for _ in range(3):
             assert {j.id: corpus.ancestors(j.id) for j in corpus.jurisdictions} == expect
-            for node in expect:
-                effective_requirements(corpus, node)
+            effective_requirements(corpus, tuple(expect))
             level_source_view(corpus, select_level(corpus, Level.ORGANISATIONAL))
         assert corpus.ancestors("nowhere") == []
         assert built == []  # validate_corpus's jurisdiction check built the chains; no read rebuilds them
@@ -269,12 +227,14 @@ class TestLevelSelection:
         assert sel == ("st",)
 
     def test_level_view_uses_effective_sets(self):
-        # what a node reads, less what it does not see, is its effective set
+        # what a node reads, less what it does not see, is its effective set by definition
         for refines in ((), [("r-org", "r-nat")], [("r-st", "r-nat")], [("r-org", "r-st"), ("r-st", "r-nat")]):
             corpus = tree_corpus(refines)
-            reads = level_requirement_view(corpus, select_level(corpus, Level.ORGANISATIONAL))
-            view = expand_reads(corpus, reads, RequirementKind.FUNCTIONAL)
-            assert {r.id for r in view["org"]} == effective_requirements(corpus, "org")
+            for level in Level:
+                reads = level_requirement_view(corpus, select_level(corpus, level))
+                view = expand_reads(corpus, reads, RequirementKind.FUNCTIONAL)
+                assert {node: {r.id for r in items} for node, items in view.items()} == {
+                    node: closure_effective(corpus, node) for node in select_level(corpus, level)}
         assert {r.id for r in expand_reads(corpus, level_source_view(corpus, ("org",)), RequirementKind.FUNCTIONAL)["org"]} == {
             "r-nat", "r-st", "r-org"}
 

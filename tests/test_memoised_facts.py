@@ -1,7 +1,7 @@
 """Memoised corpus facts stay fresh across change application.
 
 Every fact cached on a ``Corpus`` or ``Partition`` (item grouping, id map,
-ancestor chains, effective sets, owner map) and the fingerprint must equal
+ancestor chains, owner map) and the fingerprint must equal
 their from-scratch values on each corpus a change set produces, and the
 analyses that read those caches must still match the brute-force oracles.
 Cached facts live on their corpus and die with it.
@@ -45,8 +45,9 @@ def scratch_fingerprint(corpus: Corpus) -> str:
 def shadowed_nodes(corpus: Corpus) -> list[str]:
     """The jurisdictions whose effective set is smaller than their pool of own and ancestor requirements."""
     pools = {j.id: {j.id, *corpus.ancestor_chains[j.id]} for j in corpus.jurisdictions}
+    effective = effective_requirements(corpus, tuple(pools))
     return [jid for jid, pool in pools.items()
-            if len(effective_requirements(corpus, jid)) < sum(r.jurisdiction in pool for r in corpus.requirements)]
+            if len(effective[jid]) < sum(r.jurisdiction in pool for r in corpus.requirements)]
 
 
 def random_op(rng: random.Random, corpus: Corpus, n: int) -> ChangeOp:
@@ -135,8 +136,8 @@ def test_memoised_facts_match_scratch_after_each_change(seed):
         assert after.members == scratch_members(after)
         fresh = Corpus(after.jurisdictions, after.sources, after.requirements, after.relations, after.components)
         assert (after.ancestor_chains, after.by_id) == (fresh.ancestor_chains, fresh.by_id)
-        for j in after.jurisdictions:
-            assert effective_requirements(after, j.id) == effective_requirements(fresh, j.id)
+        every = tuple(j.id for j in after.jurisdictions)
+        assert effective_requirements(after, every) == effective_requirements(fresh, every)
         if after != corpus:
             assert model.corpus_fingerprint(after) != before_fp
             with pytest.raises(PartitionMismatchError):
@@ -184,6 +185,6 @@ def test_cached_facts_die_with_their_corpus(tmp_path, monkeypatch, capsys):
     for argv in (["hierarchy"], ["optimize"], ["partition", "--level", "org"]):
         assert run([*argv, "--corpus", str(path), "--format", "json"]) == EXIT_OK
     capsys.readouterr()
-    assert {"effective_sets", "ancestor_chains", "members"} <= vars(alive()).keys()
+    assert {"ancestor_chains", "members"} <= vars(alive()).keys()
     loaded.clear()
     assert alive() is None

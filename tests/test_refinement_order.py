@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closure_effective, closure_optimize, random_dag, random_tree_corpus
+from oracles import closure_effective, closure_optimize, random_dag, random_forest, random_tree_corpus
 from reqlattice import corpus_io, model
 from reqlattice.cli import EXIT_OK, run
 from reqlattice.errors import CycleError
@@ -45,9 +45,13 @@ def closure_contradictions(relations: RelationSet) -> frozenset[frozenset[str]]:
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_linear_pass_matches_closure(seed):
-    corpus = random_tree_corpus(random.Random(seed))
-    for j in corpus.jurisdictions:
-        assert effective_requirements(corpus, j.id) == closure_effective(corpus, j.id)
+    rng = random.Random(seed)
+    corpus = random_tree_corpus(rng)
+    for drawn in (corpus, random_forest(rng)):
+        every = [j.id for j in drawn.jurisdictions]
+        for frontier in (every, rng.sample(every, rng.randint(0, len(every)))):  # the full and a drawn sub-frontier
+            assert effective_requirements(drawn, tuple(frontier)) == {
+                node: sorted(closure_effective(drawn, node)) for node in frontier}
 
     scopes = [{r.id for r in corpus.requirements}]
     scopes += [{r.id for r in corpus.requirements if r.kind is kind} for kind in RequirementKind]
@@ -78,10 +82,10 @@ def test_path_through_a_sibling_jurisdiction_does_not_shadow():
         relations=RelationSet(refines=frozenset({("r-s1", "r-s2"), ("r-s2", "r-nat")})),
     )
     model.validate_corpus(corpus)
-    assert effective_requirements(corpus, "st1") == {"r-nat", "r-s1"}
-    assert effective_requirements(corpus, "st2") == {"r-s2"}
+    effective = effective_requirements(corpus, ("nat", "st1", "st2"))
+    assert (effective["st1"], effective["st2"]) == (["r-nat", "r-s1"], ["r-s2"])
     for jid in ("nat", "st1", "st2"):
-        assert effective_requirements(corpus, jid) == closure_effective(corpus, jid)
+        assert effective[jid] == sorted(closure_effective(corpus, jid))
 
 
 def test_cycle_witness_equals_check_acyclic():
@@ -126,7 +130,7 @@ def test_cyclic_corpus_raises_the_same_witness_everywhere():
         check_acyclic(corpus.relations, set(ids))
     expect = exc.value.cycle
     assert expect == ["b", "c"]
-    for call in (lambda: effective_requirements(corpus, "org"),
+    for call in (lambda: effective_requirements(corpus, ("org",)),
                  lambda: optimize(set(ids), corpus, "s"),
                  lambda: derive_contradictions(corpus.relations)):
         with pytest.raises(CycleError) as exc:

@@ -1,5 +1,5 @@
 """The roadmap's 584-node figures tree: every envelope keeps its digest,
-and the org-level partition keeps its memory peak.
+and the org-level partition and the hierarchy report keep their memory peaks.
 
 The tree is ``perfbench/corpora.py``'s ``tree_corpus`` drawn from a seed-0
 ``random.Random``: 8 nationals × 8 states × 8 orgs, ``common=200``,
@@ -41,6 +41,9 @@ DIGESTS = [
 # the tracemalloc peak of partition --level org, in MiB: 28.0 when each org's
 # view copied every item it inherits, 23.6 with views built from shared segments
 ORG_PARTITION_PEAK_MIB = 26.0
+# the tracemalloc peak of hierarchy, in MiB: 21.7 when each node's effective set was
+# kept as a frozenset of its own, 17.0 with the lists read off the level view
+HIERARCHY_PEAK_MIB = 19.0
 
 
 @pytest.fixture(scope="module")
@@ -68,13 +71,21 @@ def test_every_envelope_keeps_its_digest(tree_path):
     assert got == DIGESTS
 
 
-def test_org_partition_peak_stays_below_its_bound(tree_path):
-    argv = ["partition", "--level", "org", "--corpus", str(tree_path), "--format", "json"]
+def _peak(argv: list[str]) -> int:
     _stdout(argv)  # warm: lazily built module state is not the command's
     tracemalloc.start()
     try:
         _stdout(argv)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_org_partition_peak_stays_below_its_bound(tree_path):
+    peak = _peak(["partition", "--level", "org", "--corpus", str(tree_path), "--format", "json"])
     assert peak < ORG_PARTITION_PEAK_MIB * 2**20, peak / 2**20
+
+
+def test_hierarchy_peak_stays_below_its_bound(tree_path):
+    peak = _peak(["hierarchy", "--corpus", str(tree_path), "--format", "json"])
+    assert peak < HIERARCHY_PEAK_MIB * 2**20, peak / 2**20
