@@ -169,6 +169,17 @@ class TestRecurrence:
         assert effective(corpus, "st") == {"r-nat", "r-st"}
         assert effective(corpus, "org") == {"r-org"}
 
+    def test_unknown_node_after_the_sets_are_built(self):
+        corpus = tree_corpus(refines=[("r-st", "r-nat")])
+        with pytest.raises(UnknownIdError):
+            effective_requirements(corpus, ("nowhere",))
+        built = effective_requirements(corpus, ("nat", "st", "org"))
+        assert built == {"nat": ["r-nat"], "st": ["r-st"], "org": ["r-org", "r-st"]}
+        with pytest.raises(UnknownIdError) as exc:
+            effective_requirements(corpus, ("org", "nowhere"))
+        assert exc.value.item_id == "nowhere"
+        assert effective_requirements(corpus, ("nat", "st", "org")) == built
+
     @pytest.mark.parametrize("level, built", [
         (Level.NATIONAL, {"nat"}), (Level.STATE, {"nat", "st"}), (Level.ORGANISATIONAL, {"nat", "st", "org"}),
     ])
